@@ -13,7 +13,7 @@ import math
 
 from .errors import DomainError
 from .model import FracParams, homogeneous_field
-from .specfun import gamma_ratio, kappa, lgamma_signed
+from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
     "f1_closed",
@@ -270,8 +270,3 @@ def empirical_coupling_ratio(d: int, s: float, n: int = 100) -> float:
         delta = d0 * k / n
         sup = max(sup, b_of_delta(d, s, delta) / delta)
     return sup
-
-
-def _kappa_times_f1(d: int, s: float, delta: float) -> float:
-    """-2 kappa f1, the isotropic operator part at e1 (internal consistency)."""
-    return -2.0 * kappa(d, s) * f1_closed(d, s, delta)

@@ -1,21 +1,28 @@
 """Nonlocal quadratic energy on compactly supported test functions.
 
-The energy is assembled as one quadratic form per quadrature node set, so
-that the parallelogram identity
+The energy is a quadratic form in samples of the test function on a frozen
+node set: v at the x nodes, v(x) - v(x + h) for the near h nodes, and grad v
+at the x nodes.  Each function is sampled once; averages and differences are
+formed on the sample arrays by linearity, so the parallelogram identity
 
     J(v1)/2 + J(v2)/2 - J((v1+v2)/2) = (1/4) J-form of (v1 - v2)
 
-holds at node level to rounding; the same node set evaluates every function
-involved in a comparison.  Three pieces make up the form: the pair part over
-a graded mesh in |h|, an analytic Taylor correction for |h| below the mesh
-(quadratic in the gradient, so identity-preserving), and an analytic far
-tail (quadratic in the value).
+holds at node level to rounding.  The node geometry depends on (d, support
+radius, spec) only and is shared by every s and epsilon; the weights for one
+(s, epsilon) are cheap next to it.  The form has four parts: pairs over a
+graded mesh in |h| for the near h nodes (some x + h inside the support
+ball); one per-x weight on v(x)^2 folding the far h nodes, where
+v(x + h) = 0; an analytic Taylor correction for |h| below the mesh (quadratic
+in the gradient, so identity-preserving); and an analytic far tail
+(quadratic in the value).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +36,6 @@ from .specfun import gamma, kappa
 __all__ = [
     "TestFunction",
     "bump_x1",
-    "average",
-    "difference",
     "energy_eval",
     "convexity_identity_check",
     "first_variation_residual",
@@ -84,42 +89,72 @@ def bump_x1(radius: float = 1.0) -> TestFunction:
     return TestFunction(value=value, grad=grad, radius=radius, label="bump_x1")
 
 
-def average(v1: TestFunction, v2: TestFunction) -> TestFunction:
-    r = max(v1.radius, v2.radius)
-    return TestFunction(
-        value=lambda p: 0.5 * (v1.value(p) + v2.value(p)),
-        grad=lambda p: 0.5 * (v1.grad(p) + v2.grad(p)),
-        radius=r,
-        label="average",
-    )
+class _Samples(NamedTuple):
+    """One test function sampled on a grid.
+
+    The energy is quadratic in these arrays, and a linear combination of
+    functions is sampled by the same combination of their arrays.  Keeping
+    the pair differences rather than v(x+h) keeps that linearity exact to
+    relative rounding even where v(x) - v(x+h) cancels, at small |h|.
+    """
+
+    vx: np.ndarray  # v(x)
+    dv: np.ndarray  # v(x) - v(x+h) on the near h nodes
+    gx: np.ndarray  # grad v(x)
 
 
-def difference(v1: TestFunction, v2: TestFunction) -> TestFunction:
-    r = max(v1.radius, v2.radius)
-    return TestFunction(
-        value=lambda p: v1.value(p) - v2.value(p),
-        grad=lambda p: v1.grad(p) - v2.grad(p),
-        radius=r,
-        label="difference",
-    )
+def _row_chunks(n_rows: int, width: int, fn) -> list:
+    """fn(i0, i1) over x-row chunks of about a million pair entries each."""
+    chunk = max(1, int(1e6 / max(1, width)))
+    return map_ordered(lambda i0: fn(i0, min(n_rows, i0 + chunk)), range(0, n_rows, chunk))
+
+
+@dataclass(frozen=True)
+class _Form:
+    """kappa/2 times the double integral, as a quadratic form in samples."""
+
+    kappa: float
+    pair: np.ndarray  # (x, near h) weights on (v(x) - v(x+h))^2
+    diag: np.ndarray  # per-x weight on v(x)^2: far h nodes and far tail
+    taylor: np.ndarray  # (x, omega) weights on (grad v(x) . omega)^2
+    om_h: np.ndarray
+
+    def energy(self, *terms: tuple[float, _Samples]) -> np.longdouble:
+        """The energy of the function sum(c * v for c, v in terms).
+
+        Identities between energies cancel down to |v1 - v2|^2, so the
+        combination, the squares and the sums are taken in extended precision
+        (plain double where long double is double).
+        """
+
+        def combine(field, rows=slice(None)):
+            parts = (np.multiply(getattr(v, field)[rows], c, dtype=np.longdouble)
+                     for c, v in terms)
+            return functools.reduce(np.add, parts)
+
+        def pair(i0, i1):
+            d = combine("dv", slice(i0, i1))
+            d *= d
+            d *= self.pair[i0:i1]
+            return np.sum(d)
+
+        gdot = combine("gx") @ self.om_h.T
+        total = np.sum(self.diag * combine("vx") ** 2) + np.sum(self.taylor * gdot**2)
+        total += sum(_row_chunks(len(self.pair), self.pair.shape[1], pair))
+        return 0.5 * self.kappa * total
 
 
 class _EnergyGrid:
-    """Frozen node set turning the energy into a quadratic form.
+    """Frozen node set on which the energy is a quadratic form in samples.
 
     Outer x nodes cover the support ball in polar coordinates; for each x
     the h mesh is a shared set of log-graded radial bands times a sphere
-    rule.  Kernel weights depend on the parameters, not on the function, so
-    one grid serves every function entering一 comparison.
+    rule.  The geometry depends on (d, radius, spec) only, so one grid serves
+    every s, epsilon and test function entering one comparison.
     """
 
-    def __init__(self, params: FracParams, radius: float, spec: QuadratureSpec):
-        d, s, eps = params.d, params.s, params.epsilon
-        self.params = params
-        self.radius = radius
-        self.kappa = kappa(d, s)
-        a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * eps
-        b_rad = 0.5 * (d + 2.0 * s) * eps
+    def __init__(self, d: int, radius: float, spec: QuadratureSpec):
+        self.d = d
 
         # outer x nodes: GL in radius x sphere rule, jacobian r^(d-1)
         nx_r, nx_a = 18, max(24, spec.angular_nodes // 2)
@@ -143,94 +178,103 @@ class _EnergyGrid:
             r = np.exp(tm + tspan * th)
             rr.append(r)
             ww.append(wh * tspan * r**d)
-        r_h = np.concatenate(rr)
-        w_h = np.concatenate(ww)
-        self.h = (r_h[:, None, None] * om_h[None, :, :]).reshape(-1, d)
-        self.wh = (w_h[:, None] * ow_h[None, :]).reshape(-1)
+        r_h = np.repeat(np.concatenate(rr), len(om_h))
+        hhat = np.tile(om_h, (len(r_h) // len(om_h), 1))
+        h = r_h[:, None] * hhat
+        w_h = (np.concatenate(ww)[:, None] * ow_h[None, :]).reshape(-1)
         self.h_min, self.h_max = h_min, h_max
         self.om_h, self.ow_h = om_h, ow_h
 
-        # kernel weights k(x, x+h) on the product grid, in x-chunks
-        def quad_form(y, hh):
-            ry = np.maximum(np.sqrt(np.sum(y * y, axis=-1)), 1e-300)
-            proj = np.sum(y * hh, axis=-1) / ry
-            return a_iso + b_rad * proj**2
+        # the kernel is k(x, x+h) = (a_iso + b_rad C) |h|^(-d-2s) with
+        # C = ((x.hhat / |x|)^2 + ((x+h).hhat / |x+h|)^2) / 2, on x-chunks
+        rx2 = np.sum(self.x * self.x, axis=1)
+        c = np.empty((len(self.x), len(h)))
+        outside = np.empty(c.shape, dtype=bool)
 
-        hh_unit = self.h / np.linalg.norm(self.h, axis=1, keepdims=True)
-        r_pow = np.linalg.norm(self.h, axis=1) ** (-d - 2.0 * s)
-        self.kernel = np.empty((len(self.x), len(self.h)))
-        chunk = max(1, int(2e6 / max(1, len(self.h))))
+        def fill(i0, i1):
+            xh = self.x[i0:i1] @ hhat.T
+            y2 = rx2[i0:i1, None] + r_h * (2.0 * xh + r_h)  # |x+h|^2
+            # a cosine squared: the clip guards the rounding where x+h ~ 0
+            cy2 = np.minimum((xh + r_h) ** 2 / np.maximum(y2, 1e-300), 1.0)
+            c[i0:i1] = 0.5 * (xh * xh / rx2[i0:i1, None] + cy2)
+            outside[i0:i1] = y2 > radius**2
 
-        def fill(i0):
-            i1 = min(len(self.x), i0 + chunk)
-            xs = self.x[i0:i1]
-            qx = quad_form(xs[:, None, :], hh_unit[None, :, :])
-            qy = quad_form(xs[:, None, :] + self.h[None, :, :], hh_unit[None, :, :])
-            self.kernel[i0:i1] = 0.5 * (qx + qy) * r_pow[None, :]
-            return None
+        _row_chunks(len(self.x), len(h), fill)
 
-        map_ordered(fill, range(0, len(self.x), chunk))
+        # near set: the h nodes for which some x+h lies inside the ball.  On
+        # every other node v(x+h) = 0 for any v supported in the ball, so
+        # those pairs fold into one weight per x.
+        near = ~outside.all(axis=0)
+        self.h_near = h[near]
+        self.c_near, self.c_far = c[:, near], c[:, ~near]
+        self.r_near, self.r_far = r_h[near], r_h[~near]
+        self.wh_far = w_h[~near]
+        # The x nodes cover the ball only; ordered pairs leaving it appear
+        # once here but twice in the full double integral: factor 2.
+        self.base_near = self.wx[:, None] * w_h[near] * np.where(outside[:, near], 2.0, 1.0)
+        # near-field Taylor directions (x.omega / |x|)^2
+        self.c_taylor = (self.x @ om_h.T) ** 2 / rx2[:, None]
+
+    def samples(self, v: TestFunction) -> _Samples:
+        """v and grad v at every node the form reads, each taken once."""
+        vx = v.value(self.x)
+        dv = np.empty(self.c_near.shape)
+
+        def fill(i0, i1):
+            pts = (self.x[i0:i1, None, :] + self.h_near[None, :, :]).reshape(-1, self.d)
+            dv[i0:i1] = vx[i0:i1, None] - v.value(pts).reshape(i1 - i0, -1)
+
+        _row_chunks(len(self.x), len(self.h_near), fill)
+        return _Samples(vx, dv, v.grad(self.x))
+
+    def weights(self, params: FracParams) -> _Form:
+        """The quadratic form's weights at (s, epsilon); cheap next to the grid."""
+        d, s, eps = self.d, params.s, params.epsilon
+        a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * eps
+        b_rad = 0.5 * (d + 2.0 * s) * eps
+
+        pair = np.empty(self.c_near.shape)
+        rpow_near = self.r_near ** (-d - 2.0 * s)
+
+        def fill(i0, i1):
+            pair[i0:i1] = self.base_near[i0:i1] * rpow_near * (a_iso + b_rad * self.c_near[i0:i1])
+
+        _row_chunks(len(self.x), len(self.r_near), fill)
+
+        # far h nodes: every pair leaves the ball, factor 2, v(x+h) = 0
+        w_far = self.wh_far * self.r_far ** (-d - 2.0 * s)
+        far = 2.0 * (a_iso * float(np.sum(w_far)) + b_rad * (self.c_far @ w_far))
+
+        # far tail: int_(|h|>h_max) k dh * v(x)^2, with A(x+h) -> A(hhat);
+        # the far region is entirely outside the support ball: factor 2
+        surf = 2.0 * math.pi ** (0.5 * d) / gamma(0.5 * d)
+        tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
+        tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * surf * tail_a
 
         # near-field Taylor weights: int_(|h|<h_min) k (grad v . h)^2 dh
         # = h_min^(2-2s)/(2-2s) * sum_omega w <A(x)w,w> (grad v . w)^2
-        self.near_scale = h_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        self.near_q = quad_form(self.x[:, None, :], om_h[None, :, :])  # (nx, nom)
-
-        # far tail: int_(|h|>h_max) k dh * v(x)^2, with A(x+h) -> A(hhat)
-        surf = 2.0 * math.pi ** (0.5 * d) / gamma(0.5 * d)
-        tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
-        # the far region is entirely outside the support ball: factor 2
-        self.tail_w = 2.0 * h_max ** (-2.0 * s) / (2.0 * s) * surf * tail_a
-
-    def quadratic(self, v: TestFunction) -> float:
-        """kappa/2 times the double integral for one test function.
-
-        The x nodes cover the support ball only; ordered pairs leaving the
-        ball appear once there but twice in the full double integral, hence
-        the factor-2 weight on nodes with x+h outside.
-        """
-        vx = v.value(self.x)
-        gx = v.grad(self.x)
-        total = 0.0
-        chunk = max(1, int(4e6 / max(1, len(self.h))))
-        for i0 in range(0, len(self.x), chunk):
-            i1 = min(len(self.x), i0 + chunk)
-            pts = (self.x[i0:i1, None, :] + self.h[None, :, :]).reshape(-1, self.x.shape[1])
-            vy = v.value(pts).reshape(i1 - i0, -1)
-            outside = (
-                np.sum(pts * pts, axis=1).reshape(i1 - i0, -1) > self.radius**2
-            )
-            diff2 = (vx[i0:i1, None] - vy) ** 2 * np.where(outside, 2.0, 1.0)
-            pair = np.sum(self.kernel[i0:i1] * diff2 * self.wh[None, :], axis=1)
-            total += float(self.wx[i0:i1] @ pair)
-        # near-field correction, quadratic in grad v
-        gdot = gx @ self.om_h.T  # (nx, nom)
-        near = self.near_scale * np.sum(self.near_q * gdot**2 * self.ow_h[None, :], axis=1)
-        total += float(self.wx @ near)
-        # far tail, quadratic in v
-        total += self.tail_w * float(self.wx @ vx**2)
-        return 0.5 * self.kappa * total
+        near_scale = self.h_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+        taylor = (near_scale * self.wx)[:, None] * self.ow_h * (a_iso + b_rad * self.c_taylor)
+        return _Form(kappa(d, s), pair, self.wx * (far + tail), taylor, self.om_h)
 
 
 def energy_eval(params: FracParams, v: TestFunction, spec: QuadratureSpec) -> float:
     """Value of the nonlocal energy for one test function."""
-    grid = _EnergyGrid(params, v.radius, spec)
-    return grid.quadratic(v)
+    grid = _EnergyGrid(params.d, v.radius, spec)
+    return float(grid.weights(params).energy((1.0, grid.samples(v))))
 
 
 def convexity_identity_check(
     params: FracParams, v1: TestFunction, v2: TestFunction, spec: QuadratureSpec
 ) -> tuple[float, float]:
     """(lhs, rhs) of the parallelogram identity on a shared node set."""
-    radius = max(v1.radius, v2.radius)
-    grid = _EnergyGrid(params, radius, spec)
-    lhs = (
-        0.5 * grid.quadratic(v1)
-        + 0.5 * grid.quadratic(v2)
-        - grid.quadratic(average(v1, v2))
-    )
-    rhs = 0.25 * grid.quadratic(difference(v1, v2))
-    return lhs, rhs
+    grid = _EnergyGrid(params.d, max(v1.radius, v2.radius), spec)
+    form = grid.weights(params)
+    p, q = grid.samples(v1), grid.samples(v2)
+    mean = form.energy((0.5, p), (0.5, q))
+    lhs = 0.5 * form.energy((1.0, p)) + 0.5 * form.energy((1.0, q)) - mean
+    rhs = 0.25 * form.energy((1.0, p), (-1.0, q))
+    return float(lhs), float(rhs)
 
 
 def _op_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -330,9 +374,10 @@ def gamma_limit_probe(
     loc = local_energy(d, eps, v)
     if not math.isfinite(loc) or loc <= 0.0:
         raise NotConverged("local-energy reference is degenerate")
+    grid = _EnergyGrid(d, v.radius, spec)
+    samples = grid.samples(v)
     rows = []
     for s in s_list:
-        params = FracParams(d, s, 0.0, eps)
-        val = energy_eval(params, v, spec)
+        val = float(grid.weights(FracParams(d, s, 0.0, eps)).energy((1.0, samples)))
         rows.append((s, val, loc, abs(val - loc) / loc))
     return rows

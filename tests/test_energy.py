@@ -112,6 +112,24 @@ def test_convexity_identity_random_pairs(spec, rng):
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "s, eps, r1, r2",
+    [
+        # two pv-free benchmark draws that fail when the energies of v1, v2
+        # and their mean are evaluated and summed in double precision
+        (0.8997766382717158, 0.3700445366596514, 0.6634913010519335, 0.6650926802040824),
+        (0.43338220026466967, 0.3880494790718592, 0.7678792557535046, 0.767680422267067),
+        (0.3, 0.03, 0.611, 0.6111),
+    ],
+)
+def test_convexity_identity_nearly_equal_radii(spec, s, eps, r1, r2):
+    # lhs is O(|v1 - v2|^2) while each energy is O(1): the identity must
+    # hold to 1e-10 of lhs through that cancellation
+    params = FracParams(2, s, 0.0, eps)
+    lhs, rhs = en.convexity_identity_check(params, en.bump_x1(r1), en.bump_x1(r2), spec)
+    assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1e-12)
+
+
 def test_first_variation_zero_at_coupling(spec):
     d, s, delta = 2, 0.6, 0.1
     eps = cf.b_of_delta(d, s, delta)
@@ -174,6 +192,53 @@ def test_gamma_limit_trend(spec):
         rows = en.gamma_limit_probe(eps, v, (0.9, 0.95, 0.99), spec=spec)
         gaps = [row[3] for row in rows]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+# Reference values from the closure-based grid, which evaluated v, (v1+v2)/2
+# and v1 - v2 afresh at every x + h, at the default spec.  The sample-based
+# form must reproduce them to rounding.
+PINNED_CONVEXITY = [
+    # (s, eps, r1, r2, energy of bump_x1(r1), lhs, rhs)
+    (0.6, 0.3, 0.4, 0.95, 0.014262688243573355, 0.009275595259666222, 0.009275595259666222),
+    (0.3, 0.0, 0.7, 0.5, 0.007817424734117787, 0.0010606487525914778, 0.0010606487525914772),
+    (0.85, 0.45, 1.0, 0.6, 0.05924835976396328, 0.020776711652600942, 0.020776711652600782),
+]
+PINNED_PROBE = [
+    # (eps, radius, nonlocal energies at s = 0.9, 0.95, 0.99, local energy)
+    (0.25, 0.8, (0.0691100827322815, 0.08256889792349642, 0.09537927283976394),
+     0.09892224782233346),
+    (0.0, 1.0, (0.07673460456499347, 0.09019850418095178, 0.10282740563105303),
+     0.10629208289690648),
+    (0.1, 0.55, (0.0664209076315182, 0.08273920349808413, 0.0988170475809525),
+     0.1033441488670773),
+]
+
+
+@pytest.mark.parametrize("s, eps, r1, r2, e1, lhs, rhs", PINNED_CONVEXITY)
+def test_energy_values_pinned(spec, s, eps, r1, r2, e1, lhs, rhs):
+    params = FracParams(2, s, 0.0, eps)
+    assert en.energy_eval(params, en.bump_x1(r1), spec) == pytest.approx(e1, rel=1e-12)
+    got = en.convexity_identity_check(params, en.bump_x1(r1), en.bump_x1(r2), spec)
+    assert got == pytest.approx((lhs, rhs), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, r, energies, loc", PINNED_PROBE)
+def test_gamma_limit_probe_pinned(spec, eps, r, energies, loc):
+    rows = en.gamma_limit_probe(eps, en.bump_x1(r), (0.9, 0.95, 0.99), spec=spec)
+    for (s, val, got_loc, gap), want, s_want in zip(rows, energies, (0.9, 0.95, 0.99)):
+        assert s == s_want
+        assert val == pytest.approx(want, rel=1e-12)
+        assert got_loc == loc
+        assert gap == pytest.approx(abs(want - loc) / loc, rel=1e-12)
+
+
+def test_gamma_limit_probe_rows_match_energy_eval(spec):
+    # the probe shares one grid and one sample set across s; each row must
+    # equal the single-function path at that s
+    eps, v = 0.2, en.bump_x1(0.7)
+    for s, val, _, _ in en.gamma_limit_probe(eps, v, (0.9, 0.95, 0.99), spec=spec):
+        single = en.energy_eval(FracParams(2, s, 0.0, eps), v, spec)
+        assert val == pytest.approx(single, rel=1e-13)
 
 
 def test_local_energy_identity_at_eps_zero():
