@@ -97,8 +97,6 @@ def _spec_from(args) -> QuadratureSpec:
         bands_per_decade=args.bands_per_decade,
         radial_nodes=args.radial_nodes,
         angular_nodes=args.angular_nodes,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
         target_rel_err=args.target_rel_err,
     )
 
@@ -301,7 +299,6 @@ def _add_quad_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bands-per-decade", type=int, default=4)
     p.add_argument("--radial-nodes", type=int, default=10)
     p.add_argument("--angular-nodes", type=int, default=64)
-    p.add_argument("--mc-samples", type=int, default=60000)
     p.add_argument("--target-rel-err", type=float, default=1e-4)
 
 

@@ -154,6 +154,10 @@ class _EnergyGrid:
     """
 
     def __init__(self, d: int, radius: float, spec: QuadratureSpec):
+        # at d = 3 the default spec gives 9216 x nodes and 73728 h nodes:
+        # 5.4 GB per float64 pair array
+        if d != 2:
+            raise DomainError(f"the energy grid is implemented for d = 2, got {d!r}")
         self.d = d
 
         # outer x nodes: GL in radius x sphere rule, jacobian r^(d-1)
@@ -285,9 +289,7 @@ def _op_spec(spec: QuadratureSpec) -> QuadratureSpec:
         bands_per_decade=max(2, spec.bands_per_decade // 2),
         radial_nodes=max(6, spec.radial_nodes - 2),
         angular_nodes=max(24, spec.angular_nodes // 2),
-        seed=spec.seed,
         target_rel_err=spec.target_rel_err,
-        richardson_levels=spec.richardson_levels,
     )
 
 

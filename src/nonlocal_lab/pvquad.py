@@ -18,8 +18,15 @@ infinity.  The evaluation strategy:
     sequence, whose measured ratio extrapolates the missing mass at both
     ends (this is the Richardson limit over shrinking/growing windows).
 
-Deterministic by construction; the d >= 4 fallback is stratified Monte
-Carlo with per-band seeds derived from the spec seed.
+The full sphere rule covers d = 2 and 3.  In any d >= 3 an integrand that
+depends on h only through (h . e1, |h|), with its singular points on the e1
+axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
+sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
+the Gauss nodes of that weight (Golub-Welsch).  The f1-f4 integrands are of
+this kind.  The operators on the field phi(|z|) z1 (`frac_op_num` and the
+Riesz convolutions) commute with rotations, so their value at x is
+(x1/|x|) times their value at |x| e1, where the integrand is axial.  Every
+path is deterministic.
 """
 
 from __future__ import annotations
@@ -51,10 +58,7 @@ class QuadratureSpec:
     bands_per_decade: int = 4
     radial_nodes: int = 10
     angular_nodes: int = 64
-    mc_samples: int = 60000
-    seed: int = 42
     target_rel_err: float = 1e-4
-    richardson_levels: int = 3
     patch_radius: float = 0.3
     patch_rho_min: float = 1e-10
 
@@ -63,8 +67,6 @@ class QuadratureSpec:
             raise DomainError("window must satisfy r_min < 1 < r_max")
         if self.bands_per_decade < 1 or self.radial_nodes < 2 or self.angular_nodes < 4:
             raise DomainError("degenerate quadrature resolution")
-        if self.richardson_levels < 2:
-            raise DomainError("completion needs at least two levels")
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,33 @@ def _sphere_rule(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         )
         weights = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
         return omegas, weights
-    raise DomainError("deterministic sphere rule only for d in {2, 3}")
+    raise DomainError("the full sphere rule covers d in {2, 3}; use the meridian rule")
+
+
+@lru_cache(maxsize=32)
+def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights integrating functions of omega_1 alone over S^(d-1), d >= 3.
+
+    The nodes omega = (mu, sqrt(1 - mu^2), 0, ...) carry the Gauss nodes mu
+    for the weight (1 - mu^2)^lam, lam = (d - 3)/2: the eigenvalues of the
+    Jacobi matrix of the Gegenbauer recurrence, with weights from the first
+    eigenvector components (Golub & Welsch 1969).  The weights sum to
+    |S^(d-1)| = |S^(d-2)| int (1 - mu^2)^lam dmu.  At d = 3 the nodes are
+    the Gauss-Legendre nodes of the product rule's mu factor.
+    """
+    if d < 3:
+        raise DomainError("the meridian rule needs d >= 3")
+    lam = 0.5 * (d - 3)
+    k = np.arange(1, n)
+    jacobi = np.diag(np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0)), -1)
+    mu, vecs = np.linalg.eigh(jacobi)
+    w = vecs[0] ** 2
+    # the weight is even: symmetrize away the eigensolver's rounding
+    mu, w = 0.5 * (mu - mu[::-1]), 0.5 * (w + w[::-1])
+    omegas = np.zeros((n, d))
+    omegas[:, 0] = mu
+    omegas[:, 1] = np.sqrt(1.0 - mu**2)
+    return omegas, (2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)) * w
 
 
 def _band_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
@@ -164,19 +192,6 @@ def _band_value_det(ev_fn, a, b, d, omegas, oweights, radial_nodes):
     return float(wr @ (vals @ oweights))
 
 
-def _band_value_mc(ev_fn, a, b, d, m, rng):
-    r = np.exp(rng.uniform(math.log(a), math.log(b), size=m))
-    g = rng.standard_normal((m, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = r[:, None] * g
-    surf = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    w = math.log(b / a) * surf * r**d
-    sample = ev_fn(pts) * w
-    mean = float(np.mean(sample))
-    err = float(np.std(sample) / math.sqrt(m))
-    return mean, err
-
-
 def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | None:
     """Single-ratio extrapolation; shells[0] is adjacent to the edge."""
     if len(shells) < 2 or shells[1] == 0.0:
@@ -225,7 +240,7 @@ def _prony_tail(shells: list[float], scale: float) -> float | None:
     return tail
 
 
-def _completion(shells: list[float], levels: int, scale: float) -> tuple[float, float]:
+def _completion(shells: list[float], scale: float) -> tuple[float, float]:
     """(missing mass beyond the edge, error bound) from edge-ordered shells.
 
     shells[0] is the decade adjacent to the window edge, shells[1] the next
@@ -311,65 +326,59 @@ def _patch_geometry(singular_points, spec: QuadratureSpec, d: int):
     return list(zip(pts, radii))
 
 
-def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_points=()) -> PVResult:
+def pv_integral(
+    integrand, d: int, spec: QuadratureSpec, singular_points=(), axial: bool = False
+) -> PVResult:
     """Symmetric-window principal value of a vectorized integrand.
 
     `integrand` maps an (n, d) array of points to (n,) values; it is only
     ever evaluated away from the origin and from the declared
     `singular_points` patch centers.  The returned value extrapolates the
     window to (0, infinity) by shell completion at both ends.
+
+    With `axial=True` the integrand must depend on h only through
+    (h . e1, |h|), and every sphere rule is the meridian rule; the singular
+    points must then lie on the e1 axis.  Without it, d is 2 or 3.
     """
     if int(d) != d or d < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    if axial and any(np.any(np.asarray(p, dtype=float)[1:]) for p in singular_points):
+        raise DomainError("an axial integral needs its singular points on the e1 axis")
+
+    def rule(ang_nodes):
+        return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
+
     patches = _patch_geometry(singular_points, spec, d)
     ev = _Evaluator(integrand, patches)
 
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
     fine_width = min((r for _, r in patches), default=1.0) / 4.0
     bands = _split_near_patches(list(zip(edges[:-1], edges[1:])), patches, fine_width)
-    mc = d >= 4
-    mc_errs: list[float] = []
+    fine_mult = 6 if d == 2 else 2
 
-    if mc:
-        per_band = max(64, spec.mc_samples // max(1, len(bands)))
+    def run_bands(radial_nodes, ang_nodes):
+        coarse = rule(ang_nodes)
+        fine = rule(ang_nodes * fine_mult)
 
         def one_band(item):
-            k, (a, b, _) = item
-            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 7, k)))
-            return _band_value_mc(ev.masked, a, b, d, per_band, rng)
+            a, b, is_fine = item
+            om, ow = fine if is_fine else coarse
+            return _band_value_det(ev.masked, a, b, d, om, ow, radial_nodes)
 
-        results = map_ordered(one_band, enumerate(bands))
-        band_vals = [v for v, _ in results]
-        mc_errs = [e for _, e in results]
-        band_vals_low = band_vals
-    else:
-        fine_mult = 6 if d == 2 else 2
+        return map_ordered(one_band, bands)
 
-        def run_bands(radial_nodes, ang_nodes):
-            coarse = _sphere_rule(d, ang_nodes)
-            fine = _sphere_rule(d, ang_nodes * fine_mult)
-
-            def one_band(item):
-                a, b, is_fine = item
-                om, ow = fine if is_fine else coarse
-                return _band_value_det(ev.masked, a, b, d, om, ow, radial_nodes)
-
-            return map_ordered(one_band, bands)
-
-        band_vals = run_bands(spec.radial_nodes, spec.angular_nodes)
-        # resolution jackknife: the same bands on a downgraded rule bound the
-        # discretization error of the nominal one
-        band_vals_low = run_bands(
-            max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2)
-        )
+    band_vals = run_bands(spec.radial_nodes, spec.angular_nodes)
+    # resolution jackknife: the same bands on a downgraded rule bound the
+    # discretization error of the nominal one
+    band_vals_low = run_bands(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
 
     main_sum = float(sum(band_vals))
     scale = float(sum(abs(v) for v in band_vals)) + 1e-300
     disc_err = 0.5 * abs(main_sum - float(sum(band_vals_low)))
 
     shells = _shell_sums([(a, b) for a, b, _ in bands], band_vals)
-    inner_tail, inner_err = _completion(shells, spec.richardson_levels, scale)
-    outer_tail, outer_err = _completion(shells[::-1], spec.richardson_levels, scale)
+    inner_tail, inner_err = _completion(shells, scale)
+    outer_tail, outer_err = _completion(shells[::-1], scale)
 
     patch_sum = 0.0
     patch_err = 0.0
@@ -379,64 +388,34 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_points=()) -> 
             list(zip(p_edges[:-1], p_edges[1:])), [(np.zeros(d), radius)], radius / 8.0
         )
 
-        if mc:
-            per_band = max(64, spec.mc_samples // max(1, 4 * len(p_bands)))
+        def patch_fn(local_pts, _c=center, _r=radius):
+            # antipodal averaging inside the ball kills the odd leading
+            # part of the local singularity at evaluation level
+            rho = np.linalg.norm(local_pts, axis=1)
+            pair = ev.sym(_c[None, :] + local_pts) + ev.sym(_c[None, :] - local_pts)
+            return 0.5 * pair * _chi(rho, _r)
 
-            def one_patch_band(item, _c=center, _r=radius):
-                k, (a, b, _) = item
-                rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 11, k)))
-                rr = np.exp(rng.uniform(math.log(a), math.log(b), size=per_band))
-                g = rng.standard_normal((per_band, d))
-                g /= np.linalg.norm(g, axis=1, keepdims=True)
-                local = rr[:, None] * g
-                surf = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-                w = math.log(b / a) * surf * rr**d
-                sample = (
-                    0.5
-                    * (ev.sym(_c[None, :] + local) + ev.sym(_c[None, :] - local))
-                    * _chi(rr, _r)
-                    * w
-                )
-                return float(np.mean(sample)), float(np.std(sample) / math.sqrt(per_band))
+        def run_patch(radial_nodes, ang_nodes):
+            om, ow = rule(ang_nodes)
 
-            p_results = map_ordered(one_patch_band, enumerate(p_bands))
-            p_vals = [v for v, _ in p_results]
-            mc_errs.extend(e for _, e in p_results)
-            p_vals_low = p_vals
-        else:
+            def one_patch_band(item):
+                a, b, _ = item
+                return _band_value_det(patch_fn, a, b, d, om, ow, radial_nodes)
 
-            def patch_fn(local_pts, _c=center, _r=radius):
-                # antipodal averaging inside the ball kills the odd leading
-                # part of the local singularity at evaluation level
-                rho = np.linalg.norm(local_pts, axis=1)
-                pair = ev.sym(_c[None, :] + local_pts) + ev.sym(_c[None, :] - local_pts)
-                return 0.5 * pair * _chi(rho, _r)
+            return map_ordered(one_patch_band, p_bands)
 
-            def run_patch(radial_nodes, ang_nodes):
-                om, ow = _sphere_rule(d, ang_nodes)
-
-                def one_patch_band(item):
-                    a, b, _ = item
-                    return _band_value_det(patch_fn, a, b, d, om, ow, radial_nodes)
-
-                return map_ordered(one_patch_band, p_bands)
-
-            p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
-            p_vals_low = run_patch(
-                max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2)
-            )
+        p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
+        p_vals_low = run_patch(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
 
         p_shells = _shell_sums([(a, b) for a, b, _ in p_bands], p_vals)
         p_scale = float(sum(abs(v) for v in p_vals)) + 1e-300
-        p_tail, p_tail_err = _completion(p_shells, spec.richardson_levels, p_scale)
+        p_tail, p_tail_err = _completion(p_shells, p_scale)
         patch_sum += float(sum(p_vals)) + p_tail
         patch_err += p_tail_err + 1e-13 * p_scale
         disc_err += 0.5 * abs(float(sum(p_vals)) - float(sum(p_vals_low)))
 
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
-    if mc_errs:
-        err += math.sqrt(float(sum(e * e for e in mc_errs)))
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
     return PVResult(value=value, err_estimate=err, nodes_used=ev.nodes, converged=converged)
 
@@ -504,7 +483,38 @@ def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureS
     e1 = np.zeros(d)
     e1[0] = 1.0
     g = _f_integrand(which, d, s, delta)
-    return pv_integral(g, d, spec, singular_points=(e1, -e1))
+    return pv_integral(g, d, spec, singular_points=(e1, -e1), axial=d >= 3)
+
+
+def _scaled(res: PVResult, factor: float) -> PVResult:
+    return PVResult(
+        value=factor * res.value,
+        err_estimate=abs(factor) * res.err_estimate,
+        nodes_used=res.nodes_used,
+        converged=res.converged,
+    )
+
+
+def _on_axis(integrate, d: int, x) -> PVResult:
+    """integrate(x, axial) of an operator on the field phi(|z|) z1, at x != 0.
+
+    The operators here commute with rotations, and phi(|z|) z1 is the e1
+    component of the vector field phi(|z|) z, which is rotation-equivariant.
+    So the value at x is (x1/|x|) times the value at |x| e1, where the
+    integrand depends on h only through (h . e1, |h|) and the meridian rule
+    applies.  At d = 2 the integral runs at x itself on the full rule.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise DomainError(f"x must be a point in R^{d}")
+    r = float(np.linalg.norm(x))
+    if r < 1e-300:
+        raise DomainError("operator is evaluated away from the origin")
+    if d == 2:
+        return integrate(x, False)
+    on_axis = np.zeros(d)
+    on_axis[0] = r
+    return _scaled(integrate(on_axis, True), float(x[0]) / r)
 
 
 def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
@@ -513,32 +523,25 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    x = np.asarray(x, dtype=float)
     d, s, delta, eps = params.d, params.s, params.delta, params.epsilon
-    if x.shape != (d,):
-        raise DomainError(f"x must be a point in R^{d}")
-    if float(np.linalg.norm(x)) < 1e-300:
-        raise DomainError("operator is evaluated away from the origin")
     a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * eps
     b_rad = 0.5 * (d + 2.0 * s) * eps
-    ux = float(_field(1.0 - delta, x[None, :])[0])
 
-    def g(h):
-        y = x[None, :] + h
-        r = np.maximum(_norms(h), 1e-300)
-        hh = h / r[:, None]
-        ry = np.maximum(_norms(y), 1e-300)
+    def integrate(x, axial):
+        ux = float(_field(1.0 - delta, x[None, :])[0])
         rx = float(np.linalg.norm(x))
-        proj_x = (h @ x) / (r * rx)
-        proj_y = np.sum(hh * (y / ry[:, None]), axis=1)
-        quad = a_iso + 0.5 * b_rad * (proj_x**2 + proj_y**2)
-        kern = r ** (-d - 2.0 * s) * quad
-        return kern * (ux - _field(1.0 - delta, y))
 
-    res = pv_integral(g, d, spec, singular_points=(-x, x))
-    return PVResult(
-        value=2.0 * res.value,
-        err_estimate=2.0 * res.err_estimate,
-        nodes_used=res.nodes_used,
-        converged=res.converged,
-    )
+        def g(h):
+            y = x[None, :] + h
+            r = np.maximum(_norms(h), 1e-300)
+            hh = h / r[:, None]
+            ry = np.maximum(_norms(y), 1e-300)
+            proj_x = (h @ x) / (r * rx)
+            proj_y = np.sum(hh * (y / ry[:, None]), axis=1)
+            quad = a_iso + 0.5 * b_rad * (proj_x**2 + proj_y**2)
+            kern = r ** (-d - 2.0 * s) * quad
+            return kern * (ux - _field(1.0 - delta, y))
+
+        return pv_integral(g, d, spec, singular_points=(-x, x), axial=axial)
+
+    return _scaled(_on_axis(integrate, d, x), 2.0)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .pvquad import PVResult, QuadratureSpec, pv_integral
+from .pvquad import PVResult, QuadratureSpec, _on_axis, _scaled, pv_integral
 from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
@@ -126,27 +126,26 @@ def _field_vec(power: float, pts: np.ndarray) -> np.ndarray:
     return safe ** (power - 1.0) * pts[:, 0]
 
 
+def _potential_of_field(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
+    """Quadrature of int |z|^(power-1) z1 |h|^(-(d-1+s)) dh at z = x - h."""
+
+    def integrate(x, axial):
+        def g(h):
+            z = x[None, :] - h
+            return _field_vec(power, z) * np.sum(h * h, axis=1) ** (-0.5 * (d - 1.0 + s))
+
+        return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
+
+    return _on_axis(integrate, d, x)
+
+
 def riesz_potential_num(
     d: int, s: float, delta: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
     _check(d, s, delta)
-    x = np.asarray(x, dtype=float)
-    norm = riesz_kernel_constant(d, 1.0 - s)
-
-    def g(h):
-        z = x[None, :] - h
-        return _field_vec(s - delta, z) * np.sum(h * h, axis=1) ** (
-            -0.5 * (d - 1.0 + s)
-        )
-
-    res = pv_integral(g, d, spec, singular_points=(x, -x))
-    return PVResult(
-        value=norm * res.value,
-        err_estimate=norm * res.err_estimate,
-        nodes_used=res.nodes_used,
-        converged=res.converged,
-    )
+    res = _potential_of_field(d, s, s - delta, x, spec)
+    return _scaled(res, riesz_kernel_constant(d, 1.0 - s))
 
 
 def riesz_div_conv_num(
@@ -154,22 +153,7 @@ def riesz_div_conv_num(
 ) -> PVResult:
     """Quadrature of (I_(1-s) * div(M^2 grad^s u))(x) from the analytic div field."""
     _check(d, s, delta)
-    x = np.asarray(x, dtype=float)
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
-    br = _bracket(d, delta, epsilon)
-
-    def g(h):
-        z = x[None, :] - h
-        return _field_vec(-1.0 - delta, z) * np.sum(h * h, axis=1) ** (
-            -0.5 * (d - 1.0 + s)
-        )
-
-    res = pv_integral(g, d, spec, singular_points=(x, -x))
-    factor = norm * c_star * br
-    return PVResult(
-        value=factor * res.value,
-        err_estimate=abs(factor) * res.err_estimate,
-        nodes_used=res.nodes_used,
-        converged=res.converged,
-    )
+    res = _potential_of_field(d, s, -1.0 - delta, x, spec)
+    return _scaled(res, norm * c_star * _bracket(d, delta, epsilon))

@@ -5,6 +5,7 @@ import pytest
 
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import energy as en
+from nonlocal_lab.errors import DomainError
 from nonlocal_lab.model import FracParams
 from nonlocal_lab.specfun import gamma, kappa
 
@@ -31,6 +32,12 @@ def test_zero_function_has_zero_energy(spec):
     )
     params = FracParams(2, 0.5, 0.0, 0.2)
     assert en.energy_eval(params, zero, spec) == 0.0
+
+
+def test_energy_refuses_three_dimensions(spec):
+    # the d = 3 grid would need 9216 x 73728 pair arrays (5.4 GB each)
+    with pytest.raises(DomainError):
+        en.energy_eval(FracParams(3, 0.5, 0.0, 0.2), en.bump_x1(1.0), spec)
 
 
 def test_energy_positive(spec):

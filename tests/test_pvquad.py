@@ -8,7 +8,7 @@ from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
 from nonlocal_lab.model import FracParams
-from nonlocal_lab.riesz import riesz_constants, riesz_kernel_constant
+from nonlocal_lab.riesz import riesz_constants, riesz_kernel_constant, riesz_potential_num
 from nonlocal_lab.specfun import kappa
 
 E1 = np.array([1.0, 0.0])
@@ -23,8 +23,6 @@ def test_spec_validation():
         pq.QuadratureSpec(r_min=2.0)
     with pytest.raises(DomainError):
         pq.QuadratureSpec(radial_nodes=1)
-    with pytest.raises(DomainError):
-        pq.QuadratureSpec(richardson_levels=1)
 
 
 def test_odd_integrand_is_exactly_zero(spec):
@@ -186,17 +184,104 @@ def test_determinism_under_threads(spec):
     assert r1.value == r2.value
 
 
-def test_monte_carlo_dimension_fallback():
-    spec = pq.QuadratureSpec(r_min=1e-4, r_max=1e4, mc_samples=40000)
+def test_meridian_rule_beyond_three_dimensions(spec):
     res1 = pq.f_integral_num("f1", 4, 0.5, 0.25, spec)
     res2 = pq.f_integral_num("f1", 4, 0.5, 0.25, spec)
-    assert res1.value == res2.value  # seeded determinism
-    want = cf.f1_closed(4, 0.5, 0.25)
-    assert res1.value == pytest.approx(want, rel=0.05)
-    res3 = pq.f_integral_num(
-        "f1", 4, 0.5, 0.25, pq.QuadratureSpec(r_min=1e-4, r_max=1e4, mc_samples=40000, seed=7)
+    assert (res1.value, res1.err_estimate, res1.nodes_used) == (
+        res2.value,
+        res2.err_estimate,
+        res2.nodes_used,
     )
-    assert res3.value != res1.value
+    assert res1.converged
+    assert res1.value == pytest.approx(cf.f1_closed(4, 0.5, 0.25), rel=1e-3)
+    for d in (5, 6):
+        res = pq.f_integral_num("f1", d, 0.5, 0.25, spec)
+        assert res.converged
+        assert res.value == pytest.approx(cf.f1_closed(d, 0.5, 0.25), rel=1e-4)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_meridian_rule_moments(d):
+    # int_S 1 = |S^(d-1)| and int_S omega_1^2 = |S^(d-1)| / d
+    om, w = pq._meridian_rule(d, 8)
+    area = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    assert float(np.sum(w)) == pytest.approx(area, rel=1e-14)
+    assert float(w @ om[:, 0] ** 2) == pytest.approx(area / d, rel=1e-14)
+
+
+def test_axial_path_guards(spec):
+    g = pq._f_integrand("f1", 4, 0.5, 0.25)
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        pq.pv_integral(g, 4, spec, singular_points=(e1, -e1))  # no full rule at d = 4
+    off = np.array([0.8, 0.6, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        pq.pv_integral(g, 4, spec, singular_points=(off, -off), axial=True)
+
+
+# f1-f4 at d = 3 on the full product rule (14,053,376 nodes each); the
+# meridian rule has the same mu nodes, so only rounding, amplified by the
+# shell completion, separates the two
+_D3_PINNED = [
+    ("f1", 0.3, 0.1, -4.048738679255312),
+    ("f1", 0.5, 0.25, -4.818121078473802),
+    ("f1", 0.7, 0.4, -6.564708914816432),
+    ("f1", 0.45, 0.2, -4.394946055647445),
+    ("f2", 0.3, 0.1, -1.1191855960062465),
+    ("f2", 0.5, 0.25, -1.145517535583901),
+    ("f2", 0.7, 0.4, -1.1012831878444347),
+    ("f2", 0.45, 0.2, -1.0291266460259985),
+    ("f3", 0.3, 0.1, 108.68756908324912),
+    ("f3", 0.5, 0.25, 61.3621471996157),
+    ("f3", 0.7, 0.4, 64.45044336117884),
+    ("f3", 0.45, 0.2, 68.52762848968425),
+    ("f4", 0.3, 0.1, 19.266323879129224),
+    ("f4", 0.5, 0.25, 25.551182550728274),
+    ("f4", 0.7, 0.4, 41.758860462170425),
+    ("f4", 0.45, 0.2, 23.48509794966765),
+]
+
+
+@pytest.mark.parametrize("which, s, delta, want", _D3_PINNED)
+def test_three_dimensional_values_pinned(spec, which, s, delta, want):
+    res = pq.f_integral_num(which, 3, s, delta, spec)
+    assert res.value == pytest.approx(want, rel=1e-9)
+    assert res.nodes_used == 219456
+
+
+def test_axis_reduction_matches_full_rule_off_axis(spec):
+    # the value at an off-axis x, reduced to |x| e1, against the integrand
+    # at x itself on the d = 3 product rule
+    d, s, delta = 3, 0.4, 0.2
+    x = np.array([0.6, 0.48, 0.64])
+    rx = float(np.linalg.norm(x))
+
+    def field(power, z):
+        return norms(z) ** (power - 1.0) * z[:, 0]
+
+    params = FracParams(d, s, delta, 0.15)
+    a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * params.epsilon
+    b_rad = 0.5 * (d + 2.0 * s) * params.epsilon
+    ux = float(field(1.0 - delta, x[None, :])[0])
+
+    def op(h):
+        y = x[None, :] + h
+        r = norms(h)
+        cos_x = (h @ x) / (r * rx)
+        cos_y = np.sum(h * y, axis=1) / (r * norms(y))
+        kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
+        return kern * (ux - field(1.0 - delta, y))
+
+    full = pq.pv_integral(op, d, spec, singular_points=(-x, x), axial=False)
+    got = pq.frac_op_num(params, x, spec)
+    assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
+
+    def pot(h):
+        return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
+
+    full = pq.pv_integral(pot, d, spec, singular_points=(x, -x), axial=False)
+    got = riesz_potential_num(d, s, delta, x, spec)
+    assert got.value == pytest.approx(riesz_kernel_constant(d, 1.0 - s) * full.value, rel=1e-5)
 
 
 def test_not_converged_on_divergent_integrand(spec):
