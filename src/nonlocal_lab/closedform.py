@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .model import FracParams, homogeneous_field
+from .model import FracParams, _check_range, homogeneous_field
 from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
@@ -37,15 +37,6 @@ __all__ = [
 _DENOM_TOL = 1e-13
 
 
-def _check_meyers(d: int, s: float, delta: float, s_max_open: bool = True) -> None:
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
-    if not (0.0 < s < 1.0 or (not s_max_open and s == 1.0)):
-        raise DomainError(f"order s out of range, got {s!r}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
-
-
 def _ctilde(d: int, s: float, delta: float) -> float:
     """Gamma prefactor of the operator value; equals 1 in the limit s -> 1."""
     return gamma_ratio(
@@ -56,7 +47,7 @@ def _ctilde(d: int, s: float, delta: float) -> float:
 
 def f1_closed(d: int, s: float, delta: float) -> float:
     """Isotropic part of the operator at e1, divided by -2 kappa."""
-    _check_meyers(d, s, delta)
+    _check_range(d, s, delta)
     if delta == 0.0:
         return 0.0
     lg_neg_s, _ = lgamma_signed(-s)  # |Gamma(-s)| carries the sign already
@@ -72,7 +63,7 @@ def f1_closed(d: int, s: float, delta: float) -> float:
 
 def f21_sum_form(d: int, s: float, delta: float) -> float:
     """Six-term sum form of the rational factor f21."""
-    _check_meyers(d, s, delta, s_max_open=False)
+    _check_range(d, s, delta, s_one=True)
     a = d + 2.0 * s
     b = d - 2.0 * s + 2.0 - delta
     t = 2.0 * s + delta
@@ -88,7 +79,7 @@ def f21_sum_form(d: int, s: float, delta: float) -> float:
 
 def f21_closed(d: int, s: float, delta: float) -> float:
     """Rational factor f21; the sum form is evaluated alongside as a guard."""
-    _check_meyers(d, s, delta, s_max_open=False)
+    _check_range(d, s, delta, s_one=True)
     half = 0.5 * (d - 2.0 * s + 2.0)
     num = (d - delta) * (
         (2.0 * s + 1.0) * (delta - half) ** 2
@@ -106,7 +97,7 @@ def f21_closed(d: int, s: float, delta: float) -> float:
 
 def f2_closed(d: int, s: float, delta: float) -> float:
     """Anisotropic part of the operator at e1 (two-term Gamma expression)."""
-    _check_meyers(d, s, delta)
+    _check_range(d, s, delta)
     front = 0.5 * math.pi ** (0.5 * d) * gamma_ratio((1.0 - s,), (0.5 * d + s,))
     iso = gamma_ratio((0.5 * d, s), (0.5 * d - s,)) * (d - 1.0) / (d + 2.0 * s)
     return front * (_ctilde(d, s, delta) * f21_closed(d, s, delta) - iso)
@@ -114,7 +105,7 @@ def f2_closed(d: int, s: float, delta: float) -> float:
 
 def operator_bracket(d: int, s: float, delta: float, epsilon: float) -> float:
     """The affine-in-epsilon bracket whose root defines the coupling."""
-    _check_meyers(d, s, delta)
+    _check_range(d, s, delta)
     ct_ratio = _ctilde(d, s, 0.0) / _ctilde(d, s, delta)
     eps_slope = (
         0.5
@@ -141,7 +132,7 @@ def operator_value(params: FracParams, x) -> float:
 
 def b_denominator(d: int, s: float, delta: float) -> float:
     """Denominator b1(delta) of the coupling; positive on [0, delta0]."""
-    _check_meyers(d, s, delta)
+    _check_range(d, s, delta)
     ratio = gamma_ratio(
         (0.5 * d, s + 1.0, 0.5 * d - s - 0.5 * delta + 2.0, 1.0 + 0.5 * delta),
         (0.5 * d - s, 0.5 * d - 0.5 * delta + 1.0, 0.5 * delta + s),
@@ -172,7 +163,7 @@ def delta0(d: int, s: float) -> float:
     Resolved by bisection (b is strictly increasing while its denominator is
     positive); capped at 1/2.
     """
-    _check_meyers(d, s, 0.0)
+    _check_range(d, s)
     if _b_or_inf(d, s, 0.5) < 0.5:
         return 0.5
     lo, hi = 0.0, 0.5
@@ -187,9 +178,7 @@ def delta0(d: int, s: float) -> float:
 
 def delta_of_epsilon(d: int, s: float, epsilon: float) -> float:
     """Inverse of the coupling on [0, delta0], by monotone bisection."""
-    _check_meyers(d, s, 0.0)
-    if not 0.0 <= epsilon <= 0.5:
-        raise DomainError(f"epsilon must lie in [0, 1/2], got {epsilon!r}")
+    _check_range(d, s, epsilon=epsilon)
     if epsilon == 0.0:
         return 0.0
     lo, hi = 0.0, delta0(d, s)
@@ -226,7 +215,7 @@ def d2_epsilon_and_bounds(s: float, delta: float) -> tuple[float, float, float |
     The upper bound exists only for delta < 2 s^2 / (1 - s); when present the
     sandwich lower <= epsilon <= upper holds in exact arithmetic.
     """
-    _check_meyers(2, s, delta)
+    _check_range(2, s, delta)
     num = 2.0 * (2.0 - s - 0.5 * delta) * delta
     ratio = gamma_ratio(
         (s + 1.0, 3.0 - s - 0.5 * delta, 1.0 + 0.5 * delta),
@@ -255,10 +244,7 @@ def d2_epsilon_and_bounds(s: float, delta: float) -> tuple[float, float, float |
 
 def classical_epsilon(d: int, delta: float) -> float:
     """Coupling of the local model: (d - delta) delta / (d - 1)."""
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+    _check_range(d, delta=delta)
     return (d - delta) * delta / (d - 1.0)
 
 

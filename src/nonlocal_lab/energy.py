@@ -26,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import map_ordered
 from .errors import DomainError, NotConverged
-from .model import FracParams
+from .model import FracParams, _coeffs
 from .pvquad import QuadratureSpec, _gl, _sphere_rule, frac_op_num
 from .closedform import operator_value
 from .specfun import gamma, kappa
@@ -106,7 +105,17 @@ class _Samples(NamedTuple):
 def _row_chunks(n_rows: int, width: int, fn) -> list:
     """fn(i0, i1) over x-row chunks of about a million pair entries each."""
     chunk = max(1, int(1e6 / max(1, width)))
-    return map_ordered(lambda i0: fn(i0, min(n_rows, i0 + chunk)), range(0, n_rows, chunk))
+    return [fn(i0, min(n_rows, i0 + chunk)) for i0 in range(0, n_rows, chunk)]
+
+
+def _ball_rule(d: int, radius: float, n_r: int, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on the ball B_radius: Gauss-Legendre radius x sphere rule."""
+    om, ow = _sphere_rule(d, n_angles)
+    t, w = _gl(n_r)
+    r = 0.5 * radius * (t + 1.0)
+    wr = 0.5 * radius * w * r ** (d - 1)  # jacobian r^(d-1)
+    nodes = (r[:, None, None] * om[None, :, :]).reshape(-1, d)
+    return nodes, (wr[:, None] * ow[None, :]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -160,14 +169,7 @@ class _EnergyGrid:
             raise DomainError(f"the energy grid is implemented for d = 2, got {d!r}")
         self.d = d
 
-        # outer x nodes: GL in radius x sphere rule, jacobian r^(d-1)
-        nx_r, nx_a = 18, max(24, spec.angular_nodes // 2)
-        om_x, ow_x = _sphere_rule(d, nx_a)
-        tx, wx = _gl(nx_r)
-        rx = 0.5 * radius * (tx + 1.0)
-        wrx = 0.5 * radius * wx * rx ** (d - 1)
-        self.x = (rx[:, None, None] * om_x[None, :, :]).reshape(-1, d)
-        self.wx = (wrx[:, None] * ow_x[None, :]).reshape(-1)
+        self.x, self.wx = _ball_rule(d, radius, 18, max(24, spec.angular_nodes // 2))
 
         # inner h nodes: log bands from the near cutoff to the far cutoff
         h_min, h_max = 1e-7, 1e5
@@ -233,9 +235,8 @@ class _EnergyGrid:
 
     def weights(self, params: FracParams) -> _Form:
         """The quadratic form's weights at (s, epsilon); cheap next to the grid."""
-        d, s, eps = self.d, params.s, params.epsilon
-        a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * eps
-        b_rad = 0.5 * (d + 2.0 * s) * eps
+        d, s = self.d, params.s
+        a_iso, b_rad = _coeffs("fractional", params)
 
         pair = np.empty(self.c_near.shape)
         rpow_near = self.r_near ** (-d - 2.0 * s)
@@ -306,25 +307,18 @@ def first_variation_residual(
     if eta.radius >= 1.0:
         raise DomainError("test function must be supported strictly inside B_1")
     op_spec = _op_spec(spec)
-    nx_r, nx_a = 6, 8
-    om, ow = _sphere_rule(d, nx_a)
-    tx, wx = _gl(nx_r)
-    rx = 0.5 * eta.radius * (tx + 1.0)
-    wrx = 0.5 * eta.radius * wx * rx ** (d - 1)
-    xs = (rx[:, None, None] * om[None, :, :]).reshape(-1, d)
-    ws = (wrx[:, None] * ow[None, :]).reshape(-1)
+    xs, ws = _ball_rule(d, eta.radius, 6, 8)
     eta_vals = eta.value(xs)
     kap = kappa(d, params.s)
 
-    def one(node):
-        x, w, ev = node
+    def one(x, w, ev):
         if abs(ev) < 1e-300:
             return 0.0, 0.0, 0.0
         res = frac_op_num(params, x, op_spec)
         closed = operator_value(params, x)
         return w * ev * kap * res.value, w * abs(ev) * kap * res.err_estimate, w * ev * closed
 
-    rows = map_ordered(one, list(zip(xs, ws, eta_vals)))
+    rows = [one(*node) for node in zip(xs, ws, eta_vals)]
     quad = float(sum(r[0] for r in rows))
     bound = float(sum(r[1] for r in rows))
     closed = float(sum(r[2] for r in rows))

@@ -9,7 +9,9 @@ along the radial direction:
     fractional  : (1 - (1+2s)/2 eps) I + (d+2s)/2 eps xhat (x) xhat
 
 and the jump kernel weights |x-y|^(-d-2s) by the averaged quadratic form of
-the fractional field at the endpoints.
+the fractional field at the endpoints.  This module is the one place that
+defines the field, the kernel, the coefficient pair and the parameter ranges;
+every other module goes through it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,36 @@ __all__ = [
 _ORIGIN_GUARD = 1e-300
 
 
+def _check_range(
+    d, s=None, delta=None, epsilon=None, *, model="meyers", extended=False, s_one=False
+) -> None:
+    """Raise DomainError unless the parameters lie in the range of the model.
+
+    d is an integer >= 2 and s lies in (0, 1); s_one admits s = 1, where the
+    rational factor f21 stays finite.  model="meyers": delta in [0, 1/2] and
+    epsilon in [0, 1/2], or in [0, inf) with extended.  model="riesz": delta
+    in (0, d/2) and epsilon in (0, 1).  A parameter given as None is not
+    checked.
+    """
+    if int(d) != d or d < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    if s is not None and not (0.0 < s < 1.0 or (s_one and s == 1.0)):
+        raise DomainError(f"order s must lie in (0, {'1]' if s_one else '1)'}, got {s!r}")
+    if model == "meyers":
+        if delta is not None and not 0.0 <= delta <= 0.5:
+            raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+        if epsilon is not None and not 0.0 <= epsilon <= (math.inf if extended else 0.5):
+            hi = "inf)" if extended else "1/2]"
+            raise DomainError(f"epsilon must lie in [0, {hi}, got {epsilon!r}")
+    elif model == "riesz":
+        if delta is not None and not 0.0 < delta < 0.5 * d:
+            raise DomainError(f"delta must lie in (0, d/2), got {delta!r}")
+        if epsilon is not None and not 0.0 < epsilon < 1.0:
+            raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    else:
+        raise DomainError(f"unknown model flavor {model!r}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Parameter tuple (d, s, delta, epsilon), validated per model flavor.
@@ -58,23 +90,9 @@ class FracParams:
     extended: bool = False
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.d!r}")
-        if not 0.0 < self.s < 1.0:
-            raise DomainError(f"order s must lie in (0, 1), got {self.s!r}")
-        if self.model == "meyers":
-            if not 0.0 <= self.delta <= 0.5:
-                raise DomainError(f"delta must lie in [0, 1/2], got {self.delta!r}")
-            eps_hi = math.inf if self.extended else 0.5
-            if not 0.0 <= self.epsilon <= eps_hi:
-                raise DomainError(f"epsilon must lie in [0, 1/2], got {self.epsilon!r}")
-        elif self.model == "riesz":
-            if not 0.0 < self.delta < 0.5 * self.d:
-                raise DomainError(f"delta must lie in (0, d/2), got {self.delta!r}")
-            if not 0.0 < self.epsilon < 1.0:
-                raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        else:
-            raise DomainError(f"unknown model flavor {self.model!r}")
+        _check_range(
+            self.d, self.s, self.delta, self.epsilon, model=self.model, extended=self.extended
+        )
 
 
 @dataclass(frozen=True)
@@ -96,23 +114,47 @@ class SymMatrix:
         return np.linalg.eigvalsh(self.entries)
 
 
-def _unit(x) -> np.ndarray:
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(x, x)))
+
+
+def _norms(pts: np.ndarray) -> np.ndarray:
+    """|z| for each row z of an (n, d) array."""
+    return np.sqrt(np.sum(pts * pts, axis=1))
+
+
+def _unit(x) -> tuple[np.ndarray, float]:
+    """(x/|x|, |x|) at x != 0."""
     x = np.asarray(x, dtype=float)
-    r = math.sqrt(float(np.dot(x, x)))
+    r = _norm(x)
     if r < _ORIGIN_GUARD:
         raise DomainError("evaluation at the singular point x = 0")
-    return x / r
+    return x / r, r
+
+
+def _field(p: float, pts: np.ndarray) -> np.ndarray:
+    """|z|^(p-1) z1 for each row z of an (n, d) array.
+
+    Quadrature never samples z = 0, because its singular points are patched.
+    At z = 0 the row gives 0 for p >= 1, as homogeneous_field does; for p < 1
+    the field has no value there, and the row holds 0 or nan depending on p.
+    """
+    safe = np.maximum(_norms(pts), _ORIGIN_GUARD)
+    return safe ** (p - 1.0) * pts[:, 0]
 
 
 def homogeneous_field(p: float, x) -> float:
-    """|x|^(p-1) * x1, i.e. |x|^p * xhat_1; odd and p-homogeneous."""
+    """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
+
+    The one-point case of _field, with the origin decided: 0 for p >= 1,
+    DomainError for p < 1.
+    """
     x = np.asarray(x, dtype=float)
-    r = math.sqrt(float(np.dot(x, x)))
-    if r < _ORIGIN_GUARD:
+    if _norm(x) < _ORIGIN_GUARD:
         if p < 1.0:
             raise DomainError("field is singular (or has no value) at x = 0")
         return 0.0
-    return r ** (p - 1.0) * float(x[0])
+    return float(_field(p, x[None, :])[0])
 
 
 def _coeffs(flavor: str, params: FracParams) -> tuple[float, float]:
@@ -128,7 +170,7 @@ def _coeffs(flavor: str, params: FracParams) -> tuple[float, float]:
 def coeff_matrix(flavor: str, params: FracParams, x) -> SymMatrix:
     """Coefficient matrix a I + b xhat (x) xhat at x != 0."""
     a, b = _coeffs(flavor, params)
-    xh = _unit(x)
+    xh, _ = _unit(x)
     m = a * np.eye(params.d) + b * np.outer(xh, xh)
     return SymMatrix(params.d, m)
 
@@ -139,28 +181,33 @@ def coeff_eigen(flavor: str, params: FracParams, x=None) -> tuple[float, float]:
     return a + b, a
 
 
-def _quadratic_form(flavor: str, params: FracParams, x: np.ndarray, w: np.ndarray) -> float:
-    """< A(x) w, w > for a unit vector w, without building the matrix."""
-    a, b = _coeffs(flavor, params)
-    xh = _unit(x)
-    proj = float(np.dot(xh, w))
-    return a * float(np.dot(w, w)) + b * proj * proj
+def _kernel(params: FracParams, x: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Jump kernel k(x, y) for one point x != 0 and the rows of h, y = x + h.
+
+    k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A the fractional
+    coefficient field.  y comes with h because the callers need x + h for
+    the field as well, and form it once.
+    """
+    a_iso, b_rad = _coeffs("fractional", params)
+    r = np.maximum(_norms(h), _ORIGIN_GUARD)
+    hh = h / r[:, None]
+    ry = np.maximum(_norms(y), _ORIGIN_GUARD)
+    cos_x = (h @ x) / (r * _norm(x))
+    cos_y = np.sum(hh * (y / ry[:, None]), axis=1)
+    quad = a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2)
+    return r ** (-params.d - 2.0 * params.s) * quad
 
 
 def kernel_eval(params: FracParams, x, y) -> float:
-    """Jump kernel |x-y|^(-d-2s) <(A(x)+A(y))/2 zhat, zhat>, z = x - y."""
+    """Jump kernel |x-y|^(-d-2s) <(A(x)+A(y))/2 zhat, zhat>: _kernel at one pair."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = x - y
-    r = math.sqrt(float(np.dot(z, z)))
-    if r < _ORIGIN_GUARD:
+    h = y - x
+    if _norm(h) < _ORIGIN_GUARD:
         raise DomainError("kernel is singular on the diagonal x = y")
-    zh = z / r
-    q = 0.5 * (
-        _quadratic_form("fractional", params, x, zh)
-        + _quadratic_form("fractional", params, y, zh)
-    )
-    return r ** (-params.d - 2.0 * params.s) * q
+    for pt in (x, y):
+        _unit(pt)  # A has no value at the origin
+    return float(_kernel(params, x, h[None, :], y[None, :])[0])
 
 
 def log_coeff_norm(params: FracParams) -> float:
@@ -169,7 +216,6 @@ def log_coeff_norm(params: FracParams) -> float:
     The matrix logarithm splits along the radial/tangential eigenspaces, so
     the norm is the larger of |log lambda| over the two analytic eigenvalues.
     """
-    if not 0.0 <= params.epsilon <= 0.5:
-        raise DomainError(f"epsilon must lie in [0, 1/2], got {params.epsilon!r}")
+    _check_range(params.d, epsilon=params.epsilon)
     lam_rad, lam_tan = coeff_eigen("fractional", params)
     return max(abs(math.log(lam_rad)), abs(math.log(lam_tan)))

@@ -37,9 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import map_ordered
 from .errors import DomainError, NotConverged
-from .model import FracParams
+from .model import FracParams, _check_range, _field, _kernel, _norms, _unit
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
 
@@ -340,8 +339,7 @@ def pv_integral(
     (h . e1, |h|), and every sphere rule is the meridian rule; the singular
     points must then lie on the e1 axis.  Without it, d is 2 or 3.
     """
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    _check_range(d)
     if axial and any(np.any(np.asarray(p, dtype=float)[1:]) for p in singular_points):
         raise DomainError("an axial integral needs its singular points on the e1 axis")
 
@@ -359,13 +357,10 @@ def pv_integral(
     def run_bands(radial_nodes, ang_nodes):
         coarse = rule(ang_nodes)
         fine = rule(ang_nodes * fine_mult)
-
-        def one_band(item):
-            a, b, is_fine = item
-            om, ow = fine if is_fine else coarse
-            return _band_value_det(ev.masked, a, b, d, om, ow, radial_nodes)
-
-        return map_ordered(one_band, bands)
+        return [
+            _band_value_det(ev.masked, a, b, d, *(fine if is_fine else coarse), radial_nodes)
+            for a, b, is_fine in bands
+        ]
 
     band_vals = run_bands(spec.radial_nodes, spec.angular_nodes)
     # resolution jackknife: the same bands on a downgraded rule bound the
@@ -397,12 +392,9 @@ def pv_integral(
 
         def run_patch(radial_nodes, ang_nodes):
             om, ow = rule(ang_nodes)
-
-            def one_patch_band(item):
-                a, b, _ = item
-                return _band_value_det(patch_fn, a, b, d, om, ow, radial_nodes)
-
-            return map_ordered(one_patch_band, p_bands)
+            return [
+                _band_value_det(patch_fn, a, b, d, om, ow, radial_nodes) for a, b, _ in p_bands
+            ]
 
         p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
         p_vals_low = run_patch(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
@@ -418,17 +410,6 @@ def pv_integral(
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
     return PVResult(value=value, err_estimate=err, nodes_used=ev.nodes, converged=converged)
-
-
-def _norms(pts: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(pts * pts, axis=1))
-
-
-def _field(power: float, pts: np.ndarray) -> np.ndarray:
-    """|z|^(power-1) z_1, the homogeneous field, vectorized and 0 at z = 0."""
-    r = _norms(pts)
-    safe = np.maximum(r, 1e-300)
-    return safe ** (power - 1.0) * pts[:, 0]
 
 
 def _f_integrand(which: str, d: int, s: float, delta: float):
@@ -470,19 +451,12 @@ def _f_integrand(which: str, d: int, s: float, delta: float):
 
 def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:
     """Direct quadrature of one of the named singular integrals."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order s must lie in (0, 1), got {s!r}")
-    if which in ("f1", "f2"):
-        if not 0.0 <= delta <= 0.5:
-            raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
-    elif which in ("f3", "f4"):
-        if not 0.0 < delta < 0.5 * d:
-            raise DomainError(f"delta must lie in (0, d/2), got {delta!r}")
-    else:
-        raise DomainError(f"unknown integral {which!r}")
+    # f1 and f2 act on the difference model's field, f3 and f4 on the Riesz
+    # one; _f_integrand rejects any other name
+    _check_range(d, s, delta, model="meyers" if which in ("f1", "f2") else "riesz")
+    g = _f_integrand(which, d, s, delta)
     e1 = np.zeros(d)
     e1[0] = 1.0
-    g = _f_integrand(which, d, s, delta)
     return pv_integral(g, d, spec, singular_points=(e1, -e1), axial=d >= 3)
 
 
@@ -507,9 +481,7 @@ def _on_axis(integrate, d: int, x) -> PVResult:
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise DomainError(f"x must be a point in R^{d}")
-    r = float(np.linalg.norm(x))
-    if r < 1e-300:
-        raise DomainError("operator is evaluated away from the origin")
+    _, r = _unit(x)
     if d == 2:
         return integrate(x, False)
     on_axis = np.zeros(d)
@@ -523,25 +495,15 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    d, s, delta, eps = params.d, params.s, params.delta, params.epsilon
-    a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * eps
-    b_rad = 0.5 * (d + 2.0 * s) * eps
+    p = 1.0 - params.delta
 
     def integrate(x, axial):
-        ux = float(_field(1.0 - delta, x[None, :])[0])
-        rx = float(np.linalg.norm(x))
+        ux = float(_field(p, x[None, :])[0])
 
         def g(h):
             y = x[None, :] + h
-            r = np.maximum(_norms(h), 1e-300)
-            hh = h / r[:, None]
-            ry = np.maximum(_norms(y), 1e-300)
-            proj_x = (h @ x) / (r * rx)
-            proj_y = np.sum(hh * (y / ry[:, None]), axis=1)
-            quad = a_iso + 0.5 * b_rad * (proj_x**2 + proj_y**2)
-            kern = r ** (-d - 2.0 * s) * quad
-            return kern * (ux - _field(1.0 - delta, y))
+            return _kernel(params, x, h, y) * (ux - _field(p, y))
 
-        return pv_integral(g, d, spec, singular_points=(-x, x), axial=axial)
+        return pv_integral(g, params.d, spec, singular_points=(-x, x), axial=axial)
 
-    return _scaled(_on_axis(integrate, d, x), 2.0)
+    return _scaled(_on_axis(integrate, params.d, x), 2.0)

@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotConverged
+from .model import _check_range, _field
 
 __all__ = ["membership", "reference_band", "dyadic_seminorm", "DyadicResult"]
 
 
 def _check(d: int, delta: float, t: float, q: float) -> None:
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+    _check_range(d, delta=delta)
     if not 0.0 < t < 1.0:
         raise DomainError(f"smoothness t must lie in (0, 1), got {t!r}")
     if not q > 1.0:
@@ -94,11 +92,7 @@ def reference_band(
     ry = np.linalg.norm(y, axis=1)
     inside = (ry >= y_lo) & (ry <= hi)
 
-    def u(pts, radii):
-        safe = np.maximum(radii, 1e-300)
-        return safe ** (-delta) * pts[:, 0]
-
-    du = np.abs(u(x, rx) - u(y, ry))
+    du = np.abs(_field(1.0 - delta, x) - _field(1.0 - delta, y))
     vals = np.where(inside, du**q * rz ** (-d - t * q), 0.0) * w_z * area_x
     value = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(samples))

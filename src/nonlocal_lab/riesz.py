@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .model import _check_range, _field, _unit
 from .pvquad import PVResult, QuadratureSpec, _on_axis, _scaled, pv_integral
 from .specfun import gamma_ratio, lgamma_signed
 
@@ -34,15 +35,6 @@ __all__ = [
 ]
 
 
-def _check(d: int, s: float, delta: float) -> None:
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order s must lie in (0, 1), got {s!r}")
-    if not 0.0 < delta < 0.5 * d:
-        raise DomainError(f"delta must lie in (0, d/2), got {delta!r}")
-
-
 def riesz_kernel_constant(d: int, alpha: float) -> float:
     """Normalization of I_alpha: 2^(-alpha) G((d-alpha)/2) / (pi^(d/2) G(alpha/2))."""
     if not 0.0 < alpha < d:
@@ -54,7 +46,7 @@ def riesz_kernel_constant(d: int, alpha: float) -> float:
 
 def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:
     """(c*, c**): potential and double-potential constants of the chain."""
-    _check(d, s, delta)
+    _check_range(d, s, delta, model="riesz")
     c_star = 2.0 ** (s - 1.0) * gamma_ratio(
         (0.5 * (d + s - delta + 1.0), 0.5 * delta),
         (0.5 * (d - delta + 2.0), 0.5 * (-s + delta + 1.0)),
@@ -66,17 +58,9 @@ def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:
     return c_star, c_star_star
 
 
-def _unit(x) -> tuple[np.ndarray, float]:
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < 1e-300:
-        raise DomainError("evaluation at the singular point x = 0")
-    return x / r, r
-
-
 def frac_gradient(d: int, s: float, delta: float, x) -> np.ndarray:
     """grad^s of the homogeneous field: c* |x|^(-delta) (e1 - delta xhat xhat_1)."""
-    _check(d, s, delta)
+    _check_range(d, s, delta, model="riesz")
     xh, r = _unit(x)
     c_star, _ = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
@@ -92,9 +76,7 @@ def flux_divergence(
     d: int, s: float, delta: float, epsilon: float, x
 ) -> tuple[np.ndarray, float, float]:
     """(flux, div, potential-smoothed div) of the model chain at x != 0."""
-    _check(d, s, delta)
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_range(d, s, delta, epsilon, model="riesz")
     xh, r = _unit(x)
     c_star, c_star_star = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
@@ -109,8 +91,7 @@ def flux_divergence(
 
 def riesz_coupling(d: int, delta: float) -> float:
     """epsilon killing the divergence bracket: 1 - sqrt(1 - delta - delta(1-delta)/(d-1))."""
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    _check_range(d)
     if d == 2:
         # the radicand completes to (1 - delta)^2, so the value is delta
         return delta
@@ -120,19 +101,13 @@ def riesz_coupling(d: int, delta: float) -> float:
     return 1.0 - math.sqrt(radicand)
 
 
-def _field_vec(power: float, pts: np.ndarray) -> np.ndarray:
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    safe = np.maximum(r, 1e-300)
-    return safe ** (power - 1.0) * pts[:, 0]
-
-
 def _potential_of_field(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
     """Quadrature of int |z|^(power-1) z1 |h|^(-(d-1+s)) dh at z = x - h."""
 
     def integrate(x, axial):
         def g(h):
             z = x[None, :] - h
-            return _field_vec(power, z) * np.sum(h * h, axis=1) ** (-0.5 * (d - 1.0 + s))
+            return _field(power, z) * np.sum(h * h, axis=1) ** (-0.5 * (d - 1.0 + s))
 
         return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
 
@@ -143,7 +118,7 @@ def riesz_potential_num(
     d: int, s: float, delta: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
-    _check(d, s, delta)
+    _check_range(d, s, delta, model="riesz")
     res = _potential_of_field(d, s, s - delta, x, spec)
     return _scaled(res, riesz_kernel_constant(d, 1.0 - s))
 
@@ -152,7 +127,7 @@ def riesz_div_conv_num(
     d: int, s: float, delta: float, epsilon: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * div(M^2 grad^s u))(x) from the analytic div field."""
-    _check(d, s, delta)
+    _check_range(d, s, delta, model="riesz")
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
     res = _potential_of_field(d, s, -1.0 - delta, x, spec)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import PoleError
+from .model import _check_range
 
 __all__ = [
     "EULER_GAMMA",
@@ -149,10 +150,7 @@ def kappa(d: int, s: float) -> float:
     Makes the difference quotient form of the fractional Laplacian carry
     the Fourier symbol (2 pi |xi|)^(2s).
     """
-    if d < 2 or int(d) != d:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order s must lie in (0, 1), got {s!r}")
+    _check_range(d, s)
     lg_num, _ = lgamma_signed(0.5 * d + s)
     lg_den, _ = lgamma_signed(-s)
     return math.exp(

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleEncountered, Unsupported
+from .model import _check_range
 from .specfun import EULER_GAMMA, digamma, lgamma_signed
 
 __all__ = [
@@ -203,8 +204,7 @@ def fourier(ts: TermSum, d: int, drop_point_supported: bool = False) -> TermSum:
     result will never be multiplied again, merely evaluated away from 0 --
     i.e. for the last transform of a pipeline.
     """
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    _check_range(d)
     out = term_sum([])
     half_i_pi = 0.5j / math.pi  # i / (2 pi)
     for t in ts:
@@ -231,11 +231,7 @@ def _pipeline_pair(which: str, d: int, s: float, delta: float) -> tuple[TermSum,
         # the transform of the outer field acquires a point-supported part at
         # delta = 0; the calculus refuses rather than model it
         raise PoleEncountered(f"pipeline {which!r} requires delta > 0")
-    if which in ("f1", "f2"):
-        if not 0.0 <= delta <= 0.5:
-            raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
-    elif not delta < 0.5 * d:
-        raise DomainError(f"delta must lie in (0, d/2), got {delta!r}")
+    _check_range(d, delta=delta, model="meyers" if which in ("f1", "f2") else "riesz")
     if which == "f1":
         g_outer = term_sum([HomTerm(1.0, -delta, 1, 0)])
         g_inner = term_sum([HomTerm(1.0, -d - 2.0 * s, 0, 0)])
@@ -270,8 +266,7 @@ def pipeline(which: str, d: int, s: float, delta: float) -> float:
     The imaginary parts must cancel; their residue is asserted below 1e-10
     relative and discarded.
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"order s must lie in (0, 1), got {s!r}")
+    _check_range(d, s)
     g_outer, g_inner = _pipeline_pair(which, d, s, delta)
     product = mul(fourier(g_outer, d), fourier(g_inner, d))
     back = fourier(product, d, drop_point_supported=True)

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from nonlocal_lab import closedform as cf
+from nonlocal_lab import pvquad as pq
+from nonlocal_lab import regularity as rg
+from nonlocal_lab import riesz as rz
+from nonlocal_lab import symcalc as sc
 from nonlocal_lab.errors import DomainError
 from nonlocal_lab.model import (
     FracParams,
     SymMatrix,
+    _field,
     coeff_eigen,
     coeff_matrix,
     homogeneous_field,
     kernel_eval,
     log_coeff_norm,
 )
+from nonlocal_lab.specfun import kappa
 
 
 def test_params_validation():
@@ -29,6 +36,86 @@ def test_params_validation():
         FracParams(2, 0.5, 0.0, 0.2, model="riesz")  # riesz needs delta > 0
     FracParams(2, 0.5, 0.2, 0.7, extended=True)
     FracParams(2, 0.5, 0.9, 0.9, model="riesz")
+    with pytest.raises(DomainError, match=r"epsilon must lie in \[0, inf\)"):
+        FracParams(2, 0.5, 0.1, -0.1, extended=True)
+    with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 1/2\]"):
+        FracParams(2, 0.5, 0.1, -0.1)
+
+
+_SPEC = pq.QuadratureSpec()
+_X = np.array([0.8, 0.6])
+
+# every entry point that takes (d, s, delta), called as fn(d, s, delta)
+_MEYERS_ENTRIES = {
+    "FracParams": FracParams,
+    "f1_closed": cf.f1_closed,
+    "f21_closed": cf.f21_closed,
+    "f21_sum_form": cf.f21_sum_form,
+    "f2_closed": cf.f2_closed,
+    "operator_bracket": lambda d, s, delta: cf.operator_bracket(d, s, delta, 0.1),
+    "b_denominator": cf.b_denominator,
+    "f_integral_num f1": lambda d, s, delta: pq.f_integral_num("f1", d, s, delta, _SPEC),
+    "f_integral_num f2": lambda d, s, delta: pq.f_integral_num("f2", d, s, delta, _SPEC),
+    "pipeline f2": lambda d, s, delta: sc.pipeline("f2", d, s, delta),
+}
+_RIESZ_ENTRIES = {
+    "FracParams riesz": lambda d, s, delta: FracParams(d, s, delta, 0.5, model="riesz"),
+    "riesz_constants": rz.riesz_constants,
+    "frac_gradient": lambda d, s, delta: rz.frac_gradient(d, s, delta, _X),
+    "flux_divergence": lambda d, s, delta: rz.flux_divergence(d, s, delta, 0.5, _X),
+    "riesz_potential_num": lambda d, s, delta: rz.riesz_potential_num(d, s, delta, _X, _SPEC),
+    "riesz_div_conv_num": lambda d, s, delta: rz.riesz_div_conv_num(
+        d, s, delta, 0.5, _X, _SPEC
+    ),
+    "f_integral_num f3": lambda d, s, delta: pq.f_integral_num("f3", d, s, delta, _SPEC),
+    "f_integral_num f4": lambda d, s, delta: pq.f_integral_num("f4", d, s, delta, _SPEC),
+}
+# entry points that take d and delta only, called as fn(d, delta)
+_D_DELTA_ENTRIES = {
+    "classical_epsilon": cf.classical_epsilon,
+    "membership": lambda d, delta: rg.membership(d, delta, 0.5, 4.0),
+}
+_BAD_D_S = [(1, 0.5), (2.5, 0.5), (2, 0.0), (2, -0.1), (2, 1.2)]
+_BAD = (
+    [(name, fn, (d, s, 0.2)) for name, fn in _MEYERS_ENTRIES.items() for d, s in _BAD_D_S]
+    + [(name, fn, (2, 0.5, delta)) for name, fn in _MEYERS_ENTRIES.items() for delta in (-0.1, 0.6)]
+    + [(name, fn, (2, 1.0, 0.2)) for name, fn in _MEYERS_ENTRIES.items() if "f21" not in name]
+    + [(name, fn, (d, s, 0.3)) for name, fn in _RIESZ_ENTRIES.items() for d, s in _BAD_D_S]
+    + [(name, fn, (2, 1.0, 0.3)) for name, fn in _RIESZ_ENTRIES.items()]
+    + [(name, fn, (2, 0.5, delta)) for name, fn in _RIESZ_ENTRIES.items() for delta in (0.0, 1.0)]
+    + [(name, fn, (3, 0.5, 1.5)) for name, fn in _RIESZ_ENTRIES.items()]
+    + [(name, fn, (1, 0.2)) for name, fn in _D_DELTA_ENTRIES.items()]
+    + [(name, fn, (2.5, 0.2)) for name, fn in _D_DELTA_ENTRIES.items()]
+    + [(name, fn, (2, delta)) for name, fn in _D_DELTA_ENTRIES.items() for delta in (-0.1, 0.6)]
+    + [("f21_closed", cf.f21_closed, (2, 1.2, 0.2)), ("delta0", cf.delta0, (1, 0.5))]
+    + [("delta0", cf.delta0, (2, s)) for s in (0.0, 1.0)]
+    + [("riesz_coupling", rz.riesz_coupling, (d, 0.2)) for d in (1, 2.5)]
+    + [("kappa", kappa, (d, s)) for d, s in _BAD_D_S + [(2, 1.0)]]
+    # delta <= 0 is a pole of the Riesz pipelines (PoleEncountered), not a range error
+    + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", d, s, 0.3)) for d, s in _BAD_D_S]
+    + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", 2, 0.5, 1.0))]
+    + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", 3, 0.5, 1.5))]
+)
+
+
+@pytest.mark.parametrize(
+    "fn, args", [(fn, args) for _, fn, args in _BAD], ids=[f"{n}{a}" for n, _, a in _BAD]
+)
+def test_entry_points_reject_out_of_range(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_range_edges_accepted():
+    for fn in (cf.f1_closed, cf.f21_closed, cf.b_denominator, FracParams):
+        fn(2, 0.5, 0.0)
+        fn(2, 0.5, 0.5)
+    cf.f21_closed(2, 1.0, 0.2)
+    cf.f21_sum_form(2, 1.0, 0.2)
+    rz.riesz_constants(3, 0.5, 1.49)
+    FracParams(2, 0.5, 0.0, 7.0, extended=True)
+    assert cf.classical_epsilon(2, 0.5) == 0.75
+    assert rg.membership(3, 0.0, 0.5, 4.0)
 
 
 def test_symmatrix_rejects_asymmetry():
@@ -47,6 +134,17 @@ def test_homogeneous_field_examples():
     with pytest.raises(DomainError):
         homogeneous_field(0.7, [0.0, 0.0])
     assert homogeneous_field(1.0, [0.0, 0.0]) == 0.0
+
+
+def test_field_rows_match_one_point_field(rng):
+    pts = rng.normal(size=(20, 3))
+    for p in (-1.25, 0.3, 1.0, 1.7):
+        want = [homogeneous_field(p, z) for z in pts]
+        assert _field(p, pts) == pytest.approx(want, rel=1e-14)
+    # z = 0 has the value 0 for p >= 1, as the one-point field says
+    origin = np.zeros((1, 3))
+    for p in (1.0, 1.5, 3.0):
+        assert _field(p, origin)[0] == 0.0 == homogeneous_field(p, origin[0])
 
 
 def test_coeff_matrix_examples():

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -173,15 +172,22 @@ def test_determinism_bitwise(spec):
     )
 
 
-def test_determinism_under_threads(spec):
-    params = FracParams(2, 0.45, 0.2, 0.15)
-    r1 = pq.frac_op_num(params, E1, spec)
-    os.environ["NONLOCAL_LAB_THREADS"] = "4"
-    try:
-        r2 = pq.frac_op_num(params, E1, spec)
-    finally:
-        del os.environ["NONLOCAL_LAB_THREADS"]
-    assert r1.value == r2.value
+# (params, x, value, err_estimate, nodes_used) of frac_op_num; the kernel and
+# field it takes from `model` keep the integrand's operation order
+_FRAC_OP_PINNED = [
+    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080544562882, 2.9246700334195034e-06, 570240),
+    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381845509547, 8.779571458129259e-06, 527040),
+    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008164176720555, 2.715951719846438e-06, 570240),
+    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 219456),
+]
+
+
+@pytest.mark.parametrize("params, x, value, err, nodes", _FRAC_OP_PINNED)
+def test_frac_op_values_pinned(spec, params, x, value, err, nodes):
+    res = pq.frac_op_num(FracParams(*params), np.array(x), spec)
+    assert res.value == pytest.approx(value, rel=1e-13)
+    assert res.err_estimate == pytest.approx(err, rel=1e-13)
+    assert res.nodes_used == nodes
 
 
 def test_meridian_rule_beyond_three_dimensions(spec):
