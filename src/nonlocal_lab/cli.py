@@ -91,14 +91,9 @@ def emit(records: list[SweepRecord], fmt: str, path: str) -> None:
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        r_min=args.r_min,
-        r_max=args.r_max,
-        bands_per_decade=args.bands_per_decade,
-        radial_nodes=args.radial_nodes,
-        angular_nodes=args.angular_nodes,
-        target_rel_err=args.target_rel_err,
-    )
+    """The QuadratureSpec from the flags the subcommand declared; defaults elsewhere."""
+    names = (f.name for f in dataclasses.fields(QuadratureSpec))
+    return QuadratureSpec(**{k: getattr(args, k) for k in names if hasattr(args, k)})
 
 
 def _parse_range(text: str) -> list[float]:
@@ -250,7 +245,7 @@ def _cmd_energy(args) -> int:
     gaps = [r[3] for r in rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     s_check = args.s if args.s is not None else _parse_range(args.probe_s)[0]
-    params = FracParams(args.d, s_check, 0.0, args.eps)
+    params = FracParams(2, s_check, 0.0, args.eps)
     lhs, rhs = energy.convexity_identity_check(
         params, energy.bump_x1(1.0), energy.bump_x1(0.7), spec
     )
@@ -293,13 +288,17 @@ def _cmd_quadrature(args) -> int:
     return 0 if res.converged else 1
 
 
-def _add_quad_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-min", type=float, default=1e-6)
-    p.add_argument("--r-max", type=float, default=1e6)
-    p.add_argument("--bands-per-decade", type=int, default=4)
-    p.add_argument("--radial-nodes", type=int, default=10)
-    p.add_argument("--angular-nodes", type=int, default=64)
-    p.add_argument("--target-rel-err", type=float, default=1e-4)
+# the QuadratureSpec fields every pv_integral run reads; target_rel_err only
+# sets `converged`, which `quadrature` alone reports
+_WINDOW = ("r_min", "r_max", "bands_per_decade", "radial_nodes", "angular_nodes")
+
+
+def _add_quad_flags(p: argparse.ArgumentParser, names) -> None:
+    """One flag per named QuadratureSpec field, with the field's default."""
+    for f in dataclasses.fields(QuadratureSpec):
+        if f.name in names:
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=type(f.default), default=f.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--x", help="comma-separated point, default e1")
     p.add_argument("--tol", type=float, default=1e-3)
-    _add_quad_flags(p)
+    _add_quad_flags(p, _WINDOW)
     p.set_defaults(fn=_cmd_verify, required_keys=("d", "s", "delta"))
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV/JSON")
@@ -334,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-range")
     p.add_argument("--out")
     p.add_argument("--wall-clock", action="store_true", help="record real timings (breaks byte-reproducibility)")
-    _add_quad_flags(p)
+    _add_quad_flags(p, _WINDOW)
     p.set_defaults(fn=_cmd_sweep, required_keys=("d", "s_range", "delta_range", "out"))
 
     p = sub.add_parser("fourier", help="symbol pipeline vs closed form")
@@ -353,19 +352,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=int, default=12)
     p.set_defaults(fn=_cmd_regularity, required_keys=("d", "delta", "t", "q"))
 
-    p = sub.add_parser("energy", help="limit-towards-local probe and convexity")
-    p.add_argument("--d", type=int, default=2)
+    p = sub.add_parser("energy", help="limit-towards-local probe and convexity (d = 2)")
     p.add_argument("--s", type=float, help="order for the convexity check (default: first probe value)")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--probe-s", default="0.9,0.95,0.99")
-    _add_quad_flags(p)
+    _add_quad_flags(p, ("angular_nodes",))
     p.set_defaults(fn=_cmd_energy, required_keys=())
 
     p = sub.add_parser("riesz", help="fractional-gradient constants and chain")
     p.add_argument("--d", type=int)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--delta", type=float)
-    _add_quad_flags(p)
+    _add_quad_flags(p, _WINDOW)
     p.set_defaults(fn=_cmd_riesz, required_keys=("d", "delta"))
 
     p = sub.add_parser("quadrature", help="raw principal-value result")
@@ -373,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
-    _add_quad_flags(p)
+    _add_quad_flags(p, _WINDOW + ("target_rel_err",))
     p.set_defaults(fn=_cmd_quadrature, required_keys=("which", "d", "s", "delta"))
 
     return parser

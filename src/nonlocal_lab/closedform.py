@@ -140,16 +140,6 @@ def b_denominator(d: int, s: float, delta: float) -> float:
     return (d - 1.0) * s * (d - 2.0 * s + 2.0) - 2.0 * (d - 1.0) * ratio
 
 
-def b_of_delta(d: int, s: float, delta: float) -> float:
-    """Coupling epsilon = b(delta) making the homogeneous field a solution."""
-    den = b_denominator(d, s, delta)
-    if den <= _DENOM_TOL:
-        raise DomainError(
-            f"coupling denominator non-positive at delta={delta!r} (past delta0)"
-        )
-    return 2.0 * (d - 2.0 * s + 2.0 - delta) * delta / den
-
-
 def _b_or_inf(d: int, s: float, delta: float) -> float:
     den = b_denominator(d, s, delta)
     if den <= _DENOM_TOL:
@@ -157,23 +147,43 @@ def _b_or_inf(d: int, s: float, delta: float) -> float:
     return 2.0 * (d - 2.0 * s + 2.0 - delta) * delta / den
 
 
-def delta0(d: int, s: float) -> float:
-    """Right endpoint of the bijection interval: the delta with b(delta) = 1/2.
+def b_of_delta(d: int, s: float, delta: float) -> float:
+    """Coupling epsilon = b(delta) making the homogeneous field a solution."""
+    b = _b_or_inf(d, s, delta)
+    if b == math.inf:
+        raise DomainError(
+            f"coupling denominator non-positive at delta={delta!r} (past delta0)"
+        )
+    return b
 
-    Resolved by bisection (b is strictly increasing while its denominator is
-    positive); capped at 1/2.
+
+def _bisect_b(d: int, s: float, target: float, hi: float, tol: float) -> float:
+    """The delta in [0, hi] with b(delta) = target, to width tol.
+
+    b is strictly increasing while its denominator is positive, and
+    _b_or_inf is +inf past that, so bisection on b < target brackets it.
     """
-    _check_range(d, s)
-    if _b_or_inf(d, s, 0.5) < 0.5:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
         mid = 0.5 * (lo + hi)
-        if _b_or_inf(d, s, mid) < 0.5:
+        if _b_or_inf(d, s, mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def delta0(d: int, s: float) -> float:
+    """Right endpoint of the bijection interval: the delta with b(delta) = 1/2.
+
+    Resolved by bisection; capped at 1/2.
+    """
+    _check_range(d, s)
+    if _b_or_inf(d, s, 0.5) < 0.5:
+        return 0.5
+    return _bisect_b(d, s, 0.5, 0.5, 1e-12)
 
 
 def delta_of_epsilon(d: int, s: float, epsilon: float) -> float:
@@ -181,16 +191,7 @@ def delta_of_epsilon(d: int, s: float, epsilon: float) -> float:
     _check_range(d, s, epsilon=epsilon)
     if epsilon == 0.0:
         return 0.0
-    lo, hi = 0.0, delta0(d, s)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _b_or_inf(d, s, mid) < epsilon:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect_b(d, s, epsilon, delta0(d, s), 1e-15)
 
 
 def d2_G(s: float, delta: float) -> float:

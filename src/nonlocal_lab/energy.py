@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 from .model import FracParams, _coeffs
-from .pvquad import QuadratureSpec, _gl, _sphere_rule, frac_op_num
+from .pvquad import QuadratureSpec, _band_edges, _gl, _log_band, _sphere_rule, frac_op_num
 from .closedform import operator_value
-from .specfun import gamma, kappa
+from .specfun import gamma, kappa, sphere_area
 
 __all__ = [
     "TestFunction",
@@ -173,17 +173,9 @@ class _EnergyGrid:
 
         # inner h nodes: log bands from the near cutoff to the far cutoff
         h_min, h_max = 1e-7, 1e5
-        n_bands = max(1, math.ceil(math.log10(h_max / h_min) * 2))
-        edges = np.exp(np.linspace(math.log(h_min), math.log(h_max), n_bands + 1))
-        th, wh = _gl(6)
+        edges = _band_edges(h_min, h_max, 2)
         om_h, ow_h = _sphere_rule(d, max(16, spec.angular_nodes // 2))
-        rr, ww = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            ta, tb = math.log(a), math.log(b)
-            tm, tspan = 0.5 * (ta + tb), 0.5 * (tb - ta)
-            r = np.exp(tm + tspan * th)
-            rr.append(r)
-            ww.append(wh * tspan * r**d)
+        rr, ww = zip(*(_log_band(a, b, 6, d) for a, b in zip(edges[:-1], edges[1:])))
         r_h = np.repeat(np.concatenate(rr), len(om_h))
         hhat = np.tile(om_h, (len(r_h) // len(om_h), 1))
         h = r_h[:, None] * hhat
@@ -252,7 +244,7 @@ class _EnergyGrid:
 
         # far tail: int_(|h|>h_max) k dh * v(x)^2, with A(x+h) -> A(hhat);
         # the far region is entirely outside the support ball: factor 2
-        surf = 2.0 * math.pi ** (0.5 * d) / gamma(0.5 * d)
+        surf = sphere_area(d)
         tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
         tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * surf * tail_a
 
@@ -290,7 +282,6 @@ def _op_spec(spec: QuadratureSpec) -> QuadratureSpec:
         bands_per_decade=max(2, spec.bands_per_decade // 2),
         radial_nodes=max(6, spec.radial_nodes - 2),
         angular_nodes=max(24, spec.angular_nodes // 2),
-        target_rel_err=spec.target_rel_err,
     )
 
 

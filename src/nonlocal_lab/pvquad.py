@@ -39,8 +39,14 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 from .model import FracParams, _check_range, _field, _kernel, _norms, _unit
+from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
+
+# Largest radius of a partition-of-unity patch around a singular point, and
+# the inner end of the patch's radial bands.
+_PATCH_RADIUS = 0.3
+_PATCH_RHO_MIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,6 @@ class QuadratureSpec:
     radial_nodes: int = 10
     angular_nodes: int = 64
     target_rel_err: float = 1e-4
-    patch_radius: float = 0.3
-    patch_rho_min: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.r_min < 1.0 < self.r_max:
@@ -132,7 +136,7 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     omegas = np.zeros((n, d))
     omegas[:, 0] = mu
     omegas[:, 1] = np.sqrt(1.0 - mu**2)
-    return omegas, (2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)) * w
+    return omegas, sphere_area(d) * w
 
 
 def _band_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
@@ -180,12 +184,17 @@ class _Evaluator:
         return vals
 
 
-def _band_value_det(ev_fn, a, b, d, omegas, oweights, radial_nodes):
-    t, wt = _gl(radial_nodes)
+def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre radii in log r on [a, b], with the weights of r^(d-1) dr."""
+    t, wt = _gl(n)
     ta, tb = math.log(a), math.log(b)
     tm, th = 0.5 * (ta + tb), 0.5 * (tb - ta)
     r = np.exp(tm + th * t)
-    wr = wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
+    return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
+
+
+def _band_value(ev_fn, a, b, d, omegas, oweights, radial_nodes):
+    r, wr = _log_band(a, b, radial_nodes, d)
     pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, omegas.shape[1])
     vals = ev_fn(pts).reshape(len(r), -1)
     return float(wr @ (vals @ oweights))
@@ -309,17 +318,15 @@ def _split_near_patches(base_bands, patches, fine_width: float):
     return out
 
 
-def _patch_geometry(singular_points, spec: QuadratureSpec, d: int):
+def _patch_geometry(singular_points):
     pts = [np.asarray(p, dtype=float) for p in singular_points]
-    if not pts:
-        return []
     radii = []
     for i, p in enumerate(pts):
-        r = min(spec.patch_radius, 0.5 * float(np.linalg.norm(p)))
+        r = min(_PATCH_RADIUS, 0.5 * float(np.linalg.norm(p)))
         for j, q in enumerate(pts):
             if i != j:
                 r = min(r, 0.45 * float(np.linalg.norm(p - q)))
-        if r <= spec.patch_rho_min:
+        if r <= _PATCH_RHO_MIN:
             raise DomainError("singular points too close together (or to 0) to patch")
         radii.append(r)
     return list(zip(pts, radii))
@@ -346,7 +353,7 @@ def pv_integral(
     def rule(ang_nodes):
         return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
 
-    patches = _patch_geometry(singular_points, spec, d)
+    patches = _patch_geometry(singular_points)
     ev = _Evaluator(integrand, patches)
 
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
@@ -358,7 +365,7 @@ def pv_integral(
         coarse = rule(ang_nodes)
         fine = rule(ang_nodes * fine_mult)
         return [
-            _band_value_det(ev.masked, a, b, d, *(fine if is_fine else coarse), radial_nodes)
+            _band_value(ev.masked, a, b, d, *(fine if is_fine else coarse), radial_nodes)
             for a, b, is_fine in bands
         ]
 
@@ -378,7 +385,7 @@ def pv_integral(
     patch_sum = 0.0
     patch_err = 0.0
     for center, radius in patches:
-        p_edges = _band_edges(spec.patch_rho_min, radius, spec.bands_per_decade)
+        p_edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
         p_bands = _split_near_patches(
             list(zip(p_edges[:-1], p_edges[1:])), [(np.zeros(d), radius)], radius / 8.0
         )
@@ -393,7 +400,7 @@ def pv_integral(
         def run_patch(radial_nodes, ang_nodes):
             om, ow = rule(ang_nodes)
             return [
-                _band_value_det(patch_fn, a, b, d, om, ow, radial_nodes) for a, b, _ in p_bands
+                _band_value(patch_fn, a, b, d, om, ow, radial_nodes) for a, b, _ in p_bands
             ]
 
         p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
@@ -433,19 +440,21 @@ def _f_integrand(which: str, d: int, s: float, delta: float):
             return kern * (_field(1.0 - delta, z) - 1.0)
 
     elif which == "f3":
-
-        def g(h):
-            z = e1[None, :] - h
-            return _field(s - delta, z) * _norms(h) ** (-(d - 1.0 + s))
-
+        g = _potential(d, s, s - delta, e1)
     elif which == "f4":
-
-        def g(h):
-            z = e1[None, :] - h
-            return _field(-1.0 - delta, z) * _norms(h) ** (-(d - 1.0 + s))
-
+        g = _potential(d, s, -1.0 - delta, e1)
     else:
         raise DomainError(f"unknown integral {which!r}")
+    return g
+
+
+def _potential(d: int, s: float, power: float, x: np.ndarray):
+    """Integrand |z|^(power-1) z1 |h|^(-(d-1+s)) at z = x - h: I_(1-s) of a field."""
+
+    def g(h):
+        z = x[None, :] - h
+        return _field(power, z) * _norms(h) ** (-(d - 1.0 + s))
+
     return g
 
 

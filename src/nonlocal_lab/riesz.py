@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import _check_range, _field, _unit
-from .pvquad import PVResult, QuadratureSpec, _on_axis, _scaled, pv_integral
+from .model import _check_range, _unit
+from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential, _scaled, pv_integral
 from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
@@ -91,7 +91,7 @@ def flux_divergence(
 
 def riesz_coupling(d: int, delta: float) -> float:
     """epsilon killing the divergence bracket: 1 - sqrt(1 - delta - delta(1-delta)/(d-1))."""
-    _check_range(d)
+    _check_range(d, delta=delta, model="riesz")
     if d == 2:
         # the radicand completes to (1 - delta)^2, so the value is delta
         return delta
@@ -105,10 +105,7 @@ def _potential_of_field(d: int, s: float, power: float, x, spec: QuadratureSpec)
     """Quadrature of int |z|^(power-1) z1 |h|^(-(d-1+s)) dh at z = x - h."""
 
     def integrate(x, axial):
-        def g(h):
-            z = x[None, :] - h
-            return _field(power, z) * np.sum(h * h, axis=1) ** (-0.5 * (d - 1.0 + s))
-
+        g = _potential(d, s, power, x)
         return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
 
     return _on_axis(integrate, d, x)

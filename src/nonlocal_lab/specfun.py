@@ -1,11 +1,11 @@
 """Real-argument special functions and the fractional-Laplacian normalization.
 
 Everything downstream (closed forms, symbol calculus, Riesz constants) is a
-ratio of Gamma values, so Gamma and digamma are implemented here in-repo:
-a Lanczos approximation for Gamma and a shifted asymptotic series for
-digamma.  Ratios are assembled in log space with explicit sign tracking so
-that widely different magnitudes (e.g. Gamma near a pole against a large
-positive argument) do not overflow.
+ratio of Gamma values.  Gamma and log|Gamma| come from the standard library
+(`math.gamma`, `math.lgamma`) behind one pole check; digamma is a shifted
+asymptotic series implemented here.  Ratios are assembled in log space with
+explicit sign tracking so that widely different magnitudes (e.g. Gamma near
+a pole against a large positive argument) do not overflow.
 """
 
 from __future__ import annotations
@@ -22,26 +22,11 @@ __all__ = [
     "gamma_ratio",
     "digamma",
     "kappa",
-    "sinpi",
+    "sphere_area",
 ]
 
 # Euler-Mascheroni constant, psi(1) = -EULER_GAMMA.
 EULER_GAMMA = 0.57721566490153286060651209008240243
-
-# Lanczos coefficients for g = 7, n = 9 (about 15 correct digits on the
-# positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _POLE_TOL = 1e-12
 
@@ -52,48 +37,22 @@ def _check_pole(x: float) -> None:
         raise PoleError(f"argument {x!r} is (numerically) a non-positive integer")
 
 
-def sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction, exact zeros at integers."""
-    n = math.floor(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def _lanczos_series(z: float) -> float:
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    return acc
-
-
 def gamma(x: float) -> float:
     """Gamma(x) for real x away from the poles at 0, -1, -2, ..."""
     _check_pole(x)
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (sinpi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_series(z)
+    return math.gamma(x)
 
 
 def lgamma_signed(x: float) -> tuple[float, float]:
     """(log |Gamma(x)|, sign of Gamma(x)); stable for ratio assembly."""
     _check_pole(x)
-    if x >= 0.5:
-        z = x - 1.0
-        t = z + _LANCZOS_G + 0.5
-        val = (
-            0.5 * math.log(2.0 * math.pi)
-            + (z + 0.5) * math.log(t)
-            - t
-            + math.log(_lanczos_series(z))
-        )
-        return val, 1.0
-    s = sinpi(x)
-    lg1, _ = lgamma_signed(1.0 - x)
-    return math.log(math.pi) - math.log(abs(s)) - lg1, math.copysign(1.0, s)
+    # Gamma is negative on (n, n + 1) exactly for the odd negative n
+    return math.lgamma(x), -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
+def sphere_area(d: int) -> float:
+    """|S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
+    return 2.0 * math.pi ** (0.5 * d) / gamma(0.5 * d)
 
 
 def gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> float:

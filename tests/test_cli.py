@@ -5,6 +5,7 @@ import pytest
 
 from nonlocal_lab import cli
 from nonlocal_lab.errors import DomainError
+from nonlocal_lab.pvquad import QuadratureSpec
 
 
 def test_couple_zero_delta(capsys):
@@ -50,6 +51,16 @@ def test_verify_command(capsys):
 def test_exit_code_two_on_bad_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["verify", "--d", "2"])
+    assert exc.value.code == 2
+
+
+def test_quadrature_flags_default_to_spec(capsys):
+    parser = cli._build_parser()
+    for argv in (["verify"], ["sweep"], ["energy"], ["riesz"], ["quadrature"]):
+        assert cli._spec_from(parser.parse_args(argv)) == QuadratureSpec()
+    # energy reads only the angular resolution, so it declares no window flag
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["energy", "--r-min", "1e-5"])
     assert exc.value.code == 2
 
 

@@ -90,6 +90,8 @@ _BAD = (
     + [("f21_closed", cf.f21_closed, (2, 1.2, 0.2)), ("delta0", cf.delta0, (1, 0.5))]
     + [("delta0", cf.delta0, (2, s)) for s in (0.0, 1.0)]
     + [("riesz_coupling", rz.riesz_coupling, (d, 0.2)) for d in (1, 2.5)]
+    + [("riesz_coupling", rz.riesz_coupling, (2, delta)) for delta in (-0.3, 0.0, 1.0, 1.5)]
+    + [("riesz_coupling", rz.riesz_coupling, (3, 0.0))]
     + [("kappa", kappa, (d, s)) for d, s in _BAD_D_S + [(2, 1.0)]]
     # delta <= 0 is a pole of the Riesz pipelines (PoleEncountered), not a range error
     + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", d, s, 0.3)) for d, s in _BAD_D_S]

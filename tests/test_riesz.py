@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from nonlocal_lab import pvquad as pq
 from nonlocal_lab import riesz as rz
 from nonlocal_lab.errors import DomainError
 
@@ -65,6 +66,20 @@ def test_potential_is_homogeneous_field(spec):
     r = float(np.linalg.norm(x))
     got = rz.riesz_potential_num(d, s, delta, x, spec).value
     assert got == pytest.approx(c_star * r ** (1 - delta) * x[0] / r, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_potential_at_e1_is_scaled_f3(spec, d):
+    # the Riesz oracle at e1 and f3 integrate one integrand on one rule
+    s, delta = 0.4, 0.3
+    got = rz.riesz_potential_num(d, s, delta, np.eye(d)[0], spec)
+    f3 = pq.f_integral_num("f3", d, s, delta, spec)
+    norm = rz.riesz_kernel_constant(d, 1.0 - s)
+    assert (got.value, got.err_estimate, got.nodes_used) == (
+        norm * f3.value,
+        norm * f3.err_estimate,
+        f3.nodes_used,
+    )
 
 
 def test_flux_at_perpendicular_point():

@@ -11,7 +11,6 @@ from nonlocal_lab.specfun import (
     gamma_ratio,
     kappa,
     lgamma_signed,
-    sinpi,
 )
 
 mp.mp.dps = 40
@@ -24,13 +23,13 @@ def test_gamma_exact_points():
 
 
 def test_gamma_vs_mpmath_on_range(rng):
-    # 12 significant digits demanded on |x| <= 30
+    # to a few units of rounding on |x| <= 30, away from the poles
     for _ in range(300):
         x = rng.uniform(-30.0, 30.0)
         if abs(x - round(x)) < 1e-3 and x < 0.5:
             continue
         ref = float(mp.gamma(x))
-        assert gamma(x) == pytest.approx(ref, rel=1e-12)
+        assert gamma(x) == pytest.approx(ref, rel=2e-15)
 
 
 def test_gamma_recurrence(rng):
@@ -86,13 +85,6 @@ def test_digamma_vs_mpmath_negative(rng):
         if abs(x - round(x)) < 1e-2:
             continue
         assert digamma(x) == pytest.approx(float(mp.digamma(x)), rel=1e-10)
-
-
-def test_sinpi_reduction():
-    assert sinpi(3.0) == 0.0
-    assert sinpi(-2.0) == 0.0
-    assert sinpi(2.5) == pytest.approx(1.0, abs=1e-15)
-    assert sinpi(-0.5) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_kappa_half_order_two_dims():
