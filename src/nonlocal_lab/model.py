@@ -118,9 +118,23 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(x, x)))
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> for each row pair of two (n, d) arrays, summed column by column.
+
+    For d <= 7 this adds in the order of np.sum(a * b, axis=1), so it gives
+    the same bits, at a fraction of the cost of numpy's reduction over
+    short rows; for longer rows numpy sums pairwise and the last bits can
+    differ.
+    """
+    out = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
 def _norms(pts: np.ndarray) -> np.ndarray:
     """|z| for each row z of an (n, d) array."""
-    return np.sqrt(np.sum(pts * pts, axis=1))
+    return np.sqrt(_rowdot(pts, pts))
 
 
 def _unit(x) -> tuple[np.ndarray, float]:
@@ -193,7 +207,7 @@ def _kernel(params: FracParams, x: np.ndarray, h: np.ndarray, y: np.ndarray) -> 
     hh = h / r[:, None]
     ry = np.maximum(_norms(y), _ORIGIN_GUARD)
     cos_x = (h @ x) / (r * _norm(x))
-    cos_y = np.sum(hh * (y / ry[:, None]), axis=1)
+    cos_y = _rowdot(hh, y / ry[:, None])
     quad = a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2)
     return r ** (-params.d - 2.0 * params.s) * quad
 

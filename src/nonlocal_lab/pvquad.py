@@ -10,7 +10,11 @@ infinity.  The evaluation strategy:
     absolutely convergent and realizes the principal value at the level of
     the integrand;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
-    a spectral rule on the sphere handle each annulus;
+    a spectral rule on the sphere handle each annulus; each pass over the
+    bands (the main bands, their downgraded jackknife copy, each patch)
+    evaluates the integrand on groups of whole bands, one call per group,
+    and reduces every band on its own, so the grouping does not change a
+    bit of any band value;
   * off-origin singular points are wrapped in smooth partition-of-unity
     patches integrated in their own polar coordinates with graded bands;
   * the truncation at r_min / r_max is removed by geometric completion: the
@@ -38,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import FracParams, _check_range, _field, _kernel, _norms, _unit
+from .model import FracParams, _check_range, _field, _kernel, _norms, _rowdot, _unit
 from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
@@ -47,6 +51,10 @@ __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_
 # the inner end of the patch's radial bands.
 _PATCH_RADIUS = 0.3
 _PATCH_RHO_MIN = 1e-10
+
+# Fewest points per integrand call: consecutive bands of a pass are grouped
+# until they hold this many, so the per-call overhead is paid per group.
+_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -178,8 +186,7 @@ class _Evaluator:
         if self.patches:
             mask = np.ones(len(pts))
             for center, radius in self.patches:
-                rho = np.linalg.norm(pts - center, axis=1)
-                mask -= _chi(rho, radius)
+                mask -= _chi(_norms(pts - center), radius)
             vals = vals * mask
         return vals
 
@@ -193,11 +200,30 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
-def _band_value(ev_fn, a, b, d, omegas, oweights, radial_nodes):
-    r, wr = _log_band(a, b, radial_nodes, d)
-    pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, omegas.shape[1])
-    vals = ev_fn(pts).reshape(len(r), -1)
-    return float(wr @ (vals @ oweights))
+def _band_values(ev_fn, bands, d, radial_nodes) -> list[float]:
+    """Values of the bands (a, b, (omegas, oweights)) of one pass, in order.
+
+    Consecutive whole bands are grouped until they hold at least _BATCH
+    points, and each group is one ev_fn call.  Each band is still reduced on
+    its own rows, so its value does not depend on the grouping.
+    """
+    values: list[float] = []
+    group, size = [], 0
+    for i, (a, b, (omegas, oweights)) in enumerate(bands):
+        r, wr = _log_band(a, b, radial_nodes, d)
+        pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, omegas.shape[1])
+        group.append((pts, wr, oweights))
+        size += len(pts)
+        if size < _BATCH and i + 1 < len(bands):
+            continue
+        vals = ev_fn(np.concatenate([g_pts for g_pts, _, _ in group]))
+        start = 0
+        for g_pts, g_wr, g_ow in group:
+            band = vals[start : start + len(g_pts)].reshape(len(g_wr), -1)
+            values.append(float(g_wr @ (band @ g_ow)))
+            start += len(g_pts)
+        group, size = [], 0
+    return values
 
 
 def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | None:
@@ -364,10 +390,8 @@ def pv_integral(
     def run_bands(radial_nodes, ang_nodes):
         coarse = rule(ang_nodes)
         fine = rule(ang_nodes * fine_mult)
-        return [
-            _band_value(ev.masked, a, b, d, *(fine if is_fine else coarse), radial_nodes)
-            for a, b, is_fine in bands
-        ]
+        graded = [(a, b, fine if is_fine else coarse) for a, b, is_fine in bands]
+        return _band_values(ev.masked, graded, d, radial_nodes)
 
     band_vals = run_bands(spec.radial_nodes, spec.angular_nodes)
     # resolution jackknife: the same bands on a downgraded rule bound the
@@ -393,15 +417,13 @@ def pv_integral(
         def patch_fn(local_pts, _c=center, _r=radius):
             # antipodal averaging inside the ball kills the odd leading
             # part of the local singularity at evaluation level
-            rho = np.linalg.norm(local_pts, axis=1)
+            rho = _norms(local_pts)
             pair = ev.sym(_c[None, :] + local_pts) + ev.sym(_c[None, :] - local_pts)
             return 0.5 * pair * _chi(rho, _r)
 
         def run_patch(radial_nodes, ang_nodes):
-            om, ow = rule(ang_nodes)
-            return [
-                _band_value(patch_fn, a, b, d, om, ow, radial_nodes) for a, b, _ in p_bands
-            ]
+            p_rule = rule(ang_nodes)
+            return _band_values(patch_fn, [(a, b, p_rule) for a, b, _ in p_bands], d, radial_nodes)
 
         p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
         p_vals_low = run_patch(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
@@ -432,10 +454,10 @@ def _f_integrand(which: str, d: int, s: float, delta: float):
 
         def g(h):
             z = e1[None, :] - h
-            r2 = np.sum(h * h, axis=1)
+            r2 = _rowdot(h, h)
             h1 = h[:, 0]
             num = -2.0 * h1**3 + r2 * h1**2 + 2.0 * h1**2 - 2.0 * r2 * h1 + r2**2
-            z2 = np.maximum(np.sum(z * z, axis=1), 1e-300)
+            z2 = np.maximum(_rowdot(z, z), 1e-300)
             kern = num / (2.0 * np.maximum(r2, 1e-300) ** (0.5 * (d + 2.0 * s + 2.0)) * z2)
             return kern * (_field(1.0 - delta, z) - 1.0)
 

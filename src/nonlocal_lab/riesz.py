@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .model import _check_range, _unit
 from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential, _scaled, pv_integral
-from .specfun import gamma_ratio, lgamma_signed
+from .specfun import gamma_ratio
 
 __all__ = [
     "riesz_kernel_constant",
@@ -39,9 +39,8 @@ def riesz_kernel_constant(d: int, alpha: float) -> float:
     """Normalization of I_alpha: 2^(-alpha) G((d-alpha)/2) / (pi^(d/2) G(alpha/2))."""
     if not 0.0 < alpha < d:
         raise DomainError(f"potential order must lie in (0, d), got {alpha!r}")
-    ln, _ = lgamma_signed(0.5 * (d - alpha))
-    ld, _ = lgamma_signed(0.5 * alpha)
-    return math.exp(-alpha * math.log(2.0) + ln - 0.5 * d * math.log(math.pi) - ld)
+    ratio = gamma_ratio((0.5 * (d - alpha),), (0.5 * alpha,))
+    return 2.0 ** (-alpha) * ratio / math.pi ** (0.5 * d)
 
 
 def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:

@@ -110,8 +110,5 @@ def kappa(d: int, s: float) -> float:
     the Fourier symbol (2 pi |xi|)^(2s).
     """
     _check_range(d, s)
-    lg_num, _ = lgamma_signed(0.5 * d + s)
-    lg_den, _ = lgamma_signed(-s)
-    return math.exp(
-        (2.0 * s - 1.0) * math.log(2.0) + lg_num - 0.5 * d * math.log(math.pi) - lg_den
-    )
+    ratio = abs(gamma_ratio((0.5 * d + s,), (-s,)))
+    return 2.0 ** (2.0 * s - 1.0) * ratio / math.pi ** (0.5 * d)

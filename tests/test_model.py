@@ -13,6 +13,7 @@ from nonlocal_lab.model import (
     FracParams,
     SymMatrix,
     _field,
+    _rowdot,
     coeff_eigen,
     coeff_matrix,
     homogeneous_field,
@@ -147,6 +148,15 @@ def test_field_rows_match_one_point_field(rng):
     origin = np.zeros((1, 3))
     for p in (1.0, 1.5, 3.0):
         assert _field(p, origin)[0] == 0.0 == homogeneous_field(p, origin[0])
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_rowdot_matches_numpy_row_sum_bitwise(rng, d):
+    # column-wise sums add in numpy's order for rows of up to 7 entries
+    a = rng.normal(size=(2000, d)) * 10.0 ** rng.uniform(-20, 20, size=(2000, 1))
+    b = rng.normal(size=(2000, d)) * 10.0 ** rng.uniform(-20, 20, size=(2000, d))
+    assert _rowdot(a, a).tobytes() == np.sum(a * a, axis=1).tobytes()
+    assert _rowdot(a, b).tobytes() == np.sum(a * b, axis=1).tobytes()
 
 
 def test_coeff_matrix_examples():

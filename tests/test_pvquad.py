@@ -147,18 +147,59 @@ def test_symmetrized_tail_decays(spec):
     g = pq._f_integrand("f1", d, s, delta)
     patches = pq._patch_geometry((E1, -E1))
     ev = pq._Evaluator(g, patches)
-    om, ow = pq._sphere_rule(d, spec.angular_nodes)
+    rule = pq._sphere_rule(d, spec.angular_nodes)
     shell = []
     for k in range(1, 5):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
-        val = sum(
-            pq._band_value(ev.masked, aa, bb, d, om, ow, spec.radial_nodes)
-            for aa, bb in zip(edges[:-1], edges[1:])
-        )
-        shell.append(abs(val))
+        bands = [(aa, bb, rule) for aa, bb in zip(edges[:-1], edges[1:])]
+        shell.append(abs(sum(pq._band_values(ev.masked, bands, d, spec.radial_nodes))))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_band_values_grouping_is_bitwise(spec, d):
+    # grouped bands keep the bits of one integrand call per band, on the
+    # d = 2 full rule masked by both patches and on the d = 4 meridian rule
+    e1 = np.eye(d)[0]
+    ev = pq._Evaluator(pq._f_integrand("f1", d, 0.5, 0.25), pq._patch_geometry((e1, -e1)))
+    if d == 2:
+        coarse, fine = pq._sphere_rule(d, 64), pq._sphere_rule(d, 384)
+    else:
+        coarse, fine = pq._meridian_rule(d, 32), pq._meridian_rule(d, 64)
+    edges = pq._band_edges(1e-3, 1e3, spec.bands_per_decade)
+    bands = [
+        (a, b, fine if b > 0.5 and a < 2.0 else coarse) for a, b in zip(edges[:-1], edges[1:])
+    ]
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return ev.masked(pts)
+
+    grouped = pq._band_values(counted, bands, d, spec.radial_nodes)
+    assert sum(sizes) > 2 * pq._BATCH
+    assert 1 < len(sizes) < len(bands)
+    assert all(n >= pq._BATCH for n in sizes[:-1])
+    single = [pq._band_values(ev.masked, [band], d, spec.radial_nodes)[0] for band in bands]
+    assert _hex(grouped) == _hex(single)
+
+
+def test_pv_integral_independent_of_grouping(spec, monkeypatch):
+    # every pass, patches included, gives the same bits with one band per call
+    params = FracParams(2, 0.3, 0.1, 0.4)
+    x = np.array([0.78, -1.04])
+    batched = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
+    monkeypatch.setattr(pq, "_BATCH", 1)
+    single = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
+    for r1, r2 in zip(batched, single):
+        assert _hex([r1.value, r1.err_estimate]) == _hex([r2.value, r2.err_estimate])
+        assert r1.nodes_used == r2.nodes_used
 
 
 def test_determinism_bitwise(spec):
