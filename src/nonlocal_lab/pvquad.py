@@ -29,8 +29,9 @@ sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
 the Gauss nodes of that weight (Golub-Welsch).  The f1-f4 integrands are of
 this kind.  The operators on the field phi(|z|) z1 (`frac_op_num` and the
 Riesz convolutions) commute with rotations, so their value at x is
-(x1/|x|) times their value at |x| e1, where the integrand is axial.  Every
-path is deterministic.
+(x1/|x|) times their value at |x| e1, where the integrand is axial.  The
+meridian rule also has a closed form at d = 2, where the oracles still take
+the full circle.  Every path is deterministic.
 """
 
 from __future__ import annotations
@@ -123,17 +124,21 @@ def _sphere_rule(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights integrating functions of omega_1 alone over S^(d-1), d >= 3.
+    """Nodes/weights integrating functions of omega_1 alone over S^(d-1).
 
     The nodes omega = (mu, sqrt(1 - mu^2), 0, ...) carry the Gauss nodes mu
     for the weight (1 - mu^2)^lam, lam = (d - 3)/2: the eigenvalues of the
     Jacobi matrix of the Gegenbauer recurrence, with weights from the first
     eigenvector components (Golub & Welsch 1969).  The weights sum to
     |S^(d-1)| = |S^(d-2)| int (1 - mu^2)^lam dmu.  At d = 3 the nodes are
-    the Gauss-Legendre nodes of the product rule's mu factor.
+    the Gauss-Legendre nodes of the product rule's mu factor.  At d = 2 the
+    recurrence is 0/0 (lam = -1/2); the rule there is the upper half of the
+    2n-node circle rule with doubled weights, the circle rule folded by
+    omega_2 -> -omega_2.
     """
-    if d < 3:
-        raise DomainError("the meridian rule needs d >= 3")
+    if d == 2:
+        omegas, weights = _sphere_rule(2, 2 * n)
+        return omegas[:n], 2.0 * weights[:n]
     lam = 0.5 * (d - 3)
     k = np.arange(1, n)
     jacobi = np.diag(np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0)), -1)

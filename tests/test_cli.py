@@ -48,6 +48,16 @@ def test_verify_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_energy_command(capsys):
+    assert cli.run(["energy", "--eps", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "s, nonlocal energy, local energy, relative gap"
+    # one row per default probe order s = 0.9, 0.95, 0.99
+    assert [float(line.split(",")[0]) for line in lines[1:-2]] == [0.9, 0.95, 0.99]
+    assert lines[4].startswith("convexity identity:")
+    assert lines[-1] == "PASS"
+
+
 def test_exit_code_two_on_bad_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["verify", "--d", "2"])

@@ -1,43 +1,82 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import energy as en
+from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError
 from nonlocal_lab.model import FracParams
+from nonlocal_lab.pvquad import QuadratureSpec
 from nonlocal_lab.specfun import gamma, kappa
+
+# one d = 3 energy at the default spec takes about 2.7 s and 590 MB; half
+# the angular resolution (216 x nodes, 18432 h nodes) keeps the d = 3 tests
+# near the d = 2 cost
+SPEC3 = QuadratureSpec(angular_nodes=32)
+
+
+def _zero(radius=1.0):
+    return en.TestFunction(np.zeros_like, np.zeros_like, radius)
 
 
 def test_bump_gradient_is_exact(rng):
     v = en.bump_x1(0.9)
     h = 1e-6
-    for _ in range(20):
-        x = rng.uniform(-0.8, 0.8, size=2)
-        g = v.grad(x[None, :])[0]
-        for i in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (v.value(xp[None, :])[0] - v.value(xm[None, :])[0]) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
+    for d in (2, 3):
+        for _ in range(20):
+            x = rng.uniform(-0.8, 0.8, size=d)
+            g = v.grad(x[None, :])[0]
+            for i in range(d):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                fd = (v.value(xp[None, :])[0] - v.value(xm[None, :])[0]) / (2 * h)
+                assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
 
 
 def test_zero_function_has_zero_energy(spec):
-    zero = en.TestFunction(
-        value=lambda p: np.zeros(len(np.atleast_2d(p))),
-        grad=lambda p: np.zeros_like(np.atleast_2d(p)),
-        radius=1.0,
-    )
     params = FracParams(2, 0.5, 0.0, 0.2)
-    assert en.energy_eval(params, zero, spec) == 0.0
+    assert en.energy_eval(params, _zero(), spec) == 0.0
 
 
-def test_energy_refuses_three_dimensions(spec):
-    # the d = 3 grid would need 9216 x 73728 pair arrays (5.4 GB each)
-    with pytest.raises(DomainError):
-        en.energy_eval(FracParams(3, 0.5, 0.0, 0.2), en.bump_x1(1.0), spec)
+def test_energy_three_dimensions_positive_and_scaling():
+    # v_lambda(x) = v(x/lambda): energy scales by lambda^(d-2s)
+    d, s, lam = 3, 0.5, 1.5
+    params = FracParams(d, s, 0.0, 0.2)
+    e_one = en.energy_eval(params, en.bump_x1(1.0), SPEC3)
+    e_lam = en.energy_eval(params, en.bump_x1(lam), SPEC3)
+    assert e_one > 0.0
+    assert e_lam == pytest.approx(lam ** (d - 2 * s) * e_one, rel=1e-3)
+
+
+def test_convexity_identity_three_dimensions():
+    params = FracParams(3, 0.6, 0.0, 0.3)
+    lhs, rhs = en.convexity_identity_check(params, en.bump_x1(1.0), en.bump_x1(0.7), SPEC3)
+    assert lhs > 0.0
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def test_gamma_limit_trend_three_dimensions():
+    rows = en.gamma_limit_probe(0.0, en.bump_x1(1.0), (0.9, 0.95, 0.99), d=3, spec=SPEC3)
+    gaps = [row[3] for row in rows]
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_energy_refuses_four_dimensions_before_allocating(spec):
+    # the h mesh needs the full sphere rule (d = 2, 3): the refusal comes
+    # before any pair array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            en.energy_eval(FracParams(4, 0.5, 0.0, 0.2), en.bump_x1(1.0), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_energy_positive(spec):
@@ -93,12 +132,7 @@ def test_convexity_identity_trivial_cases(spec):
     assert lhs == pytest.approx(0.0, abs=1e-14)
     assert rhs == pytest.approx(0.0, abs=1e-14)
 
-    zero = en.TestFunction(
-        value=lambda p: np.zeros(len(np.atleast_2d(p))),
-        grad=lambda p: np.zeros_like(np.atleast_2d(p)),
-        radius=1.0,
-    )
-    lhs, rhs = en.convexity_identity_check(params, v, zero, spec)
+    lhs, rhs = en.convexity_identity_check(params, v, _zero(), spec)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -111,9 +145,9 @@ def test_convexity_identity_random_pairs(spec, rng):
         v1 = en.bump_x1(r1)
         base = en.bump_x1(r2)
         v2 = en.TestFunction(
-            value=lambda p, b=base, cc=c: cc * b.value(p),
-            grad=lambda p, b=base, cc=c: cc * b.grad(p),
-            radius=base.radius,
+            lambda r, b=base, cc=c: cc * b.phi(r),
+            lambda r, b=base, cc=c: cc * b.dphi(r),
+            base.radius,
         )
         lhs, rhs = en.convexity_identity_check(params, v1, v2, spec)
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1e-12)
@@ -137,16 +171,55 @@ def test_convexity_identity_nearly_equal_radii(spec, s, eps, r1, r2):
     assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1e-12)
 
 
-def test_first_variation_zero_at_coupling(spec):
+def _traced_first_variation(monkeypatch, params, eta, spec):
+    """(residual, bound): first_variation_residual and its quadrature error bound.
+
+    The pairing must take six frac_op_num calls, on the e1 axis at the
+    Gauss-Legendre radii of [0, eta.radius]; the bound restates the radial
+    identity on those calls, m2(d) kappa sum_i w_i phi(r_i) r_i^d err_i.
+    """
+    calls = []
+
+    def counted(p, x, sp):
+        res = pq.frac_op_num(p, x, sp)
+        calls.append((np.array(x), res))
+        return res
+
+    monkeypatch.setattr(en, "frac_op_num", counted)
+    residual = en.first_variation_residual(params, eta, spec)
+    assert len(calls) == 6
+    t, w = np.polynomial.legendre.leggauss(6)
+    r, w = 0.5 * eta.radius * (t + 1.0), 0.5 * eta.radius * w
+    d = params.d
+    np.testing.assert_allclose([x for x, _ in calls], r[:, None] * np.eye(d)[0], rtol=1e-15)
+    errs = np.array([res.err_estimate for _, res in calls])
+    weights = en.sphere_moment2(d) * kappa(d, params.s) * w * eta.phi(r) * r**d
+    return residual, float(weights @ errs)
+
+
+def test_first_variation_zero_at_coupling(spec, monkeypatch):
     d, s, delta = 2, 0.6, 0.1
     eps = cf.b_of_delta(d, s, delta)
     params = FracParams(d, s, delta, eps, extended=True)
     eta = en.bump_x1(0.8)
-    residual = en.first_variation_residual(params, eta, spec)
+    residual, bound = _traced_first_variation(monkeypatch, params, eta, spec)
     scale = abs(
         cf.operator_value(FracParams(d, s, delta, 0.0), [1.0, 0.0])
     )
     assert abs(residual) <= 1e-4 * scale
+    assert abs(residual) <= 5.0 * bound
+
+
+def test_first_variation_three_dimensions(monkeypatch):
+    d, s, delta = 3, 0.6, 0.1
+    eps = cf.b_of_delta(d, s, delta)
+    eta = en.bump_x1(0.8)
+    params = FracParams(d, s, delta, eps, extended=True)
+    residual, bound = _traced_first_variation(monkeypatch, params, eta, SPEC3)
+    assert abs(residual) <= 5.0 * bound
+    off = FracParams(d, s, delta, eps + 0.05, extended=True)
+    residual = en.first_variation_residual(off, eta, SPEC3)
+    assert residual * cf.operator_value(off, [1.0, 0.0, 0.0]) > 0.0
 
 
 def test_first_variation_zero_for_linear_field(spec):
@@ -203,7 +276,9 @@ def test_gamma_limit_trend(spec):
 
 # Reference values from the closure-based grid, which evaluated v, (v1+v2)/2
 # and v1 - v2 afresh at every x + h, at the default spec.  The sample-based
-# form must reproduce them to rounding.
+# form must reproduce them to rounding.  The local energies come from the
+# radius x meridian rule and match the mpmath radial reduction below to
+# 3e-16; the midpoint grid that produced the earlier pins was 2.6e-14 off.
 PINNED_CONVEXITY = [
     # (s, eps, r1, r2, energy of bump_x1(r1), lhs, rhs)
     (0.6, 0.3, 0.4, 0.95, 0.014262688243573355, 0.009275595259666222, 0.009275595259666222),
@@ -213,11 +288,11 @@ PINNED_CONVEXITY = [
 PINNED_PROBE = [
     # (eps, radius, nonlocal energies at s = 0.9, 0.95, 0.99, local energy)
     (0.25, 0.8, (0.0691100827322815, 0.08256889792349642, 0.09537927283976394),
-     0.09892224782233346),
+     0.09892224782233605),
     (0.0, 1.0, (0.07673460456499347, 0.09019850418095178, 0.10282740563105303),
-     0.10629208289690648),
+     0.10629208289690906),
     (0.1, 0.55, (0.0664209076315182, 0.08273920349808413, 0.0988170475809525),
-     0.1033441488670773),
+     0.10334414886707985),
 ]
 
 
@@ -246,6 +321,35 @@ def test_gamma_limit_probe_rows_match_energy_eval(spec):
     for s, val, _, _ in en.gamma_limit_probe(eps, v, (0.9, 0.95, 0.99), spec=spec):
         single = en.energy_eval(FracParams(2, s, 0.0, eps), v, spec)
         assert val == pytest.approx(single, rel=1e-13)
+
+
+def _radial_local_energy(d, eps, radius):
+    """(1/2) int <A_eps grad v, grad v> dx for v = bump_x1(radius), reduced to r in mpmath.
+
+    With v = phi(r) x1 and omega = x/r: |grad v|^2 = phi^2 +
+    (2 phi phi' r + phi'^2 r^2) omega_1^2 and (grad v . omega)^2 =
+    r^2 omega_1^2 (phi/r + phi')^2; int_S omega_1^2 = m2.
+    """
+    with mp.workdps(30):
+        big_r = mp.mpf(radius)
+        area = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        m2 = mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2 + 1)
+
+        def integrand(r):
+            phi = mp.exp(-1 / (1 - (r / big_r) ** 2)) / big_r
+            dphi = -2 * r / (big_r * (1 - (r / big_r) ** 2)) ** 2 * phi
+            iso = phi**2 * area + (2 * phi * dphi * r + dphi**2 * r**2) * m2
+            radial = r**2 * m2 * (phi / r + dphi) ** 2
+            return r ** (d - 1) * ((1 - eps) * iso + eps * radial)
+
+        return float(mp.quad(integrand, [0, big_r / 2, big_r]) / 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("eps, radius", [(0.25, 0.8), (0.0, 1.0), (0.1, 0.55), (0.5, 1.3)])
+def test_local_energy_matches_radial_reduction(d, eps, radius):
+    got = en.local_energy(d, eps, en.bump_x1(radius))
+    assert got == pytest.approx(_radial_local_energy(d, eps, radius), rel=1e-13)
 
 
 def test_local_energy_identity_at_eps_zero():

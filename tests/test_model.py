@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nonlocal_lab import closedform as cf
+from nonlocal_lab import energy as en
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab import regularity as rg
 from nonlocal_lab import riesz as rz
@@ -75,6 +76,8 @@ _RIESZ_ENTRIES = {
 _D_DELTA_ENTRIES = {
     "classical_epsilon": cf.classical_epsilon,
     "membership": lambda d, delta: rg.membership(d, delta, 0.5, 4.0),
+    # the second argument is epsilon here, with the same range [0, 1/2]
+    "local_energy": lambda d, eps: en.local_energy(d, eps, en.bump_x1(1.0)),
 }
 _BAD_D_S = [(1, 0.5), (2.5, 0.5), (2, 0.0), (2, -0.1), (2, 1.2)]
 _BAD = (

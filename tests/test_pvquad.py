@@ -247,13 +247,24 @@ def test_meridian_rule_beyond_three_dimensions(spec):
         assert res.value == pytest.approx(cf.f1_closed(d, 0.5, 0.25), rel=1e-4)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_meridian_rule_moments(d):
     # int_S 1 = |S^(d-1)| and int_S omega_1^2 = |S^(d-1)| / d
     om, w = pq._meridian_rule(d, 8)
     area = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     assert float(np.sum(w)) == pytest.approx(area, rel=1e-14)
     assert float(w @ om[:, 0] ** 2) == pytest.approx(area / d, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_meridian_rule_folds_the_circle_rule(n):
+    # at d = 2 the meridian rule is the 2n-node circle rule folded by
+    # omega_2 -> -omega_2: the same integral of any g(omega_1)
+    om, w = pq._meridian_rule(2, n)
+    full_om, full_w = pq._sphere_rule(2, 2 * n)
+    assert np.all(om[:, 1] > 0.0)
+    for g in (np.exp, lambda m: 1.0 / (2.0 + m)):
+        assert float(w @ g(om[:, 0])) == pytest.approx(float(full_w @ g(full_om[:, 0])), rel=1e-15)
 
 
 def test_axial_path_guards(spec):
