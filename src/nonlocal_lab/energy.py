@@ -22,7 +22,7 @@ v(x + h) = 0; an analytic Taylor correction for |h| below the mesh (quadratic
 in the gradient, so identity-preserving); and an analytic far tail
 (quadratic in the value).  The h mesh keeps the full sphere rule, so the
 energy runs at d = 2 and 3.  At the default spec one d = 3 energy takes
-about 2.7 s and 590 MB peak (288 x nodes, 73728 h nodes), against 0.4 s
+about 2.4 s and 530 MB peak (288 x nodes, 73728 h nodes), against 0.2 s
 and 90 MB at d = 2 (288 and 4608), serially on a 2-vCPU x86 host.
 """
 
@@ -216,11 +216,13 @@ class _EnergyGrid:
         near = ~outside.all(axis=0)
         self.h_near = h[near]
         self.c_near, self.c_far = c[:, near], c[:, ~near]
+        del c  # free the full array before the near weights are built
         self.r_near, self.r_far = r_h[near], r_h[~near]
         self.wh_far = w_h[~near]
         # The x nodes cover the ball only; ordered pairs leaving it appear
         # once here but twice in the full double integral: factor 2.
-        self.base_near = self.wx[:, None] * w_h[near] * np.where(outside[:, near], 2.0, 1.0)
+        self.base_near = self.wx[:, None] * w_h[near]
+        np.multiply(self.base_near, 2.0, out=self.base_near, where=outside[:, near])
         # near-field Taylor directions (x.omega / |x|)^2
         self.c_taylor = (self.x @ om_h.T) ** 2 / rx2[:, None]
 

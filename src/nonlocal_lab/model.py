@@ -195,21 +195,25 @@ def coeff_eigen(flavor: str, params: FracParams, x=None) -> tuple[float, float]:
     return a + b, a
 
 
-def _kernel(params: FracParams, x: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Jump kernel k(x, y) for one point x != 0 and the rows of h, y = x + h.
 
-    k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A the fractional
-    coefficient field.  y comes with h because the callers need x + h for
-    the field as well, and form it once.
+    k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
+    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  y comes with h because
+    the callers need x + h for the field as well, and form it once.  With
+    b_rad = 0 the angular factor is skipped: the general formula would only
+    add 0.5 * 0.0 * (...), so the bits are the same.
     """
-    a_iso, b_rad = _coeffs("fractional", params)
+    a_iso, b_rad = pair
     r = np.maximum(_norms(h), _ORIGIN_GUARD)
-    hh = h / r[:, None]
+    rpow = r ** (-d - 2.0 * s)
+    if b_rad == 0.0:
+        return a_iso * rpow
     ry = np.maximum(_norms(y), _ORIGIN_GUARD)
     cos_x = (h @ x) / (r * _norm(x))
-    cos_y = _rowdot(hh, y / ry[:, None])
-    quad = a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2)
-    return r ** (-params.d - 2.0 * params.s) * quad
+    # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
+    cos_y = sum((h[:, j] / r) * (y[:, j] / ry) for j in range(len(x)))
+    return rpow * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
 
 
 def kernel_eval(params: FracParams, x, y) -> float:
@@ -221,7 +225,8 @@ def kernel_eval(params: FracParams, x, y) -> float:
         raise DomainError("kernel is singular on the diagonal x = y")
     for pt in (x, y):
         _unit(pt)  # A has no value at the origin
-    return float(_kernel(params, x, h[None, :], y[None, :])[0])
+    pair = _coeffs("fractional", params)
+    return float(_kernel(pair, params.d, params.s, x, h[None, :], y[None, :])[0])
 
 
 def log_coeff_norm(params: FracParams) -> float:

@@ -26,12 +26,22 @@ The full sphere rule covers d = 2 and 3.  In any d >= 3 an integrand that
 depends on h only through (h . e1, |h|), with its singular points on the e1
 axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
 sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
-the Gauss nodes of that weight (Golub-Welsch).  The f1-f4 integrands are of
-this kind.  The operators on the field phi(|z|) z1 (`frac_op_num` and the
-Riesz convolutions) commute with rotations, so their value at x is
-(x1/|x|) times their value at |x| e1, where the integrand is axial.  The
-meridian rule also has a closed form at d = 2, where the oracles still take
-the full circle.  Every path is deterministic.
+the Gauss nodes of that weight (Golub-Welsch).
+
+There are two oracles on fields u = |z|^(p-1) z1: the operator
+2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
+pair (a_iso, b_rad), and the potential p.v. int u(x - h) |h|^(-(d-1+s)) dh
+of I_(1-s).  Both commute with rotations, so their value at x is (x1/|x|)
+times their value at |x| e1, where the integrand is axial.  `_on_axis` alone
+picks the rule: the meridian rule for d >= 3, the full circle at x itself
+for d = 2.  `frac_op_num` is the operator with the fractional pair, and the
+Riesz oracles scale the potential.  The named integrals are the two oracles
+at e1: f1 and f2 are -1/2 times the operator on the difference model's field
+(p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
+f3 and f4 are the potential of the Riesz model's field (p = s - delta) and
+of its divergence field (p = -1 - delta).  The meridian rule also has a
+closed form at d = 2, which the energy's x rule uses.  Every path is
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import FracParams, _check_range, _field, _kernel, _norms, _rowdot, _unit
+from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _unit
 from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
@@ -446,56 +456,6 @@ def pv_integral(
     return PVResult(value=value, err_estimate=err, nodes_used=ev.nodes, converged=converged)
 
 
-def _f_integrand(which: str, d: int, s: float, delta: float):
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    if which == "f1":
-
-        def g(h):
-            z = e1[None, :] + h
-            return (_field(1.0 - delta, z) - 1.0) * _norms(h) ** (-d - 2.0 * s)
-
-    elif which == "f2":
-
-        def g(h):
-            z = e1[None, :] - h
-            r2 = _rowdot(h, h)
-            h1 = h[:, 0]
-            num = -2.0 * h1**3 + r2 * h1**2 + 2.0 * h1**2 - 2.0 * r2 * h1 + r2**2
-            z2 = np.maximum(_rowdot(z, z), 1e-300)
-            kern = num / (2.0 * np.maximum(r2, 1e-300) ** (0.5 * (d + 2.0 * s + 2.0)) * z2)
-            return kern * (_field(1.0 - delta, z) - 1.0)
-
-    elif which == "f3":
-        g = _potential(d, s, s - delta, e1)
-    elif which == "f4":
-        g = _potential(d, s, -1.0 - delta, e1)
-    else:
-        raise DomainError(f"unknown integral {which!r}")
-    return g
-
-
-def _potential(d: int, s: float, power: float, x: np.ndarray):
-    """Integrand |z|^(power-1) z1 |h|^(-(d-1+s)) at z = x - h: I_(1-s) of a field."""
-
-    def g(h):
-        z = x[None, :] - h
-        return _field(power, z) * _norms(h) ** (-(d - 1.0 + s))
-
-    return g
-
-
-def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:
-    """Direct quadrature of one of the named singular integrals."""
-    # f1 and f2 act on the difference model's field, f3 and f4 on the Riesz
-    # one; _f_integrand rejects any other name
-    _check_range(d, s, delta, model="meyers" if which in ("f1", "f2") else "riesz")
-    g = _f_integrand(which, d, s, delta)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return pv_integral(g, d, spec, singular_points=(e1, -e1), axial=d >= 3)
-
-
 def _scaled(res: PVResult, factor: float) -> PVResult:
     return PVResult(
         value=factor * res.value,
@@ -512,7 +472,8 @@ def _on_axis(integrate, d: int, x) -> PVResult:
     component of the vector field phi(|z|) z, which is rotation-equivariant.
     So the value at x is (x1/|x|) times the value at |x| e1, where the
     integrand depends on h only through (h . e1, |h|) and the meridian rule
-    applies.  At d = 2 the integral runs at x itself on the full rule.
+    applies.  At d = 2 the integral runs at x itself on the full rule.  This
+    is the one place that chooses between the two rules.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
@@ -525,21 +486,59 @@ def _on_axis(integrate, d: int, x) -> PVResult:
     return _scaled(integrate(on_axis, True), float(x[0]) / r)
 
 
+def _operator_integrand(pair, d: int, s: float, p: float, x: np.ndarray):
+    """Integrand k_pair(x, x+h) (u(x) - u(x+h)) of the operator on u = |z|^(p-1) z1."""
+    ux = float(_field(p, x[None, :])[0])
+
+    def g(h):
+        y = x[None, :] + h
+        return _kernel(pair, d, s, x, h, y) * (ux - _field(p, y))
+
+    return g
+
+
+def _operator(pair, d: int, s: float, p: float, x, spec: QuadratureSpec) -> PVResult:
+    """2 p.v. int k_pair(x, x+h) (u(x) - u(x+h)) dh at x != 0, u = |z|^(p-1) z1."""
+
+    def integrate(x, axial):
+        g = _operator_integrand(pair, d, s, p, x)
+        return pv_integral(g, d, spec, singular_points=(-x, x), axial=axial)
+
+    return _scaled(_on_axis(integrate, d, x), 2.0)
+
+
+def _potential(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
+    """p.v. int u(x - h) |h|^(-(d-1+s)) dh at x != 0, u = |z|^(power-1) z1: I_(1-s) of u."""
+
+    def integrate(x, axial):
+        def g(h):
+            return _field(power, x[None, :] - h) * _norms(h) ** (-(d - 1.0 + s))
+
+        return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
+
+    return _on_axis(integrate, d, x)
+
+
+def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:
+    """Direct quadrature of one of the named singular integrals, at e1."""
+    if which in ("f1", "f2"):
+        # the isotropic and the radial part of the difference model's operator
+        _check_range(d, s, delta)
+        pair = (1.0, 0.0) if which == "f1" else (0.0, 1.0)
+        return _scaled(_operator(pair, d, s, 1.0 - delta, np.eye(d)[0], spec), -0.5)
+    if which in ("f3", "f4"):
+        # the potential of the Riesz model's field and of its divergence field
+        _check_range(d, s, delta, model="riesz")
+        power = s - delta if which == "f3" else -1.0 - delta
+        return _potential(d, s, power, np.eye(d)[0], spec)
+    raise DomainError(f"unknown integral {which!r}")
+
+
 def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     """Annulus-limit value 2 lim int k(x, x+h) (u(x) - u(x+h)) dh.
 
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    p = 1.0 - params.delta
-
-    def integrate(x, axial):
-        ux = float(_field(p, x[None, :])[0])
-
-        def g(h):
-            y = x[None, :] + h
-            return _kernel(params, x, h, y) * (ux - _field(p, y))
-
-        return pv_integral(g, params.d, spec, singular_points=(-x, x), axial=axial)
-
-    return _scaled(_on_axis(integrate, params.d, x), 2.0)
+    pair = _coeffs("fractional", params)
+    return _operator(pair, params.d, params.s, 1.0 - params.delta, x, spec)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import _check_range, _unit
-from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential, _scaled, pv_integral
+from .pvquad import PVResult, QuadratureSpec, _potential, _scaled
 from .specfun import gamma_ratio
 
 __all__ = [
@@ -100,22 +100,12 @@ def riesz_coupling(d: int, delta: float) -> float:
     return 1.0 - math.sqrt(radicand)
 
 
-def _potential_of_field(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
-    """Quadrature of int |z|^(power-1) z1 |h|^(-(d-1+s)) dh at z = x - h."""
-
-    def integrate(x, axial):
-        g = _potential(d, s, power, x)
-        return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
-
-    return _on_axis(integrate, d, x)
-
-
 def riesz_potential_num(
     d: int, s: float, delta: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
     _check_range(d, s, delta, model="riesz")
-    res = _potential_of_field(d, s, s - delta, x, spec)
+    res = _potential(d, s, s - delta, x, spec)
     return _scaled(res, riesz_kernel_constant(d, 1.0 - s))
 
 
@@ -126,5 +116,5 @@ def riesz_div_conv_num(
     _check_range(d, s, delta, model="riesz")
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
-    res = _potential_of_field(d, s, -1.0 - delta, x, spec)
+    res = _potential(d, s, -1.0 - delta, x, spec)
     return _scaled(res, norm * c_star * _bracket(d, delta, epsilon))

@@ -14,6 +14,7 @@ from nonlocal_lab.model import (
     FracParams,
     SymMatrix,
     _field,
+    _kernel,
     _rowdot,
     coeff_eigen,
     coeff_matrix,
@@ -249,6 +250,30 @@ def test_kernel_rotation_and_scaling(rng):
         assert kernel_eval(params, lam * x, lam * y) == pytest.approx(
             lam ** (-2 - 2 * 0.6) * kernel_eval(params, x, y), rel=1e-12
         )
+
+
+def test_radial_kernel_at_e1_is_the_f2_polynomial(rng):
+    # f2 is -1/2 of the operator at e1 with the radial pair (0, 1); its kernel
+    # k(e1, e1 + h) in the paper's polynomial form, with g = -h
+    for d in (2, 3, 4, 5):
+        s = rng.uniform(0.05, 0.95)
+        e1 = np.eye(d)[0]
+        u = rng.normal(size=(400, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        far = u[:200] * 10.0 ** rng.uniform(-4.0, 4.0, size=(200, 1))
+        # and near the other end of the pair, y = e1 + h -> 0; closer in, the
+        # polynomial's numerator cancels (2e-10 relative at |y| = 1e-3)
+        near = -e1 + u[200:] * 10.0 ** rng.uniform(-1.0, 0.0, size=(200, 1))
+        h = np.concatenate([far, near])
+        h = h[np.linalg.norm(h + e1, axis=1) > 1e-2]
+        got = _kernel((0.0, 1.0), d, s, e1, h, e1 + h)
+        g = -h
+        r2 = np.sum(g * g, axis=1)
+        g1 = g[:, 0]
+        num = -2.0 * g1**3 + r2 * g1**2 + 2.0 * g1**2 - 2.0 * r2 * g1 + r2**2
+        z2 = np.sum((e1 + h) ** 2, axis=1)
+        want = num / (2.0 * r2 ** (0.5 * (d + 2.0 * s + 2.0)) * z2)
+        assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_log_norm_zero_at_identity():

@@ -17,6 +17,13 @@ def norms(h):
     return np.sqrt(np.sum(h * h, axis=1))
 
 
+def f1_integrand(d, s, delta):
+    # f1 is -1/2 of the operator at e1 with the isotropic pair (1, 0), and the
+    # operator is twice its p.v. integral: f1's integrand is the negated one
+    g = pq._operator_integrand((1.0, 0.0), d, s, 1.0 - delta, np.eye(d)[0])
+    return lambda h: -g(h)
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         pq.QuadratureSpec(r_min=2.0)
@@ -32,7 +39,7 @@ def test_odd_integrand_is_exactly_zero(spec):
 
 
 def test_pv_integral_f1_example(spec):
-    g = pq._f_integrand("f1", 2, 0.5, 0.25)
+    g = f1_integrand(2, 0.5, 0.25)
     res = pq.pv_integral(g, 2, spec, singular_points=(E1, -E1))
     want = cf.f1_closed(2, 0.5, 0.25)
     assert res.value == pytest.approx(want, rel=1e-4)
@@ -46,6 +53,19 @@ def test_err_estimate_honest_on_f_grid(spec):
                 res = pq.f_integral_num(which, 2, s, delta, spec)
                 err = abs(res.value - closed(2, s, delta))
                 assert err <= max(res.err_estimate, 1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_operator_at_e1_is_scaled_f1(spec, d):
+    # frac_op_num at epsilon = 0 and f1 integrate one integrand on one rule
+    s, delta = 0.4, 0.3
+    got = pq.frac_op_num(FracParams(d, s, delta, 0.0), np.eye(d)[0], spec)
+    f1 = pq.f_integral_num("f1", d, s, delta, spec)
+    assert (got.value, got.err_estimate, got.nodes_used) == (
+        -2.0 * f1.value,
+        2.0 * f1.err_estimate,
+        f1.nodes_used,
+    )
 
 
 def test_f1_zero_at_delta_zero(spec):
@@ -144,7 +164,7 @@ def test_frac_op_s_harmonic_linear_field(spec):
 def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
-    g = pq._f_integrand("f1", d, s, delta)
+    g = f1_integrand(d, s, delta)
     patches = pq._patch_geometry((E1, -E1))
     ev = pq._Evaluator(g, patches)
     rule = pq._sphere_rule(d, spec.angular_nodes)
@@ -167,7 +187,7 @@ def test_band_values_grouping_is_bitwise(spec, d):
     # grouped bands keep the bits of one integrand call per band, on the
     # d = 2 full rule masked by both patches and on the d = 4 meridian rule
     e1 = np.eye(d)[0]
-    ev = pq._Evaluator(pq._f_integrand("f1", d, 0.5, 0.25), pq._patch_geometry((e1, -e1)))
+    ev = pq._Evaluator(f1_integrand(d, 0.5, 0.25), pq._patch_geometry((e1, -e1)))
     if d == 2:
         coarse, fine = pq._sphere_rule(d, 64), pq._sphere_rule(d, 384)
     else:
@@ -268,7 +288,7 @@ def test_meridian_rule_folds_the_circle_rule(n):
 
 
 def test_axial_path_guards(spec):
-    g = pq._f_integrand("f1", 4, 0.5, 0.25)
+    g = f1_integrand(4, 0.5, 0.25)
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         pq.pv_integral(g, 4, spec, singular_points=(e1, -e1))  # no full rule at d = 4
