@@ -54,28 +54,13 @@ def emit(records: list[SweepRecord], fmt: str, path: str) -> None:
     """Write records as CSV or JSON; temp-file-and-rename, never partial."""
     if not records:
         raise DomainError("refusing to emit an empty record list")
+    keys = _CSV_HEADER.split(",")
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(_fmt(getattr(r, k)) for k in _CSV_HEADER.split(","))
-            )
+        lines = [_CSV_HEADER] + [",".join(_fmt(getattr(r, k)) for k in keys) for r in records]
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
-        payload = (
-            json.dumps(
-                [
-                    {
-                        k: getattr(r, k)
-                        for k in _CSV_HEADER.split(",")
-                    }
-                    for r in records
-                ],
-                indent=None,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        rows = [{k: getattr(r, k) for k in keys} for r in records]
+        payload = json.dumps(rows, indent=None, separators=(",", ":")) + "\n"
     else:
         raise DomainError(f"unknown format {fmt!r}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -112,9 +97,7 @@ def _parse_range(text: str) -> list[float]:
 
 def _parse_point(text: str | None, d: int) -> np.ndarray:
     if text is None:
-        x = np.zeros(d)
-        x[0] = 1.0
-        return x
+        return np.eye(d)[0]
     vals = [float(tok) for tok in text.split(",")]
     if len(vals) != d:
         raise ValueError(f"point must have {d} coordinates")
@@ -178,8 +161,7 @@ def _cmd_sweep(args) -> int:
         for delta in _parse_range(args.delta_range):
             t0 = time.perf_counter()
             params = _coupled_params(d, s, delta)
-            x = np.zeros(d)
-            x[0] = 1.0
+            x = np.eye(d)[0]
             closed = closedform.operator_value(params, x)
             res = frac_op_num(params, x, spec)
             quad = kappa(d, s) * res.value
@@ -263,8 +245,7 @@ def _cmd_riesz(args) -> int:
     print(f"c*  = {_fmt(c_star)}")
     print(f"c** = {_fmt(c_star_star)}")
     print(f"coupling epsilon = {_fmt(eps)}")
-    x = np.zeros(d)
-    x[0] = 1.0
+    x = np.eye(d)[0]
     _, div_at, riesz_div_at = riesz.flux_divergence(d, s, delta, eps, x)
     print(f"divergence bracket at coupling: div = {_fmt(div_at)}")
     spec = _spec_from(args)
@@ -378,6 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
+    """The `key = value` lines of a config file as strings; `#` starts a comment."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -385,18 +367,23 @@ def _load_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise DomainError(f"bad config line: {raw.rstrip()}")
+                raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            key = key.replace("-", "_")
-            for cast in (int, float):
-                try:
-                    out[key] = cast(val)
-                    break
-                except ValueError:
-                    continue
-            else:
-                out[key] = val
+            out[key.replace("-", "_")] = val
     return out
+
+
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _config_value(action: argparse.Action, val: str):
+    """val parsed as its flag parses it; a store_true flag takes true/false/1/0."""
+    if action.nargs == 0:
+        return _BOOLS[val.lower()]
+    val = val if action.type is None else action.type(val)
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(val)
+    return val
 
 
 def run(argv=None) -> int:
@@ -407,14 +394,21 @@ def run(argv=None) -> int:
 
     # config values fill anything the command line left at its default
     if args.config:
-        explicit = {
-            tok[2:].split("=", 1)[0].replace("-", "_")
-            for tok in argv
-            if tok.startswith("--")
-        }
-        for key, val in _load_config(args.config).items():
-            if key not in explicit and hasattr(args, key):
-                setattr(args, key, val)
+        try:
+            config = _load_config(args.config)
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+        actions = {a.dest: a for a in parser._actions + sub._actions}
+        flags = (tok[2:].split("=", 1)[0] for tok in argv if tok.startswith("--"))
+        explicit = {flag.replace("-", "_") for flag in flags}
+        for key, val in config.items():
+            if key in explicit or key not in actions:
+                continue
+            try:
+                setattr(args, key, _config_value(actions[key], val))
+            except (KeyError, ValueError):
+                parser.error(f"--config {args.config}: bad value {key} = {val}")
 
     for key in getattr(args, "required_keys", ()):
         if getattr(args, key, None) is None:

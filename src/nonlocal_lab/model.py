@@ -189,8 +189,8 @@ def coeff_matrix(flavor: str, params: FracParams, x) -> SymMatrix:
     return SymMatrix(params.d, m)
 
 
-def coeff_eigen(flavor: str, params: FracParams, x=None) -> tuple[float, float]:
-    """(radial, tangential) eigenvalues; x-independent, x accepted for symmetry."""
+def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
+    """(radial, tangential) eigenvalues, the same at every x."""
     a, b = _coeffs(flavor, params)
     return a + b, a
 

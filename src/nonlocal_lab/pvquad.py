@@ -2,28 +2,30 @@
 
 Every integral here is of the form  p.v. integral g(h) dh  over R^d with a
 non-integrable singularity at the origin, possible kinks or integrable
-singularities at a pair of antipodal points, and slow power decay at
-infinity.  The evaluation strategy:
+singularities at one point c != 0, and slow power decay at infinity.  The
+evaluation strategy:
 
   * antipodal symmetrization g_sym(h) = (g(h) + g(-h))/2 cancels the odd
     leading parts pointwise, which makes both the origin and the tail
     absolutely convergent and realizes the principal value at the level of
-    the integrand;
+    the integrand; it also turns the point c into the antipodal pair +-c;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
     a spectral rule on the sphere handle each annulus; each pass over the
-    bands (the main bands, their downgraded jackknife copy, each patch)
+    bands (the main bands, their downgraded jackknife copy, the patch)
     evaluates the integrand on groups of whole bands, one call per group,
     and reduces every band on its own, so the grouping does not change a
     bit of any band value;
-  * off-origin singular points are wrapped in smooth partition-of-unity
-    patches integrated in their own polar coordinates with graded bands;
+  * the pair +-c is cut out of the main bands by smooth partition-of-unity
+    cutoffs and filled by a patch in its own polar coordinates with graded
+    bands; the even part gives the patches at c and -c the same bits, so
+    one patch is integrated and taken twice;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
     ends (this is the Richardson limit over shrinking/growing windows).
 
 The full sphere rule covers d = 2 and 3.  In any d >= 3 an integrand that
-depends on h only through (h . e1, |h|), with its singular points on the e1
+depends on h only through (h . e1, |h|), with its singular point on the e1
 axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
 sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
 the Gauss nodes of that weight (Golub-Welsch).
@@ -184,9 +186,9 @@ def _chi(rho: np.ndarray, radius: float) -> np.ndarray:
 class _Evaluator:
     """Symmetrized, patch-masked integrand with an evaluation counter."""
 
-    def __init__(self, integrand, patches):
+    def __init__(self, integrand, patch):
         self.integrand = integrand
-        self.patches = patches
+        self.patch = patch
         self.nodes = 0
 
     def sym(self, pts: np.ndarray) -> np.ndarray:
@@ -198,10 +200,12 @@ class _Evaluator:
 
     def masked(self, pts: np.ndarray) -> np.ndarray:
         vals = self.sym(pts)
-        if self.patches:
+        if self.patch is not None:
+            # the cutoffs at +-c are disjoint, so their order keeps the bits
+            center, radius = self.patch
             mask = np.ones(len(pts))
-            for center, radius in self.patches:
-                mask -= _chi(_norms(pts - center), radius)
+            mask -= _chi(_norms(pts - center), radius)
+            mask -= _chi(_norms(pts + center), radius)
             vals = vals * mask
         return vals
 
@@ -331,75 +335,71 @@ def _shell_sums(bands, values) -> list[float]:
     return [sums[k] for k in sorted(sums)]
 
 
-def _split_near_patches(base_bands, patches, fine_width: float):
-    """Refine bands whose radius range crosses a patch annulus.
+def _split_near_patches(base_bands, annulus, fine_width: float):
+    """Refine bands whose radius range crosses the patch annulus (lo, hi).
 
     The partition-of-unity mask is smooth but varies on the patch scale, so
-    bands meeting any annulus [|p|-R, |p|+R] are split into log sub-bands of
+    bands meeting the annulus [|c|-R, |c|+R] are split into log sub-bands of
     roughly `fine_width` linear width and flagged for a finer sphere rule.
     """
-    if not patches:
-        return [(a, b, False) for a, b in base_bands]
-    annuli = [
-        (float(np.linalg.norm(p)) - r, float(np.linalg.norm(p)) + r) for p, r in patches
-    ]
-    # the sphere rule is also upgraded on a factor-2 neighborhood, where the
-    # integrand still carries patch-scale angular features
-    halo = [(0.5 * lo, 2.0 * hi) for lo, hi in annuli]
+    lo, hi = annulus
     out = []
     for a, b in base_bands:
-        if any(b > lo and a < hi for lo, hi in annuli):
+        if b > lo and a < hi:
             pieces = min(64, max(1, math.ceil((b - a) / fine_width)))
             sub = np.exp(np.linspace(math.log(a), math.log(b), pieces + 1))
             out.extend((float(sub[i]), float(sub[i + 1]), True) for i in range(pieces))
-        elif any(b > lo and a < hi for lo, hi in halo):
+        elif b > 0.5 * lo and a < 2.0 * hi:
+            # the sphere rule is also upgraded on a factor-2 halo, where the
+            # integrand still carries patch-scale angular features
             out.append((a, b, True))
         else:
             out.append((a, b, False))
     return out
 
 
-def _patch_geometry(singular_points):
-    pts = [np.asarray(p, dtype=float) for p in singular_points]
-    radii = []
-    for i, p in enumerate(pts):
-        r = min(_PATCH_RADIUS, 0.5 * float(np.linalg.norm(p)))
-        for j, q in enumerate(pts):
-            if i != j:
-                r = min(r, 0.45 * float(np.linalg.norm(p - q)))
-        if r <= _PATCH_RHO_MIN:
-            raise DomainError("singular points too close together (or to 0) to patch")
-        radii.append(r)
-    return list(zip(pts, radii))
+def _patch(singular_point):
+    """(c, radius) of the patch pair at +-c: at most |c|/2, so the two stay apart."""
+    center = np.asarray(singular_point, dtype=float)
+    radius = min(_PATCH_RADIUS, 0.5 * float(np.linalg.norm(center)))
+    if radius <= _PATCH_RHO_MIN:
+        raise DomainError("singular point too close to 0 to patch")
+    return center, radius
 
 
 def pv_integral(
-    integrand, d: int, spec: QuadratureSpec, singular_points=(), axial: bool = False
+    integrand, d: int, spec: QuadratureSpec, singular_point=None, axial: bool = False
 ) -> PVResult:
     """Symmetric-window principal value of a vectorized integrand.
 
     `integrand` maps an (n, d) array of points to (n,) values; it is only
-    ever evaluated away from the origin and from the declared
-    `singular_points` patch centers.  The returned value extrapolates the
-    window to (0, infinity) by shell completion at both ends.
+    ever evaluated away from the origin and from +-c, c the declared
+    `singular_point`.  The even part (g(h) + g(-h))/2 is what is integrated,
+    so +-c is one patch, taken twice: the patch at -c has the bits of the
+    one at c.  The returned value extrapolates the window to (0, infinity)
+    by shell completion at both ends.
 
     With `axial=True` the integrand must depend on h only through
     (h . e1, |h|), and every sphere rule is the meridian rule; the singular
-    points must then lie on the e1 axis.  Without it, d is 2 or 3.
+    point must then lie on the e1 axis.  Without it, d is 2 or 3.
     """
     _check_range(d)
-    if axial and any(np.any(np.asarray(p, dtype=float)[1:]) for p in singular_points):
-        raise DomainError("an axial integral needs its singular points on the e1 axis")
+    patch = None if singular_point is None else _patch(singular_point)
+    if axial and patch is not None and np.any(patch[0][1:]):
+        raise DomainError("an axial integral needs its singular point on the e1 axis")
 
     def rule(ang_nodes):
         return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
 
-    patches = _patch_geometry(singular_points)
-    ev = _Evaluator(integrand, patches)
+    ev = _Evaluator(integrand, patch)
 
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
-    fine_width = min((r for _, r in patches), default=1.0) / 4.0
-    bands = _split_near_patches(list(zip(edges[:-1], edges[1:])), patches, fine_width)
+    base = list(zip(edges[:-1], edges[1:]))
+    bands = [(a, b, False) for a, b in base]
+    if patch is not None:
+        center, radius = patch
+        norm = float(np.linalg.norm(center))
+        bands = _split_near_patches(base, (norm - radius, norm + radius), radius / 4.0)
     fine_mult = 6 if d == 2 else 2
 
     def run_bands(radial_nodes, ang_nodes):
@@ -421,20 +421,19 @@ def pv_integral(
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
-    patch_sum = 0.0
-    patch_err = 0.0
-    for center, radius in patches:
+    patch_sum = patch_err = 0.0
+    if patch is not None:
         p_edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
         p_bands = _split_near_patches(
-            list(zip(p_edges[:-1], p_edges[1:])), [(np.zeros(d), radius)], radius / 8.0
+            list(zip(p_edges[:-1], p_edges[1:])), (-radius, radius), radius / 8.0
         )
 
-        def patch_fn(local_pts, _c=center, _r=radius):
+        def patch_fn(local_pts):
             # antipodal averaging inside the ball kills the odd leading
             # part of the local singularity at evaluation level
             rho = _norms(local_pts)
-            pair = ev.sym(_c[None, :] + local_pts) + ev.sym(_c[None, :] - local_pts)
-            return 0.5 * pair * _chi(rho, _r)
+            pair = ev.sym(center[None, :] + local_pts) + ev.sym(center[None, :] - local_pts)
+            return 0.5 * pair * _chi(rho, radius)
 
         def run_patch(radial_nodes, ang_nodes):
             p_rule = rule(ang_nodes)
@@ -446,9 +445,10 @@ def pv_integral(
         p_shells = _shell_sums([(a, b) for a, b, _ in p_bands], p_vals)
         p_scale = float(sum(abs(v) for v in p_vals)) + 1e-300
         p_tail, p_tail_err = _completion(p_shells, p_scale)
-        patch_sum += float(sum(p_vals)) + p_tail
-        patch_err += p_tail_err + 1e-13 * p_scale
-        disc_err += 0.5 * abs(float(sum(p_vals)) - float(sum(p_vals_low)))
+        # the patch at -c has these bits: double the sum, tail error and jackknife
+        patch_sum = 2.0 * (float(sum(p_vals)) + p_tail)
+        patch_err = 2.0 * (p_tail_err + 1e-13 * p_scale)
+        disc_err += abs(float(sum(p_vals)) - float(sum(p_vals_low)))
 
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
@@ -502,7 +502,7 @@ def _operator(pair, d: int, s: float, p: float, x, spec: QuadratureSpec) -> PVRe
 
     def integrate(x, axial):
         g = _operator_integrand(pair, d, s, p, x)
-        return pv_integral(g, d, spec, singular_points=(-x, x), axial=axial)
+        return pv_integral(g, d, spec, singular_point=x, axial=axial)
 
     return _scaled(_on_axis(integrate, d, x), 2.0)
 
@@ -514,7 +514,7 @@ def _potential(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVRes
         def g(h):
             return _field(power, x[None, :] - h) * _norms(h) ** (-(d - 1.0 + s))
 
-        return pv_integral(g, d, spec, singular_points=(x, -x), axial=axial)
+        return pv_integral(g, d, spec, singular_point=x, axial=axial)
 
     return _on_axis(integrate, d, x)
 

@@ -135,6 +135,46 @@ def test_config_defaults_flags_win(tmp_path, capsys):
     assert "b(delta=0.05" in out2
 
 
+def test_config_boolean_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 2\ns = 0.5\ndelta = 0.2\nepsilon = 0.3\ninverse = false\n")
+    assert cli.run(["--config", str(cfg), "couple"]) == 0
+    assert "b(delta=0.2" in capsys.readouterr().out
+    cfg.write_text("d = 2\ns = 0.5\nepsilon = 0.3\ninverse = True\n")
+    assert cli.run(["--config", str(cfg), "couple"]) == 0
+    assert "delta(epsilon=" in capsys.readouterr().out
+    # real timings stay off, so the sweep stays byte-reproducible
+    out = tmp_path / "rows.csv"
+    for flag in ("false", "0"):
+        cfg.write_text(f"wall_clock = {flag}\n")
+        argv = ["--config", str(cfg), "sweep", "--d", "2", "--s-range", "0.5"]
+        assert cli.run(argv + ["--delta-range", "0.1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",42,0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["inverse = maybe\n", "epsilon = two\n", "d = 2\ns 0.5\n"],
+    ids=["bool", "float", "line"],
+)
+def test_config_bad_value_or_line_exits_two(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--config", str(cfg), "couple", "--d", "2", "--s", "0.5"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_bad_choice_or_missing_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("which = f9\n")
+    for path in (cfg, tmp_path / "absent.cfg", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--config", str(path), "quadrature", "--d", "2", "--s", "0.5"])
+        assert exc.value.code == 2
+
+
 def test_seventeen_digit_round_trip():
     vals = [1.0 / 3.0, 2.5664354975514957e-8, -0.8916560058904449]
     for v in vals:

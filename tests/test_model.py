@@ -188,7 +188,7 @@ def test_coeff_eigen_analytic_vs_numeric(rng):
         eps = rng.uniform(0.0, 0.5)
         params = FracParams(d, s, 0.0, eps)
         x = rng.normal(size=d)
-        lam_rad, lam_tan = coeff_eigen("fractional", params, x)
+        lam_rad, lam_tan = coeff_eigen("fractional", params)
         numeric = np.sort(coeff_matrix("fractional", params, x).eigenvalues())
         analytic = np.sort(np.array([lam_rad] + [lam_tan] * (d - 1)))
         assert np.allclose(numeric, analytic, rtol=1e-12, atol=1e-12)

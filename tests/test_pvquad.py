@@ -6,7 +6,7 @@ import pytest
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
-from nonlocal_lab.model import FracParams
+from nonlocal_lab.model import FracParams, _field
 from nonlocal_lab.riesz import riesz_constants, riesz_kernel_constant, riesz_potential_num
 from nonlocal_lab.specfun import kappa
 
@@ -40,7 +40,7 @@ def test_odd_integrand_is_exactly_zero(spec):
 
 def test_pv_integral_f1_example(spec):
     g = f1_integrand(2, 0.5, 0.25)
-    res = pq.pv_integral(g, 2, spec, singular_points=(E1, -E1))
+    res = pq.pv_integral(g, 2, spec, singular_point=E1)
     want = cf.f1_closed(2, 0.5, 0.25)
     assert res.value == pytest.approx(want, rel=1e-4)
     assert res.converged
@@ -165,8 +165,7 @@ def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
     g = f1_integrand(d, s, delta)
-    patches = pq._patch_geometry((E1, -E1))
-    ev = pq._Evaluator(g, patches)
+    ev = pq._Evaluator(g, pq._patch(E1))
     rule = pq._sphere_rule(d, spec.angular_nodes)
     shell = []
     for k in range(1, 5):
@@ -185,9 +184,10 @@ def _hex(values):
 @pytest.mark.parametrize("d", [2, 4])
 def test_band_values_grouping_is_bitwise(spec, d):
     # grouped bands keep the bits of one integrand call per band, on the
-    # d = 2 full rule masked by both patches and on the d = 4 meridian rule
+    # d = 2 full rule masked at both patch centers +-e1 and on the d = 4
+    # meridian rule
     e1 = np.eye(d)[0]
-    ev = pq._Evaluator(f1_integrand(d, 0.5, 0.25), pq._patch_geometry((e1, -e1)))
+    ev = pq._Evaluator(f1_integrand(d, 0.5, 0.25), pq._patch(e1))
     if d == 2:
         coarse, fine = pq._sphere_rule(d, 64), pq._sphere_rule(d, 384)
     else:
@@ -236,10 +236,10 @@ def test_determinism_bitwise(spec):
 # (params, x, value, err_estimate, nodes_used) of frac_op_num; the kernel and
 # field it takes from `model` keep the integrand's operation order
 _FRAC_OP_PINNED = [
-    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080544562882, 2.9246700334195034e-06, 570240),
-    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381845509547, 8.779571458129259e-06, 527040),
-    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008164176720555, 2.715951719846438e-06, 570240),
-    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 219456),
+    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080544562882, 2.9246700334195034e-06, 421632),
+    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381845509547, 8.779571458129259e-06, 378432),
+    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008164176720555, 2.715951719846438e-06, 421632),
+    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 145152),
 ]
 
 
@@ -291,10 +291,10 @@ def test_axial_path_guards(spec):
     g = f1_integrand(4, 0.5, 0.25)
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
-        pq.pv_integral(g, 4, spec, singular_points=(e1, -e1))  # no full rule at d = 4
+        pq.pv_integral(g, 4, spec, singular_point=e1)  # no full rule at d = 4
     off = np.array([0.8, 0.6, 0.0, 0.0])
     with pytest.raises(DomainError):
-        pq.pv_integral(g, 4, spec, singular_points=(off, -off), axial=True)
+        pq.pv_integral(g, 4, spec, singular_point=off, axial=True)
 
 
 # f1-f4 at d = 3 on the full product rule (14,053,376 nodes each); the
@@ -324,7 +324,7 @@ _D3_PINNED = [
 def test_three_dimensional_values_pinned(spec, which, s, delta, want):
     res = pq.f_integral_num(which, 3, s, delta, spec)
     assert res.value == pytest.approx(want, rel=1e-9)
-    assert res.nodes_used == 219456
+    assert res.nodes_used == 145152
 
 
 def test_axis_reduction_matches_full_rule_off_axis(spec):
@@ -350,14 +350,14 @@ def test_axis_reduction_matches_full_rule_off_axis(spec):
         kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
         return kern * (ux - field(1.0 - delta, y))
 
-    full = pq.pv_integral(op, d, spec, singular_points=(-x, x), axial=False)
+    full = pq.pv_integral(op, d, spec, singular_point=x, axial=False)
     got = pq.frac_op_num(params, x, spec)
     assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
 
     def pot(h):
         return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
 
-    full = pq.pv_integral(pot, d, spec, singular_points=(x, -x), axial=False)
+    full = pq.pv_integral(pot, d, spec, singular_point=x, axial=False)
     got = riesz_potential_num(d, s, delta, x, spec)
     assert got.value == pytest.approx(riesz_kernel_constant(d, 1.0 - s) * full.value, rel=1e-5)
 
@@ -369,4 +369,40 @@ def test_not_converged_on_divergent_integrand(spec):
 
 def test_patch_geometry_guard(spec):
     with pytest.raises(DomainError):
-        pq._patch_geometry((np.zeros(2),))
+        pq._patch(np.zeros(2))
+
+
+def _potential_integrand(d, s, power, x):
+    def g(h):
+        return _field(power, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
+
+    return g
+
+
+@pytest.mark.parametrize(
+    "d, x", [(2, (0.78, -1.04)), (3, (0.6, 0.48, 0.64))], ids=["d2-full", "d3-meridian"]
+)
+def test_singular_point_sign_does_not_matter(spec, d, x):
+    # the even part makes +c and -c one patch pair, so declaring either
+    # gives the same bits: the d = 2 full rule at an off-axis c, and the
+    # d = 3 meridian rule at c = |x| e1
+    x = np.array(x)
+    axial = d >= 3
+    c = np.linalg.norm(x) * np.eye(d)[0] if axial else x
+    s, delta = 0.4, 0.2
+    for g in (
+        pq._operator_integrand((0.8, 0.3), d, s, 1.0 - delta, c),
+        _potential_integrand(d, s, s - delta, c),
+    ):
+        plus = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
+        minus = pq.pv_integral(g, d, spec, singular_point=-c, axial=axial)
+        assert _hex([plus.value, plus.err_estimate]) == _hex([minus.value, minus.err_estimate])
+        assert plus.nodes_used == minus.nodes_used
+
+
+def test_singular_point_too_close_to_origin(spec):
+    g = f1_integrand(2, 0.5, 0.25)
+    for c in (np.array([2e-10, 0.0]), np.array([-1e-12, 1e-12]), np.zeros(2)):
+        with pytest.raises(DomainError):
+            pq.pv_integral(g, 2, spec, singular_point=c)
+    assert pq._patch(np.array([4e-10, 0.0]))[1] == 2e-10
