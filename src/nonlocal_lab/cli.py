@@ -82,26 +82,31 @@ def _spec_from(args) -> QuadratureSpec:
 
 
 def _parse_range(text: str) -> list[float]:
-    """'a:b:n' inclusive linear range, or a comma list, or one value."""
-    if ":" in text:
-        a, b, n = text.split(":")
-        n = int(n)
-        if n < 1:
-            raise ValueError("range count must be >= 1")
-        if n == 1:
-            return [float(a)]
-        step = (float(b) - float(a)) / (n - 1)
-        return [float(a) + k * step for k in range(n)]
-    return [float(tok) for tok in text.split(",") if tok]
+    """'a:b:n' inclusive linear range, or a comma list, or one value; never empty."""
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            n = int(n)
+            if n == 1:
+                vals = [float(a)]
+            else:
+                step = (float(b) - float(a)) / (n - 1)
+                vals = [float(a) + k * step for k in range(n)]
+        else:
+            vals = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: want a:b:n with n >= 1, or a,b,...")
+    return vals
 
 
-def _parse_point(text: str | None, d: int) -> np.ndarray:
-    if text is None:
-        return np.eye(d)[0]
-    vals = [float(tok) for tok in text.split(",")]
-    if len(vals) != d:
-        raise ValueError(f"point must have {d} coordinates")
-    return np.asarray(vals)
+def _parse_point(text: str) -> np.ndarray:
+    """A comma-separated point; its length is checked against --d in `run`."""
+    try:
+        return np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad point {text!r}: want x1,x2,...") from None
 
 
 def _coupled_params(d: int, s: float, delta: float) -> FracParams:
@@ -132,7 +137,7 @@ def _cmd_couple(args) -> int:
 def _cmd_verify(args) -> int:
     d, s, delta = args.d, args.s, args.delta
     params = _coupled_params(d, s, delta)
-    x = _parse_point(args.x, d)
+    x = np.eye(d)[0] if args.x is None else args.x
     spec = _spec_from(args)
     closed = closedform.operator_value(params, x)
     res = frac_op_num(params, x, spec)
@@ -157,8 +162,8 @@ def _cmd_sweep(args) -> int:
     d = args.d
     spec = _spec_from(args)
     records = []
-    for s in _parse_range(args.s_range):
-        for delta in _parse_range(args.delta_range):
+    for s in args.s_range:
+        for delta in args.delta_range:
             t0 = time.perf_counter()
             params = _coupled_params(d, s, delta)
             x = np.eye(d)[0]
@@ -220,13 +225,13 @@ def _cmd_regularity(args) -> int:
 def _cmd_energy(args) -> int:
     spec = _spec_from(args)
     v = energy.bump_x1(1.0)
-    rows = energy.gamma_limit_probe(args.eps, v, _parse_range(args.probe_s), spec=spec)
+    rows = energy.gamma_limit_probe(args.eps, v, args.probe_s, spec=spec)
     print("s, nonlocal energy, local energy, relative gap")
     for s, val, loc, rel in rows:
         print(f"{_fmt(s)}, {_fmt(val)}, {_fmt(loc)}, {_fmt(rel)}")
     gaps = [r[3] for r in rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
-    s_check = args.s if args.s is not None else _parse_range(args.probe_s)[0]
+    s_check = args.s if args.s is not None else args.probe_s[0]
     params = FracParams(2, s_check, 0.0, args.eps)
     lhs, rhs = energy.convexity_identity_check(
         params, energy.bump_x1(1.0), energy.bump_x1(0.7), spec
@@ -303,15 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--x", help="comma-separated point, default e1")
+    p.add_argument("--x", type=_parse_point, help="comma-separated point, default e1")
     p.add_argument("--tol", type=float, default=1e-3)
     _add_quad_flags(p, _WINDOW)
     p.set_defaults(fn=_cmd_verify, required_keys=("d", "s", "delta"))
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV/JSON")
     p.add_argument("--d", type=int)
-    p.add_argument("--s-range")
-    p.add_argument("--delta-range")
+    p.add_argument("--s-range", type=_parse_range)
+    p.add_argument("--delta-range", type=_parse_range)
     p.add_argument("--out")
     p.add_argument("--wall-clock", action="store_true", help="record real timings (breaks byte-reproducibility)")
     _add_quad_flags(p, _WINDOW)
@@ -336,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="limit-towards-local probe and convexity (d = 2)")
     p.add_argument("--s", type=float, help="order for the convexity check (default: first probe value)")
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--probe-s", default="0.9,0.95,0.99")
+    p.add_argument("--probe-s", type=_parse_range, default="0.9,0.95,0.99")
     _add_quad_flags(p, ("angular_nodes",))
     p.set_defaults(fn=_cmd_energy, required_keys=())
 
@@ -407,12 +412,14 @@ def run(argv=None) -> int:
                 continue
             try:
                 setattr(args, key, _config_value(actions[key], val))
-            except (KeyError, ValueError):
+            except (KeyError, ValueError, argparse.ArgumentTypeError):
                 parser.error(f"--config {args.config}: bad value {key} = {val}")
 
     for key in getattr(args, "required_keys", ()):
         if getattr(args, key, None) is None:
             parser.error(f"missing required argument --{key.replace('_', '-')}")
+    if getattr(args, "x", None) is not None and len(args.x) != args.d:
+        parser.error(f"argument --x: point must have {args.d} coordinates")
     try:
         return args.fn(args)
     except (DomainError, NotConverged, AssertionError) as exc:

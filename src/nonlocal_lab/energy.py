@@ -6,24 +6,35 @@ kernel, so every x integrand here depends on x only through (x1, |x|).  The
 one x rule is Gauss-Legendre radii times the meridian rule of `pvquad`; its
 radial factor alone carries the first variation.
 
-The energy is a quadratic form in samples of the test function on a frozen
-node set: v at the x nodes, v(x) - v(x + h) for the near h nodes, and grad v
-at the x nodes.  Each function is sampled once; averages and differences are
-formed on the sample arrays by linearity, so the parallelogram identity
+The energy is rotation-invariant, so J(phi x1) = J_vec(V) / d with the field
+V(x) = phi(|x|) x, whose inner h integral depends on |x| alone.  So x runs
+over x = r e1 at Gauss-Legendre radii, and h over the meridian rule times a
+radial rule on each direction, split where x + h leaves the support ball B.
+The double integral is symmetric in (x, y), and the kernel's two angular
+terms swap with x and y; so with x in B the pairs inside B take the
+symmetric-equivalent kernel |h|^(-d-2s) (a_iso + b_rad (xhat.hhat)^2),
+which is smooth where x + h passes the origin, and the pairs leaving B,
+where V(x + h) = 0, fold into one weight 2 int_out k(x, x + h) dh per radius
+on |V(x)|^2, taken with the model's kernel.  The form has four parts: log
+bands on the inside of each ray; the outside weight; a Taylor term for
+|h| below the bands (quadratic in grad V); and an analytic far tail.  The
+band ends scale with the support radius, so the grid does too.
+
+The energy is a quadratic form in samples of the test function on that
+frozen node set: V(x), V(x) - V(x + h) on the inside nodes, and (phi,
+phi + r phi') for the Taylor term.  Each function is sampled once; averages
+and differences are formed on the sample arrays by linearity, so the
+parallelogram identity
 
     J(v1)/2 + J(v2)/2 - J((v1+v2)/2) = (1/4) J-form of (v1 - v2)
 
 holds at node level to rounding.  The node geometry depends on (d, support
-radius, spec) only and is shared by every s and epsilon; the weights for one
-(s, epsilon) are cheap next to it.  The form has four parts: pairs over a
-graded mesh in |h| for the near h nodes (some x + h inside the support
-ball); one per-x weight on v(x)^2 folding the far h nodes, where
-v(x + h) = 0; an analytic Taylor correction for |h| below the mesh (quadratic
-in the gradient, so identity-preserving); and an analytic far tail
-(quadratic in the value).  The h mesh keeps the full sphere rule, so the
-energy runs at d = 2 and 3.  At the default spec one d = 3 energy takes
-about 2.4 s and 530 MB peak (288 x nodes, 73728 h nodes), against 0.2 s
-and 90 MB at d = 2 (288 and 4608), serially on a 2-vCPU x86 host.
+radius, spec) only and is shared by every s and epsilon.  At the default
+spec the rule has 32 radii, 32 directions, and 180 inside and 100 outside
+nodes per direction, in every d >= 2.  One energy of bump_x1 takes 26-33 ms
+at d = 2-5 with a traced peak of 22 MB, serially on a 2-vCPU x86 host, and
+matches the Fourier form (1/2) int (2 pi |xi|)^(2s) |v^(xi)|^2 dxi at
+epsilon = 0 to 5e-7 for s from 0.3 to 0.9999.
 """
 
 from __future__ import annotations
@@ -36,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _norms, _rowdot
-from .pvquad import QuadratureSpec, _band_edges, _gl, _log_band, _meridian_rule, _sphere_rule
+from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _kernel, _norms, _rowdot
+from .pvquad import QuadratureSpec, _gl, _meridian_rule
 from .pvquad import frac_op_num
 from .closedform import operator_value
 from .specfun import gamma, kappa, sphere_area
@@ -53,6 +64,10 @@ __all__ = [
     "sphere_moment4",
     "local_energy",
 ]
+
+# In units of the support radius: |h| below _H_MIN is the Taylor term, and
+# |h| beyond _H_MAX the analytic far tail.  So the grid scales with the radius.
+_H_MIN, _H_MAX = 1e-4, 1e5
 
 
 @dataclass(frozen=True)
@@ -99,23 +114,17 @@ def bump_x1(radius: float = 1.0) -> TestFunction:
 
 
 class _Samples(NamedTuple):
-    """One test function sampled on a grid.
+    """One test function v = phi(|x|) x1 sampled on a grid, through V = phi(|x|) x.
 
     The energy is quadratic in these arrays, and a linear combination of
     functions is sampled by the same combination of their arrays.  Keeping
-    the pair differences rather than v(x+h) keeps that linearity exact to
-    relative rounding even where v(x) - v(x+h) cancels, at small |h|.
+    the differences rather than V(x+h) keeps that linearity exact to
+    relative rounding even where V(x) - V(x+h) cancels, at small |h|.
     """
 
-    vx: np.ndarray  # v(x)
-    dv: np.ndarray  # v(x) - v(x+h) on the near h nodes
-    gx: np.ndarray  # grad v(x)
-
-
-def _row_chunks(n_rows: int, width: int, fn) -> list:
-    """fn(i0, i1) over x-row chunks of about a million pair entries each."""
-    chunk = max(1, int(1e6 / max(1, width)))
-    return [fn(i0, min(n_rows, i0 + chunk)) for i0 in range(0, n_rows, chunk)]
+    vx: np.ndarray  # |V(x)| = r phi(r) at x = r e1
+    dv: np.ndarray  # the two nonzero components of V(x) - V(x+h) on the inside nodes
+    taylor: np.ndarray  # (phi, phi + r phi') at the radii: grad V(x) = phi I + r phi' e1 e1
 
 
 def _radii(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,15 +142,27 @@ def _ball_rule(d: int, radius: float, n_r: int, n_mu: int) -> tuple[np.ndarray, 
     return nodes, (wr[:, None] * ow[None, :]).reshape(-1)
 
 
+def _log_bands(lo, hi, n_bands: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_bands equal bands in log rho on [lo, hi], n Gauss-Legendre nodes each.
+
+    lo and hi broadcast; the nodes rho and the weights of d rho / rho gain a
+    trailing axis of n_bands * n.
+    """
+    t, w = _gl(n)
+    u = ((np.arange(n_bands)[:, None] + 0.5 * (t + 1.0)) / n_bands).ravel()
+    log_lo, log_hi = np.broadcast_arrays(np.log(lo), np.log(hi))
+    span = (log_hi - log_lo)[..., None]
+    return np.exp(log_lo[..., None] + span * u), span * np.tile(0.5 * w / n_bands, n_bands)
+
+
 @dataclass(frozen=True)
 class _Form:
     """kappa/2 times the double integral, as a quadratic form in samples."""
 
     kappa: float
-    pair: np.ndarray  # (x, near h) weights on (v(x) - v(x+h))^2
-    diag: np.ndarray  # per-x weight on v(x)^2: far h nodes and far tail
-    taylor: np.ndarray  # (x, omega) weights on (grad v(x) . omega)^2
-    om_h: np.ndarray
+    inside: np.ndarray  # weights on |V(x) - V(x+h)|^2 at the inside nodes
+    diag: np.ndarray  # per-radius weight on |V(x)|^2: the outside nodes and the far tail
+    taylor: np.ndarray  # per-radius weights on phi^2 and (phi + r phi')^2
 
     def energy(self, *terms: tuple[float, _Samples]) -> np.longdouble:
         """The energy of the function sum(c * v for c, v in terms).
@@ -151,126 +172,95 @@ class _Form:
         (plain double where long double is double).
         """
 
-        def combine(field, rows=slice(None)):
-            parts = (np.multiply(getattr(v, field)[rows], c, dtype=np.longdouble)
-                     for c, v in terms)
+        def combine(field):
+            parts = (np.multiply(getattr(v, field), c, dtype=np.longdouble) for c, v in terms)
             return functools.reduce(np.add, parts)
 
-        def pair(i0, i1):
-            d = combine("dv", slice(i0, i1))
-            d *= d
-            d *= self.pair[i0:i1]
-            return np.sum(d)
-
-        gdot = combine("gx") @ self.om_h.T
-        total = np.sum(self.diag * combine("vx") ** 2) + np.sum(self.taylor * gdot**2)
-        total += sum(_row_chunks(len(self.pair), self.pair.shape[1], pair))
+        dv = combine("dv")
+        dv *= dv
+        total = np.sum(self.inside * (dv[0] + dv[1]))
+        total += np.sum(self.diag * combine("vx") ** 2)
+        total += np.sum(self.taylor * combine("taylor") ** 2)
         return 0.5 * self.kappa * total
 
 
-class _EnergyGrid:
+class _Grid:
     """Frozen node set on which the energy is a quadratic form in samples.
 
-    The x nodes are the module's x rule on the support ball; for each x
-    the h mesh is a shared set of log-graded radial bands times the full
-    sphere rule.  The geometry depends on (d, radius, spec) only, so one grid
-    serves every s, epsilon and test function entering one comparison.
+    The x nodes are x = r e1 at Gauss-Legendre radii; for each radius the h
+    directions are the meridian rule, and each direction's ray is split where
+    x + h leaves the support ball.  The geometry depends on (d, radius, spec)
+    only, so one grid serves every s, epsilon and test function entering one
+    comparison.
     """
 
     def __init__(self, d: int, radius: float, spec: QuadratureSpec):
-        # the full sphere rule raises for any d but 2 and 3, before any allocation
-        om_h, ow_h = _sphere_rule(d, max(16, spec.angular_nodes // 2))
         self.d = d
-        self.x, self.wx = _ball_rule(d, radius, 18, max(12, spec.angular_nodes // 4))
-
-        # inner h nodes: log bands from the near cutoff to the far cutoff
-        h_min, h_max = 1e-7, 1e5
-        edges = _band_edges(h_min, h_max, 2)
-        rr, ww = zip(*(_log_band(a, b, 6, d) for a, b in zip(edges[:-1], edges[1:])))
-        r_h = np.repeat(np.concatenate(rr), len(om_h))
-        hhat = np.tile(om_h, (len(r_h) // len(om_h), 1))
-        h = r_h[:, None] * hhat
-        w_h = (np.concatenate(ww)[:, None] * ow_h[None, :]).reshape(-1)
-        self.h_min, self.h_max = h_min, h_max
-        self.om_h, self.ow_h = om_h, ow_h
-
-        # the kernel is k(x, x+h) = (a_iso + b_rad C) |h|^(-d-2s) with
-        # C = ((x.hhat / |x|)^2 + ((x+h).hhat / |x+h|)^2) / 2, on x-chunks
-        rx2 = _rowdot(self.x, self.x)
-        c = np.empty((len(self.x), len(h)))
-        outside = np.empty(c.shape, dtype=bool)
-
-        def fill(i0, i1):
-            xh = self.x[i0:i1] @ hhat.T
-            y2 = rx2[i0:i1, None] + r_h * (2.0 * xh + r_h)  # |x+h|^2
-            # a cosine squared: the clip guards the rounding where x+h ~ 0
-            cy2 = np.minimum((xh + r_h) ** 2 / np.maximum(y2, 1e-300), 1.0)
-            c[i0:i1] = 0.5 * (xh * xh / rx2[i0:i1, None] + cy2)
-            outside[i0:i1] = y2 > radius**2
-
-        _row_chunks(len(self.x), len(h), fill)
-
-        # near set: the h nodes for which some x+h lies inside the ball.  On
-        # every other node v(x+h) = 0 for any v supported in the ball, so
-        # those pairs fold into one weight per x.
-        near = ~outside.all(axis=0)
-        self.h_near = h[near]
-        self.c_near, self.c_far = c[:, near], c[:, ~near]
-        del c  # free the full array before the near weights are built
-        self.r_near, self.r_far = r_h[near], r_h[~near]
-        self.wh_far = w_h[~near]
-        # The x nodes cover the ball only; ordered pairs leaving it appear
-        # once here but twice in the full double integral: factor 2.
-        self.base_near = self.wx[:, None] * w_h[near]
-        np.multiply(self.base_near, 2.0, out=self.base_near, where=outside[:, near])
-        # near-field Taylor directions (x.omega / |x|)^2
-        self.c_taylor = (self.x @ om_h.T) ** 2 / rx2[:, None]
+        n_mu = max(8, spec.angular_nodes // 2)
+        self.r, wr = _radii(radius, n_mu)
+        # J(phi x1) = J_vec(phi(|x|) x) / d, whose x integrand is radial
+        self.wr = wr * self.r ** (d - 1) * sphere_area(d) / d
+        self.om, self.ow = _meridian_rule(d, n_mu)
+        mu = self.om[:, 0]
+        rx = self.r[:, None]
+        # the ray x + rho omega leaves the ball at rho* >= R - r; the Taylor
+        # cutoff stays below that, also for radii within _H_MIN R of the sphere
+        rho_star = np.sqrt(radius**2 - rx**2 * (1.0 - mu**2)) - rx * mu
+        self.h_min = np.minimum(_H_MIN, 0.5 * (1.0 - self.r / radius)) * radius
+        self.h_max = _H_MAX * radius
+        per_decade, n = spec.bands_per_decade, spec.radial_nodes
+        n_in = math.ceil(per_decade * math.log10(2.0 / _H_MIN))
+        n_out = math.ceil(0.5 * per_decade * math.log10(_H_MAX))
+        self.rho_in, self.t_in = _log_bands(self.h_min[:, None], rho_star, n_in, n)
+        self.rho_out, self.t_out = _log_bands(rho_star, self.h_max, n_out, n)
+        # y = x + h on the inside nodes: its two nonzero components and |y|
+        self.y = np.stack([rx[..., None] + self.rho_in * mu[:, None],
+                           self.rho_in * self.om[:, 1, None]])
+        self.ry = np.hypot(self.y[0], self.y[1])
 
     def samples(self, v: TestFunction) -> _Samples:
-        """v and grad v at every node the form reads, each taken once."""
-        vx = v.value(self.x)
-        dv = np.empty(self.c_near.shape)
-
-        def fill(i0, i1):
-            pts = (self.x[i0:i1, None, :] + self.h_near[None, :, :]).reshape(-1, self.d)
-            dv[i0:i1] = vx[i0:i1, None] - v.value(pts).reshape(i1 - i0, -1)
-
-        _row_chunks(len(self.x), len(self.h_near), fill)
-        return _Samples(vx, dv, v.grad(self.x))
+        """V = phi(|x|) x and phi' at every node the form reads, each taken once."""
+        phi_x, phi_y = v.phi(self.r), v.phi(self.ry)
+        vx = self.r * phi_x
+        dv = np.stack([vx[:, None, None] - phi_y * self.y[0], -phi_y * self.y[1]])
+        return _Samples(vx, dv, np.stack([phi_x, phi_x + self.r * v.dphi(self.r)], axis=1))
 
     def weights(self, params: FracParams) -> _Form:
-        """The quadratic form's weights at (s, epsilon); cheap next to the grid."""
+        """The quadratic form's weights at (s, epsilon)."""
         d, s = self.d, params.s
-        a_iso, b_rad = _coeffs("fractional", params)
+        pair = _coeffs("fractional", params)
+        a_iso, b_rad = pair
+        mu2 = self.om[:, 0] ** 2
 
-        pair = np.empty(self.c_near.shape)
-        rpow_near = self.r_near ** (-d - 2.0 * s)
+        # Inside the ball the kernel is the symmetric equivalent
+        # rho^(-d-2s) (a_iso + b_rad mu^2): over the whole space the double
+        # integral is symmetric in (x, y), and the kernel's two angular terms
+        # swap with them.  dh = rho^d d(log rho) dsigma.
+        ang = self.ow * (a_iso + b_rad * mu2)
+        inside = (self.wr[:, None] * ang)[..., None] * self.t_in * self.rho_in ** (-2.0 * s)
 
-        def fill(i0, i1):
-            pair[i0:i1] = self.base_near[i0:i1] * rpow_near * (a_iso + b_rad * self.c_near[i0:i1])
-
-        _row_chunks(len(self.x), len(self.r_near), fill)
-
-        # far h nodes: every pair leaves the ball, factor 2, v(x+h) = 0
-        w_far = self.wh_far * self.r_far ** (-d - 2.0 * s)
-        far = 2.0 * (a_iso * float(np.sum(w_far)) + b_rad * (self.c_far @ w_far))
-
-        # far tail: int_(|h|>h_max) k dh * v(x)^2, with A(x+h) -> A(hhat);
-        # the far region is entirely outside the support ball: factor 2
-        surf = sphere_area(d)
+        # Outside, V(x+h) = 0: one weight 2 int_out k(x, x+h) dh per radius,
+        # the factor 2 for the pairs counted from their point outside
+        x_out = np.empty(len(self.r))
+        for i, (r, rho, t) in enumerate(zip(self.r, self.rho_out, self.t_out)):
+            h = (rho[..., None] * self.om[:, None, :]).reshape(-1, d)
+            x = r * np.eye(d)[0]
+            dh = (self.ow[:, None] * t * rho**d).ravel()
+            x_out[i] = 2.0 * _kernel(pair, d, s, x, h, x + h) @ dh
+        # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled
         tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
-        tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * surf * tail_a
+        tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * sphere_area(d) * tail_a
 
-        # near-field Taylor weights: int_(|h|<h_min) k (grad v . h)^2 dh
-        # = h_min^(2-2s)/(2-2s) * sum_omega w <A(x)w,w> (grad v . w)^2
-        near_scale = self.h_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        taylor = (near_scale * self.wx)[:, None] * self.ow_h * (a_iso + b_rad * self.c_taylor)
-        return _Form(kappa(d, s), pair, self.wx * (far + tail), taylor, self.om_h)
+        # near-field Taylor term: int_(|h|<h_min) k |grad V(x) h|^2 dh, where
+        # |grad V(x) omega|^2 = phi^2 (1 - mu^2) + (phi + r phi')^2 mu^2
+        near = self.h_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+        taylor = (near * self.wr)[:, None] * np.array([ang @ (1.0 - mu2), ang @ mu2])
+        return _Form(kappa(d, s), inside, self.wr * (x_out + tail), taylor)
 
 
 def energy_eval(params: FracParams, v: TestFunction, spec: QuadratureSpec) -> float:
     """Value of the nonlocal energy for one test function."""
-    grid = _EnergyGrid(params.d, v.radius, spec)
+    grid = _Grid(params.d, v.radius, spec)
     return float(grid.weights(params).energy((1.0, grid.samples(v))))
 
 
@@ -278,7 +268,7 @@ def convexity_identity_check(
     params: FracParams, v1: TestFunction, v2: TestFunction, spec: QuadratureSpec
 ) -> tuple[float, float]:
     """(lhs, rhs) of the parallelogram identity on a shared node set."""
-    grid = _EnergyGrid(params.d, max(v1.radius, v2.radius), spec)
+    grid = _Grid(params.d, max(v1.radius, v2.radius), spec)
     form = grid.weights(params)
     p, q = grid.samples(v1), grid.samples(v2)
     mean = form.energy((0.5, p), (0.5, q))
@@ -356,7 +346,7 @@ def gamma_limit_probe(
     loc = local_energy(d, eps, v)
     if not math.isfinite(loc) or loc <= 0.0:
         raise NotConverged("local-energy reference is degenerate")
-    grid = _EnergyGrid(d, v.radius, spec)
+    grid = _Grid(d, v.radius, spec)
     samples = grid.samples(v)
     rows = []
     for s in s_list:

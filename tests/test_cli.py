@@ -179,3 +179,52 @@ def test_seventeen_digit_round_trip():
     vals = [1.0 / 3.0, 2.5664354975514957e-8, -0.8916560058904449]
     for v in vals:
         assert float(cli._fmt(v)) == v
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--d", "2", "--s-range", "abc", "--delta-range", "0.1"],
+        ["sweep", "--d", "2", "--s-range", "0.4:0.6", "--delta-range", "0.1"],
+        ["sweep", "--d", "2", "--s-range", "0.5", "--delta-range", "0.1:0.2:0"],
+        ["energy", "--probe-s", "0.9,x"],
+        ["energy", "--probe-s="],
+        ["energy", "--probe-s", ","],
+    ],
+    ids=["word", "two-fields", "zero-count", "bad-token", "empty", "only-commas"],
+)
+def test_bad_range_exits_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + (["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []))
+    assert exc.value.code == 2
+    assert "bad range" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [("0.6", "point must have 2 coordinates"), ("0.6,0.2,0.1", "point must have 2 coordinates"),
+     ("0.6,abc", "bad point")],
+    ids=["short", "long", "word"],
+)
+def test_bad_point_exits_two(capsys, point, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--d", "2", "--s", "0.5", "--delta", "0.2", "--x", point])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [("s_range = abc\n", ["sweep", "--d", "2", "--delta-range", "0.1"]),
+     ("x = 0.6\n", ["verify", "--d", "2", "--s", "0.5", "--delta", "0.2"])],
+    ids=["range", "point"],
+)
+def test_bad_range_or_point_in_config_exits_two(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--config", str(cfg)] + argv + out)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
