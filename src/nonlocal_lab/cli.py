@@ -420,6 +420,12 @@ def run(argv=None) -> int:
             parser.error(f"missing required argument --{key.replace('_', '-')}")
     if getattr(args, "x", None) is not None and len(args.x) != args.d:
         parser.error(f"argument --x: point must have {args.d} coordinates")
+    # a bad target would otherwise fail only after every record is computed
+    out = getattr(args, "out", None)
+    if out is not None and os.path.isdir(out):
+        parser.error(f"argument --out: {out} is a directory")
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        parser.error(f"argument --out: the directory of {out} does not exist")
     try:
         return args.fn(args)
     except (DomainError, NotConverged, AssertionError) as exc:

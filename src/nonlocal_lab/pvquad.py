@@ -10,15 +10,16 @@ evaluation strategy:
     absolutely convergent and realizes the principal value at the level of
     the integrand; it also turns the point c into the antipodal pair +-c;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
-    a spectral rule on the sphere handle each annulus; each pass over the
-    bands (the main bands, their downgraded jackknife copy, the patch)
-    evaluates the integrand on groups of whole bands, one call per group,
-    and reduces every band on its own, so the grouping does not change a
-    bit of any band value;
+    a spectral rule on the sphere handle each annulus.  `_stage` runs the
+    main bands, and then the patch below, on the nominal and a downgraded
+    jackknife rule; each pass evaluates the integrand on groups of whole
+    bands, one call per group, and reduces every band on its own, so the
+    grouping does not change a bit of any band value;
   * the pair +-c is cut out of the main bands by smooth partition-of-unity
-    cutoffs and filled by a patch in its own polar coordinates with graded
-    bands; the even part gives the patches at c and -c the same bits, so
-    one patch is integrated and taken twice;
+    cutoffs, which only the bands where they differ from 1 carry, and filled
+    by a patch in its own polar coordinates with graded bands; the even
+    part gives the patches at c and -c the same bits, so one patch is
+    integrated and taken twice;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
@@ -60,10 +61,12 @@ from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
 
-# Largest radius of a partition-of-unity patch around a singular point, and
-# the inner end of the patch's radial bands.
+# Largest radius of a partition-of-unity patch around a singular point, the
+# inner end of the patch's radial bands, and the radius at or below which a
+# patch is refused: its singular point is too close to the origin.
 _PATCH_RADIUS = 0.3
 _PATCH_RHO_MIN = 1e-10
+_PATCH_GUARD = 1e-10
 
 # Fewest points per integrand call: consecutive bands of a pass are grouped
 # until they hold this many, so the per-call overhead is paid per group.
@@ -183,33 +186,6 @@ def _chi(rho: np.ndarray, radius: float) -> np.ndarray:
     return 1.0 - _smoothstep((rho - 0.5 * radius) / (0.5 * radius))
 
 
-class _Evaluator:
-    """Symmetrized, patch-masked integrand with an evaluation counter."""
-
-    def __init__(self, integrand, patch):
-        self.integrand = integrand
-        self.patch = patch
-        self.nodes = 0
-
-    def sym(self, pts: np.ndarray) -> np.ndarray:
-        self.nodes += 2 * len(pts)
-        return 0.5 * (
-            np.asarray(self.integrand(pts), dtype=float)
-            + np.asarray(self.integrand(-pts), dtype=float)
-        )
-
-    def masked(self, pts: np.ndarray) -> np.ndarray:
-        vals = self.sym(pts)
-        if self.patch is not None:
-            # the cutoffs at +-c are disjoint, so their order keeps the bits
-            center, radius = self.patch
-            mask = np.ones(len(pts))
-            mask -= _chi(_norms(pts - center), radius)
-            mask -= _chi(_norms(pts + center), radius)
-            vals = vals * mask
-        return vals
-
-
 def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre radii in log r on [a, b], with the weights of r^(d-1) dr."""
     t, wt = _gl(n)
@@ -219,27 +195,30 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
-def _band_values(ev_fn, bands, d, radial_nodes) -> list[float]:
-    """Values of the bands (a, b, (omegas, oweights)) of one pass, in order.
+def _band_values(fn, bands, d, radial_nodes) -> list[float]:
+    """Values of the bands (a, b, (omegas, oweights), cutoff) of one pass, in order.
 
     Consecutive whole bands are grouped until they hold at least _BATCH
-    points, and each group is one ev_fn call.  Each band is still reduced on
-    its own rows, so its value does not depend on the grouping.
+    points, and each group is one fn call.  Each band is still reduced on
+    its own rows, times its cutoff at its points where it has one, so its
+    value does not depend on the grouping.
     """
     values: list[float] = []
     group, size = [], 0
-    for i, (a, b, (omegas, oweights)) in enumerate(bands):
+    for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
         r, wr = _log_band(a, b, radial_nodes, d)
         pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, omegas.shape[1])
-        group.append((pts, wr, oweights))
+        group.append((pts, wr, oweights, cutoff))
         size += len(pts)
         if size < _BATCH and i + 1 < len(bands):
             continue
-        vals = ev_fn(np.concatenate([g_pts for g_pts, _, _ in group]))
+        vals = fn(np.concatenate([g[0] for g in group]))
         start = 0
-        for g_pts, g_wr, g_ow in group:
-            band = vals[start : start + len(g_pts)].reshape(len(g_wr), -1)
-            values.append(float(g_wr @ (band @ g_ow)))
+        for g_pts, g_wr, g_ow, g_cut in group:
+            band = vals[start : start + len(g_pts)]
+            if g_cut is not None:
+                band = band * g_cut(g_pts)
+            values.append(float(g_wr @ (band.reshape(len(g_wr), -1) @ g_ow)))
             start += len(g_pts)
         group, size = [], 0
     return values
@@ -329,40 +308,88 @@ def _completion(shells: list[float], scale: float) -> tuple[float, float]:
 def _shell_sums(bands, values) -> list[float]:
     """Group band values into log10 shells by band midpoint, inner first."""
     sums: dict[int, float] = {}
-    for (a, b), v in zip(bands, values):
+    for (a, b, *_), v in zip(bands, values):
         k = math.floor(0.5 * (math.log10(a) + math.log10(b)))
         sums[k] = sums.get(k, 0.0) + v
     return [sums[k] for k in sorted(sums)]
 
 
-def _split_near_patches(base_bands, annulus, fine_width: float):
-    """Refine bands whose radius range crosses the patch annulus (lo, hi).
-
-    The partition-of-unity mask is smooth but varies on the patch scale, so
-    bands meeting the annulus [|c|-R, |c|+R] are split into log sub-bands of
-    roughly `fine_width` linear width and flagged for a finer sphere rule.
-    """
-    lo, hi = annulus
+def _split(edges, lo: float, hi: float, width: float) -> list:
+    """(a, b, split) bands between the edges; those meeting (lo, hi) are split
+    into at most 64 log sub-bands of roughly `width` linear width."""
     out = []
-    for a, b in base_bands:
+    for a, b in zip(edges[:-1], edges[1:]):
         if b > lo and a < hi:
-            pieces = min(64, max(1, math.ceil((b - a) / fine_width)))
+            pieces = min(64, max(1, math.ceil((b - a) / width)))
             sub = np.exp(np.linspace(math.log(a), math.log(b), pieces + 1))
-            out.extend((float(sub[i]), float(sub[i + 1]), True) for i in range(pieces))
-        elif b > 0.5 * lo and a < 2.0 * hi:
-            # the sphere rule is also upgraded on a factor-2 halo, where the
-            # integrand still carries patch-scale angular features
-            out.append((a, b, True))
+            out.extend((float(p), float(q), True) for p, q in zip(sub[:-1], sub[1:]))
         else:
             out.append((a, b, False))
     return out
+
+
+def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
+    """(a, b, grade, cutoff) bands of [r_min, r_max]; grade multiplies the angular nodes.
+
+    Bands meeting the annulus [|c| - R, |c| + R] are split to about R/4 and
+    carry the cutoff 1 - chi(|h - c|) - chi(|h + c|), exactly 1 off it; they
+    and a factor-2 halo, which still has patch-scale angular features, take the fine rule.
+    """
+    edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
+    if patch is None:
+        return [(a, b, 1, None) for a, b in zip(edges[:-1], edges[1:])]
+    center, radius = patch
+    norm = float(np.linalg.norm(center))
+    lo, hi = norm - radius, norm + radius
+    fine_mult = 6 if d == 2 else 2
+
+    def mask(pts):
+        # the cutoffs at +-c are disjoint, so their order keeps the bits
+        return 1.0 - _chi(_norms(pts - center), radius) - _chi(_norms(pts + center), radius)
+
+    bands = []
+    for a, b, split in _split(edges, lo, hi, radius / 4.0):
+        fine = split or (b > 0.5 * lo and a < 2.0 * hi)
+        bands.append((a, b, fine_mult if fine else 1, mask if b > lo and a < hi else None))
+    return bands
+
+
+def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
+    """The patch's bands of [_PATCH_RHO_MIN, R], split to about R/8; those
+    reaching past R/2 carry chi(|l|, R), which is exactly 1 inside R/2."""
+    edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
+
+    def chi(local_pts):
+        return _chi(_norms(local_pts), radius)
+
+    bands = _split(edges, 0.0, radius, radius / 8.0)
+    return [(a, b, 1, chi if b > 0.5 * radius else None) for a, b, _ in bands]
+
+
+def _stage(fn, bands, rule, d: int, spec: QuadratureSpec):
+    """(sum, scale, shell sums, jackknife difference, points) of one stage's bands.
+
+    The bands run on the nominal rule and on a downgraded jackknife rule,
+    whose difference bounds the nominal discretization error; scale is the
+    sum of |band values| and points counts both passes.
+    """
+    passes, points = [], 0
+    low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
+    for radial_nodes, ang_nodes in ((spec.radial_nodes, spec.angular_nodes), low):
+        graded = [(a, b, rule(ang_nodes * grade), cut) for a, b, grade, cut in bands]
+        passes.append(_band_values(fn, graded, d, radial_nodes))
+        points += radial_nodes * sum(len(ow) for _, _, (_, ow), _ in graded)
+    values, low_values = passes
+    total = float(sum(values))
+    scale = float(sum(abs(v) for v in values)) + 1e-300
+    return total, scale, _shell_sums(bands, values), total - float(sum(low_values)), points
 
 
 def _patch(singular_point):
     """(c, radius) of the patch pair at +-c: at most |c|/2, so the two stay apart."""
     center = np.asarray(singular_point, dtype=float)
     radius = min(_PATCH_RADIUS, 0.5 * float(np.linalg.norm(center)))
-    if radius <= _PATCH_RHO_MIN:
+    if radius <= _PATCH_GUARD:
         raise DomainError("singular point too close to 0 to patch")
     return center, radius
 
@@ -391,69 +418,40 @@ def pv_integral(
     def rule(ang_nodes):
         return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
 
-    ev = _Evaluator(integrand, patch)
+    def sym(pts):
+        return 0.5 * (np.asarray(integrand(pts), float) + np.asarray(integrand(-pts), float))
 
-    edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
-    base = list(zip(edges[:-1], edges[1:]))
-    bands = [(a, b, False) for a, b in base]
-    if patch is not None:
-        center, radius = patch
-        norm = float(np.linalg.norm(center))
-        bands = _split_near_patches(base, (norm - radius, norm + radius), radius / 4.0)
-    fine_mult = 6 if d == 2 else 2
-
-    def run_bands(radial_nodes, ang_nodes):
-        coarse = rule(ang_nodes)
-        fine = rule(ang_nodes * fine_mult)
-        graded = [(a, b, fine if is_fine else coarse) for a, b, is_fine in bands]
-        return _band_values(ev.masked, graded, d, radial_nodes)
-
-    band_vals = run_bands(spec.radial_nodes, spec.angular_nodes)
-    # resolution jackknife: the same bands on a downgraded rule bound the
-    # discretization error of the nominal one
-    band_vals_low = run_bands(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
-
-    main_sum = float(sum(band_vals))
-    scale = float(sum(abs(v) for v in band_vals)) + 1e-300
-    disc_err = 0.5 * abs(main_sum - float(sum(band_vals_low)))
-
-    shells = _shell_sums([(a, b) for a, b, _ in bands], band_vals)
+    main_sum, scale, shells, main_jack, main_pts = _stage(
+        sym, _main_bands(spec, d, patch), rule, d, spec
+    )
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
-    patch_sum = patch_err = 0.0
+    patch_sum = patch_err = patch_jack = 0.0
+    patch_pts = 0
     if patch is not None:
-        p_edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
-        p_bands = _split_near_patches(
-            list(zip(p_edges[:-1], p_edges[1:])), (-radius, radius), radius / 8.0
-        )
+        center, radius = patch
 
-        def patch_fn(local_pts):
+        def pair(local_pts):
             # antipodal averaging inside the ball kills the odd leading
             # part of the local singularity at evaluation level
-            rho = _norms(local_pts)
-            pair = ev.sym(center[None, :] + local_pts) + ev.sym(center[None, :] - local_pts)
-            return 0.5 * pair * _chi(rho, radius)
+            return 0.5 * (sym(center + local_pts) + sym(center - local_pts))
 
-        def run_patch(radial_nodes, ang_nodes):
-            p_rule = rule(ang_nodes)
-            return _band_values(patch_fn, [(a, b, p_rule) for a, b, _ in p_bands], d, radial_nodes)
-
-        p_vals = run_patch(spec.radial_nodes, spec.angular_nodes)
-        p_vals_low = run_patch(max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
-
-        p_shells = _shell_sums([(a, b) for a, b, _ in p_bands], p_vals)
-        p_scale = float(sum(abs(v) for v in p_vals)) + 1e-300
+        p_sum, p_scale, p_shells, patch_jack, patch_pts = _stage(
+            pair, _patch_bands(spec, radius), rule, d, spec
+        )
         p_tail, p_tail_err = _completion(p_shells, p_scale)
         # the patch at -c has these bits: double the sum, tail error and jackknife
-        patch_sum = 2.0 * (float(sum(p_vals)) + p_tail)
+        patch_sum = 2.0 * (p_sum + p_tail)
         patch_err = 2.0 * (p_tail_err + 1e-13 * p_scale)
-        disc_err += abs(float(sum(p_vals)) - float(sum(p_vals_low)))
 
+    disc_err = 0.5 * abs(main_jack) + abs(patch_jack)
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
-    return PVResult(value=value, err_estimate=err, nodes_used=ev.nodes, converged=converged)
+    # sym evaluates the integrand twice per point, and the patch's pair twice sym
+    nodes = 2 * main_pts + 4 * patch_pts
+    return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
 
 
 def _scaled(res: PVResult, factor: float) -> PVResult:

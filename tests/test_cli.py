@@ -96,6 +96,19 @@ def test_sweep_golden_reproducibility(tmp_path, capsys):
     assert b1.endswith(b"\n")
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-directory", "directory"])
+def test_sweep_bad_out_exits_two_before_computing(tmp_path, monkeypatch, capsys, target):
+    def computed(*args):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(cli, "frac_op_num", computed)
+    argv = ["sweep", "--d", "2", "--s-range", "0.5", "--delta-range", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--out", str(tmp_path / target)])
+    assert exc.value.code == 2
+    assert "argument --out" in capsys.readouterr().err
+
+
 def test_sweep_json_round_trip(tmp_path, capsys):
     out = tmp_path / "rows.json"
     rc = cli.run(

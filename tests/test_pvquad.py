@@ -161,18 +161,21 @@ def test_frac_op_s_harmonic_linear_field(spec):
     assert abs(res.value) <= res.err_estimate + 1e-10
 
 
+def _even(g):
+    return lambda h: 0.5 * (g(h) + g(-h))
+
+
 def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
-    g = f1_integrand(d, s, delta)
-    ev = pq._Evaluator(g, pq._patch(E1))
+    sym = _even(f1_integrand(d, s, delta))
     rule = pq._sphere_rule(d, spec.angular_nodes)
     shell = []
     for k in range(1, 5):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
-        bands = [(aa, bb, rule) for aa, bb in zip(edges[:-1], edges[1:])]
-        shell.append(abs(sum(pq._band_values(ev.masked, bands, d, spec.radial_nodes))))
+        bands = [(aa, bb, rule, None) for aa, bb in zip(edges[:-1], edges[1:])]
+        shell.append(abs(sum(pq._band_values(sym, bands, d, spec.radial_nodes))))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
 
@@ -181,33 +184,91 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _rule(d):
+    # the rule pv_integral takes: the full circle at d = 2, the meridian rule above
+    return (lambda n: pq._sphere_rule(2, n)) if d == 2 else (lambda n: pq._meridian_rule(d, n // 2))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_band_values_grouping_is_bitwise(spec, d):
     # grouped bands keep the bits of one integrand call per band, on the
-    # d = 2 full rule masked at both patch centers +-e1 and on the d = 4
-    # meridian rule
-    e1 = np.eye(d)[0]
-    ev = pq._Evaluator(f1_integrand(d, 0.5, 0.25), pq._patch(e1))
-    if d == 2:
-        coarse, fine = pq._sphere_rule(d, 64), pq._sphere_rule(d, 384)
-    else:
-        coarse, fine = pq._meridian_rule(d, 32), pq._meridian_rule(d, 64)
-    edges = pq._band_edges(1e-3, 1e3, spec.bands_per_decade)
+    # d = 2 full rule and on the d = 4 meridian rule, with the cutoff of the
+    # patch pair +-e1 on the bands that carry it
+    sym = _even(f1_integrand(d, 0.5, 0.25))
+    window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
+    rule = _rule(d)
     bands = [
-        (a, b, fine if b > 0.5 and a < 2.0 else coarse) for a, b in zip(edges[:-1], edges[1:])
+        (a, b, rule(spec.angular_nodes * grade), cutoff)
+        for a, b, grade, cutoff in pq._main_bands(window, d, pq._patch(np.eye(d)[0]))
     ]
+    assert any(cutoff is not None for *_, cutoff in bands)
     sizes = []
 
     def counted(pts):
         sizes.append(len(pts))
-        return ev.masked(pts)
+        return sym(pts)
 
     grouped = pq._band_values(counted, bands, d, spec.radial_nodes)
     assert sum(sizes) > 2 * pq._BATCH
     assert 1 < len(sizes) < len(bands)
     assert all(n >= pq._BATCH for n in sizes[:-1])
-    single = [pq._band_values(ev.masked, [band], d, spec.radial_nodes)[0] for band in bands]
+    single = [pq._band_values(sym, [band], d, spec.radial_nodes)[0] for band in bands]
     assert _hex(grouped) == _hex(single)
+
+
+@pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
+@pytest.mark.parametrize("d", [2, 3], ids=["d2-full", "d3-meridian"])
+def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
+    # a band without a cutoff would multiply its values by exactly 1.0: the
+    # pair cutoff on the main bands and chi on the patch bands, at the nodes
+    # of the nominal and the jackknife pass
+    center = norm * (np.array([0.6, -0.8]) if d == 2 else np.eye(d)[0])
+    _, radius = pq._patch(center)
+
+    def mask(pts):
+        return 1.0 - pq._chi(norms(pts - center), radius) - pq._chi(norms(pts + center), radius)
+
+    def chi(pts):
+        return pq._chi(norms(pts), radius)
+
+    rule = _rule(d)
+    main, patch = pq._main_bands(spec, d, (center, radius)), pq._patch_bands(spec, radius)
+    for bands, full in ((main, mask), (patch, chi)):
+        assert any(cutoff is not None for *_, cutoff in bands)
+        for radial_nodes, ang_nodes in ((10, 64), (7, 32)):
+            for a, b, grade, cutoff in bands:
+                r, _ = pq._log_band(a, b, radial_nodes, d)
+                pts = (r[:, None, None] * rule(ang_nodes * grade)[0][None]).reshape(-1, d)
+                if cutoff is None:
+                    assert np.all(full(pts) == 1.0)
+                else:
+                    assert _hex(cutoff(pts)) == _hex(full(pts))
+
+
+_COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
+
+
+@pytest.mark.parametrize("spec_fields", [{}, _COARSE], ids=["default", "coarse"])
+@pytest.mark.parametrize(
+    "d, c",
+    [(2, (0.78, -1.04)), (3, (1.3, 0.0, 0.0)), (2, None)],
+    ids=["d2-full", "d3-meridian", "no-patch"],
+)
+def test_nodes_used_counts_integrand_rows(spec_fields, d, c):
+    # nodes_used, counted from the rule sizes, is every row the integrand saw
+    if c is None:
+        g = lambda h: np.exp(-norms(h)) * norms(h) ** -1.5  # noqa: E731
+    else:
+        c = np.array(c)
+        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+    rows = []
+
+    def counted(h):
+        rows.append(len(h))
+        return g(h)
+
+    res = pq.pv_integral(counted, d, pq.QuadratureSpec(**spec_fields), c, axial=d == 3)
+    assert res.nodes_used == sum(rows)
 
 
 def test_pv_integral_independent_of_grouping(spec, monkeypatch):
