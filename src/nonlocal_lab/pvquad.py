@@ -12,8 +12,10 @@ evaluation strategy:
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
     a spectral rule on the sphere handle each annulus.  `_stage` runs the
     main bands, and then the patch below, on the nominal and a downgraded
-    jackknife rule; each pass evaluates the integrand on groups of whole
-    bands, one call per group, and reduces every band on its own, so the
+    jackknife rule.  Each pass is a plan and a run: the plan (`_pass`)
+    holds the geometry, the points in groups of whole bands, each band's
+    weights and its cutoff values; the run (`_band_values`) makes one
+    integrand call per group and reduces every band on its own, so the
     grouping does not change a bit of any band value;
   * the pair +-c is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
@@ -29,7 +31,12 @@ The full sphere rule covers d = 2 and 3.  In any d >= 3 an integrand that
 depends on h only through (h . e1, |h|), with its singular point on the e1
 axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
 sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
-the Gauss nodes of that weight (Golub-Welsch).
+the Gauss nodes of that weight (Golub-Welsch).  That rule's nodes +-mu are
+mirror images, where such an integrand's even part takes the same bits, so
+its passes are folded: the plan holds the nodes mu >= 0, and the run
+rebuilds each full row from them before the reduction, which keeps every
+bit of the unfolded rule at half the integrand evaluations.  Its plans
+depend only on (spec, d, c), and are cached.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
@@ -43,8 +50,9 @@ at e1: f1 and f2 are -1/2 times the operator on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
 f3 and f4 are the potential of the Riesz model's field (p = s - delta) and
 of its divergence field (p = -1 - delta).  The meridian rule also has a
-closed form at d = 2, which the energy's x rule uses.  Every path is
-deterministic.
+closed form at d = 2, which the energy's x rule uses; it is not mirrored to
+the bit, and `pv_integral` takes the meridian rule at d >= 3 only.  Every
+path is deterministic.
 """
 
 from __future__ import annotations
@@ -71,6 +79,10 @@ _PATCH_GUARD = 1e-10
 # Fewest points per integrand call: consecutive bands of a pass are grouped
 # until they hold this many, so the per-call overhead is paid per group.
 _BATCH = 4096
+
+# Most meridian-rule plans kept: a plan depends on (spec, d, c) alone, and
+# the oracles at d >= 3 put c at |x| e1.
+_PLAN_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,15 @@ class PVResult:
     converged: bool
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return _frozen(x), _frozen(w)
 
 
 @lru_cache(maxsize=32)
@@ -117,7 +134,7 @@ def _sphere_rule(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         theta = 2.0 * math.pi * (np.arange(angular_nodes) + 0.5) / angular_nodes
         omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
-        return omegas, weights
+        return _frozen(omegas), _frozen(weights)
     if d == 3:
         n_mu = max(8, angular_nodes // 2)
         n_phi = max(8, angular_nodes)
@@ -133,7 +150,7 @@ def _sphere_rule(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
             axis=1,
         )
         weights = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
-        return omegas, weights
+        return _frozen(omegas), _frozen(weights)
     raise DomainError("the full sphere rule covers d in {2, 3}; use the meridian rule")
 
 
@@ -153,7 +170,7 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if d == 2:
         omegas, weights = _sphere_rule(2, 2 * n)
-        return omegas[:n], 2.0 * weights[:n]
+        return omegas[:n], _frozen(2.0 * weights[:n])
     lam = 0.5 * (d - 3)
     k = np.arange(1, n)
     jacobi = np.diag(np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0)), -1)
@@ -164,7 +181,7 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     omegas = np.zeros((n, d))
     omegas[:, 0] = mu
     omegas[:, 1] = np.sqrt(1.0 - mu**2)
-    return omegas, sphere_area(d) * w
+    return _frozen(omegas), _frozen(sphere_area(d) * w)
 
 
 def _band_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
@@ -195,33 +212,65 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
-def _band_values(fn, bands, d, radial_nodes) -> list[float]:
-    """Values of the bands (a, b, (omegas, oweights), cutoff) of one pass, in order.
+@lru_cache(maxsize=32)
+def _fold_index(n: int) -> np.ndarray:
+    """Column of node j among the folded columns n//2, ..., n-1: that of j or its mirror n-1-j."""
+    j = np.arange(n)
+    return _frozen(np.maximum(j, n - 1 - j) - n // 2)
+
+
+def _pass(bands, d: int, radial_nodes: int, fold: bool):
+    """The geometry of one pass over the bands (a, b, (omegas, oweights), cutoff), by group.
 
     Consecutive whole bands are grouped until they hold at least _BATCH
-    points, and each group is one fn call.  Each band is still reduced on
-    its own rows, times its cutoff at its points where it has one, so its
-    value does not depend on the grouping.
+    points; each group is (points, ((size, wr, oweights, cut, idx), ...)),
+    with a band's cutoff values `cut` at its points where it has a cutoff.
+    With `fold` (the meridian rule) a band keeps only the columns j >= n//2
+    of its n nodes: node j mirrors node n-1-j, and `idx` rebuilds the full
+    row from them.  Every array is read-only, so a cached pass stays intact.
     """
-    values: list[float] = []
     group, size = [], 0
     for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
         r, wr = _log_band(a, b, radial_nodes, d)
-        pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, omegas.shape[1])
-        group.append((pts, wr, oweights, cutoff))
+        idx = None
+        if fold:
+            idx = _fold_index(len(oweights))
+            omegas = omegas[len(oweights) // 2 :]
+        pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
+        cut = None if cutoff is None else _frozen(cutoff(pts))
+        group.append((pts, (len(pts), _frozen(wr), oweights, cut, idx)))
         size += len(pts)
         if size < _BATCH and i + 1 < len(bands):
             continue
-        vals = fn(np.concatenate([g[0] for g in group]))
-        start = 0
-        for g_pts, g_wr, g_ow, g_cut in group:
-            band = vals[start : start + len(g_pts)]
-            if g_cut is not None:
-                band = band * g_cut(g_pts)
-            values.append(float(g_wr @ (band.reshape(len(g_wr), -1) @ g_ow)))
-            start += len(g_pts)
+        yield _frozen(np.concatenate([g[0] for g in group])), tuple(g[1] for g in group)
         group, size = [], 0
-    return values
+
+
+def _band_values(fn, groups) -> tuple[list[float], int]:
+    """Values of one pass's bands, in order, and the number of rows fn saw.
+
+    Each group of the pass is one fn call.  Each band is still reduced on
+    its own rows, times its cutoff where it has one, so its value does not
+    depend on the grouping; a folded band takes its values at the mirror
+    nodes from the columns it kept, with the bits of an unfolded pass.
+    """
+    values: list[float] = []
+    rows = 0
+    for pts, bands in groups:
+        vals = fn(pts)
+        rows += len(pts)
+        start = 0
+        for size, wr, oweights, cut, idx in bands:
+            band = vals[start : start + size]
+            if cut is not None:
+                band = band * cut
+            band = band.reshape(len(wr), -1)
+            if idx is not None:
+                # a contiguous copy, reduced as the unfolded row would be
+                band = np.ascontiguousarray(band[:, idx])
+            values.append(float(wr @ (band @ oweights)))
+            start += size
+    return values, rows
 
 
 def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | None:
@@ -305,11 +354,10 @@ def _completion(shells: list[float], scale: float) -> tuple[float, float]:
     return tail, err
 
 
-def _shell_sums(bands, values) -> list[float]:
-    """Group band values into log10 shells by band midpoint, inner first."""
+def _shell_sums(shells, values) -> list[float]:
+    """Band values summed by their log10 shells, inner shell first."""
     sums: dict[int, float] = {}
-    for (a, b, *_), v in zip(bands, values):
-        k = math.floor(0.5 * (math.log10(a) + math.log10(b)))
+    for k, v in zip(shells, values):
         sums[k] = sums.get(k, 0.0) + v
     return [sums[k] for k in sorted(sums)]
 
@@ -366,23 +414,35 @@ def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
     return [(a, b, 1, chi if b > 0.5 * radius else None) for a, b, _ in bands]
 
 
-def _stage(fn, bands, rule, d: int, spec: QuadratureSpec):
-    """(sum, scale, shell sums, jackknife difference, points) of one stage's bands.
+def _stage_plan(bands, rule, d: int, spec: QuadratureSpec, fold: bool):
+    """(shells, (nominal pass, jackknife pass)) of one stage's bands (a, b, grade, cutoff).
 
-    The bands run on the nominal rule and on a downgraded jackknife rule,
-    whose difference bounds the nominal discretization error; scale is the
-    sum of |band values| and points counts both passes.
+    shells holds each band's log10 shell, by its midpoint.  The jackknife
+    pass runs a downgraded rule, whose difference from the nominal one
+    bounds the nominal discretization error.  The passes are lazy: each
+    group's geometry is built as the run reaches it.
     """
-    passes, points = [], 0
     low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
-    for radial_nodes, ang_nodes in ((spec.radial_nodes, spec.angular_nodes), low):
-        graded = [(a, b, rule(ang_nodes * grade), cut) for a, b, grade, cut in bands]
-        passes.append(_band_values(fn, graded, d, radial_nodes))
-        points += radial_nodes * sum(len(ow) for _, _, (_, ow), _ in graded)
-    values, low_values = passes
+    passes = tuple(
+        _pass([(a, b, rule(ang_nodes * grade), cut) for a, b, grade, cut in bands], d, n, fold)
+        for n, ang_nodes in ((spec.radial_nodes, spec.angular_nodes), low)
+    )
+    shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
+    return shells, passes
+
+
+def _stage(fn, plan):
+    """(sum, scale, shell sums, jackknife difference, rows) of one stage plan.
+
+    scale is the sum of |band values|, and rows counts the points fn saw
+    in both passes.
+    """
+    shells, passes = plan
+    (values, rows), (low_values, low_rows) = (_band_values(fn, p) for p in passes)
     total = float(sum(values))
     scale = float(sum(abs(v) for v in values)) + 1e-300
-    return total, scale, _shell_sums(bands, values), total - float(sum(low_values)), points
+    jack = total - float(sum(low_values))
+    return total, scale, _shell_sums(shells, values), jack, rows + low_rows
 
 
 def _patch(singular_point):
@@ -394,41 +454,73 @@ def _patch(singular_point):
     return center, radius
 
 
+def _plans(spec: QuadratureSpec, d: int, axial: bool, c):
+    """(main stage plan, patch stage plan or None) of pv_integral at the singular point c.
+
+    c is a tuple or None.  The meridian rule (`axial`) is folded; the full
+    sphere rule is not.
+    """
+    patch = None if c is None else _patch(c)
+
+    def rule(ang_nodes):
+        return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
+
+    main = _stage_plan(_main_bands(spec, d, patch), rule, d, spec, axial)
+    if patch is None:
+        return main, None
+    return main, _stage_plan(_patch_bands(spec, patch[1]), rule, d, spec, axial)
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _axial_plans(spec: QuadratureSpec, d: int, c):
+    """_plans on the meridian rule, each pass built whole once and kept."""
+    return tuple(
+        None if plan is None else (plan[0], tuple(tuple(p) for p in plan[1]))
+        for plan in _plans(spec, d, True, c)
+    )
+
+
 def pv_integral(
     integrand, d: int, spec: QuadratureSpec, singular_point=None, axial: bool = False
 ) -> PVResult:
     """Symmetric-window principal value of a vectorized integrand.
 
-    `integrand` maps an (n, d) array of points to (n,) values; it is only
-    ever evaluated away from the origin and from +-c, c the declared
-    `singular_point`.  The even part (g(h) + g(-h))/2 is what is integrated,
-    so +-c is one patch, taken twice: the patch at -c has the bits of the
-    one at c.  The returned value extrapolates the window to (0, infinity)
-    by shell completion at both ends.
+    `integrand` maps an (n, d) array of points to (n,) values, without
+    writing into its argument; it is only ever evaluated away from the
+    origin and from +-c, c the declared `singular_point`.  The even part
+    (g(h) + g(-h))/2 is what is integrated, so +-c is one patch, taken
+    twice: the patch at -c has the bits of the one at c.  The returned
+    value extrapolates the window to (0, infinity) by shell completion at
+    both ends.
 
-    With `axial=True` the integrand must depend on h only through
-    (h . e1, |h|), and every sphere rule is the meridian rule; the singular
-    point must then lie on the e1 axis.  Without it, d is 2 or 3.
+    A pass is a plan, its geometry (points, radial and angular weights,
+    cutoff values), and a run: one integrand call per group of bands and
+    the per-band reduction.  With `axial=True` the integrand must depend on
+    h only through (h . e1, |h|), d >= 3, every sphere rule is the meridian
+    rule, and the singular point must lie on the e1 axis.  The plans are
+    then cached per (spec, d, c), and folded: the meridian nodes +-mu are
+    mirror images, where the even part takes one value, so it is evaluated
+    at mu >= 0 only, with the bits of the unfolded rule.  Without
+    `axial`, d is 2 or 3, and the plan is built as the run goes.
     """
     _check_range(d)
+    if axial and d < 3:
+        raise DomainError("the meridian rule of pv_integral needs d >= 3")
     patch = None if singular_point is None else _patch(singular_point)
     if axial and patch is not None and np.any(patch[0][1:]):
         raise DomainError("an axial integral needs its singular point on the e1 axis")
-
-    def rule(ang_nodes):
-        return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
+    c = None if patch is None else tuple(patch[0].tolist())
+    main_plan, patch_plan = _axial_plans(spec, d, c) if axial else _plans(spec, d, False, c)
 
     def sym(pts):
         return 0.5 * (np.asarray(integrand(pts), float) + np.asarray(integrand(-pts), float))
 
-    main_sum, scale, shells, main_jack, main_pts = _stage(
-        sym, _main_bands(spec, d, patch), rule, d, spec
-    )
+    main_sum, scale, shells, main_jack, main_rows = _stage(sym, main_plan)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
     patch_sum = patch_err = patch_jack = 0.0
-    patch_pts = 0
+    patch_rows = 0
     if patch is not None:
         center, radius = patch
 
@@ -437,9 +529,7 @@ def pv_integral(
             # part of the local singularity at evaluation level
             return 0.5 * (sym(center + local_pts) + sym(center - local_pts))
 
-        p_sum, p_scale, p_shells, patch_jack, patch_pts = _stage(
-            pair, _patch_bands(spec, radius), rule, d, spec
-        )
+        p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(pair, patch_plan)
         p_tail, p_tail_err = _completion(p_shells, p_scale)
         # the patch at -c has these bits: double the sum, tail error and jackknife
         patch_sum = 2.0 * (p_sum + p_tail)
@@ -449,8 +539,8 @@ def pv_integral(
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
-    # sym evaluates the integrand twice per point, and the patch's pair twice sym
-    nodes = 2 * main_pts + 4 * patch_pts
+    # sym evaluates the integrand twice per row, and the patch's pair twice sym
+    nodes = 2 * main_rows + 4 * patch_rows
     return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
 
 

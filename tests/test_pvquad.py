@@ -175,7 +175,8 @@ def test_symmetrized_tail_decays(spec):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
         bands = [(aa, bb, rule, None) for aa, bb in zip(edges[:-1], edges[1:])]
-        shell.append(abs(sum(pq._band_values(sym, bands, d, spec.radial_nodes))))
+        values, _ = pq._band_values(sym, pq._pass(bands, d, spec.radial_nodes, False))
+        shell.append(abs(sum(values)))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
 
@@ -192,11 +193,11 @@ def _rule(d):
 @pytest.mark.parametrize("d", [2, 4])
 def test_band_values_grouping_is_bitwise(spec, d):
     # grouped bands keep the bits of one integrand call per band, on the
-    # d = 2 full rule and on the d = 4 meridian rule, with the cutoff of the
-    # patch pair +-e1 on the bands that carry it
+    # d = 2 full rule and on the folded d = 4 meridian rule, with the cutoff
+    # of the patch pair +-e1 on the bands that carry it
     sym = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
-    rule = _rule(d)
+    rule, fold = _rule(d), d >= 3
     bands = [
         (a, b, rule(spec.angular_nodes * grade), cutoff)
         for a, b, grade, cutoff in pq._main_bands(window, d, pq._patch(np.eye(d)[0]))
@@ -208,11 +209,13 @@ def test_band_values_grouping_is_bitwise(spec, d):
         sizes.append(len(pts))
         return sym(pts)
 
-    grouped = pq._band_values(counted, bands, d, spec.radial_nodes)
-    assert sum(sizes) > 2 * pq._BATCH
+    grouped, rows = pq._band_values(counted, pq._pass(bands, d, spec.radial_nodes, fold))
+    assert rows == sum(sizes) > 2 * pq._BATCH
     assert 1 < len(sizes) < len(bands)
     assert all(n >= pq._BATCH for n in sizes[:-1])
-    single = [pq._band_values(sym, [band], d, spec.radial_nodes)[0] for band in bands]
+    single = [
+        pq._band_values(sym, pq._pass([band], d, spec.radial_nodes, fold))[0][0] for band in bands
+    ]
     assert _hex(grouped) == _hex(single)
 
 
@@ -271,13 +274,32 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, c):
     assert res.nodes_used == sum(rows)
 
 
-def test_pv_integral_independent_of_grouping(spec, monkeypatch):
+@pytest.fixture()
+def cold_plans():
+    # no cached meridian plan before or after the test
+    pq._axial_plans.cache_clear()
+    yield
+    pq._axial_plans.cache_clear()
+
+
+def test_pv_integral_independent_of_grouping(spec, monkeypatch, cold_plans):
     # every pass, patches included, gives the same bits with one band per call
     params = FracParams(2, 0.3, 0.1, 0.4)
     x = np.array([0.78, -1.04])
     batched = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
     monkeypatch.setattr(pq, "_BATCH", 1)
-    single = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
+    # the cached d = 4 plan was grouped at the old _BATCH
+    pq._axial_plans.cache_clear()
+    calls = []
+    kernel = pq._kernel
+    monkeypatch.setattr(pq, "_kernel", lambda *args: calls.append(1) or kernel(*args))
+    single = [pq.frac_op_num(params, x, spec)]
+    calls.clear()
+    single.append(pq.f_integral_num("f2", 4, 0.5, 0.25, spec))
+    # one call per band and pass: sym calls the integrand twice, the patch's pair four times
+    n_main = len(pq._main_bands(spec, 4, pq._patch(np.eye(4)[0])))
+    n_patch = len(pq._patch_bands(spec, pq._PATCH_RADIUS))
+    assert len(calls) == 2 * (2 * n_main + 4 * n_patch)
     for r1, r2 in zip(batched, single):
         assert _hex([r1.value, r1.err_estimate]) == _hex([r2.value, r2.err_estimate])
         assert r1.nodes_used == r2.nodes_used
@@ -300,7 +322,7 @@ _FRAC_OP_PINNED = [
     ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080544562882, 2.9246700334195034e-06, 421632),
     ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381845509547, 8.779571458129259e-06, 378432),
     ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008164176720555, 2.715951719846438e-06, 421632),
-    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 145152),
+    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 72576),
 ]
 
 
@@ -358,6 +380,96 @@ def test_axial_path_guards(spec):
         pq.pv_integral(g, 4, spec, singular_point=off, axial=True)
 
 
+def test_axial_rule_needs_three_dimensions(spec):
+    # the d = 2 meridian rule is not mirrored to the bit, so it cannot fold
+    g = f1_integrand(2, 0.5, 0.25)
+    for c in (None, E1):
+        with pytest.raises(DomainError):
+            pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
+
+
+def _plan_arrays(plans):
+    for plan in plans:
+        for groups in plan[1] if plan is not None else ():
+            for pts, bands in groups:
+                yield pts
+                for _, wr, oweights, cut, idx in bands:
+                    yield from (a for a in (wr, oweights, cut, idx) if a is not None)
+
+
+def test_cached_plan_is_read_only(spec, cold_plans):
+    # an integrand that writes into its argument raises on a cached plan,
+    # and the next call still has the bits of a cold one
+    d, c = 3, np.array([1.0, 0.0, 0.0])
+    g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+
+    def writer(h):
+        h *= 2.0
+        return g(h)
+
+    with pytest.raises(ValueError, match="read-only"):
+        pq.pv_integral(writer, d, spec, singular_point=c, axial=True)
+    arrays = list(_plan_arrays(pq._axial_plans(spec, d, (1.0, 0.0, 0.0))))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    warm = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    pq._axial_plans.cache_clear()
+    cold = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
+    assert warm.nodes_used == cold.nodes_used
+
+
+def test_cached_plans_keep_cold_bits(spec, cold_plans):
+    # interleaved d = 3 and 4 calls at two |c| reuse their own plans only
+    cases = [(d, norm, kind) for norm in (1.0, 0.5) for d in (3, 4) for kind in ("op", "pot")]
+
+    def run(d, norm, kind):
+        c = norm * np.eye(d)[0]
+        if kind == "op":
+            g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+        else:
+            g = _potential_integrand(d, 0.4, 0.2, c)
+        res = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+        return _hex([res.value, res.err_estimate]), res.nodes_used, res.converged
+
+    cold = {}
+    for case in cases:
+        pq._axial_plans.cache_clear()
+        cold[case] = run(*case)
+    pq._axial_plans.cache_clear()
+    for case in cases + cases[::-1]:
+        assert run(*case) == cold[case]
+    assert pq._axial_plans.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("kind", ["operator", "potential", "no-patch"])
+@pytest.mark.parametrize("spec_fields", [{}, {"angular_nodes": 18}], ids=["default", "odd-n"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans):
+    # the folded passes against the unfolded full meridian rule: the even
+    # part takes one value at the mirror nodes +-mu, so the fold keeps every
+    # bit; at 18 angular nodes the 9-node rule holds mu = 0, its own mirror
+    spec = pq.QuadratureSpec(**spec_fields)
+    c = 1.3 * np.eye(d)[0]
+    if kind == "operator":
+        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+    elif kind == "potential":
+        g = _potential_integrand(d, 0.4, 0.2, c)
+    else:
+        g = lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5  # noqa: E731
+        c = None
+    folded = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    unfolded_pass = pq._pass
+    monkeypatch.setattr(pq, "_pass", lambda bands, d, n, fold: unfolded_pass(bands, d, n, False))
+    pq._axial_plans.cache_clear()
+    full = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    assert _hex([folded.value, folded.err_estimate]) == _hex([full.value, full.err_estimate])
+    assert folded.converged == full.converged
+    if spec_fields:
+        assert full.nodes_used // 2 < folded.nodes_used < full.nodes_used
+    else:
+        assert 2 * folded.nodes_used == full.nodes_used
+
+
 # f1-f4 at d = 3 on the full product rule (14,053,376 nodes each); the
 # meridian rule has the same mu nodes, so only rounding, amplified by the
 # shell completion, separates the two
@@ -385,7 +497,7 @@ _D3_PINNED = [
 def test_three_dimensional_values_pinned(spec, which, s, delta, want):
     res = pq.f_integral_num(which, 3, s, delta, spec)
     assert res.value == pytest.approx(want, rel=1e-9)
-    assert res.nodes_used == 145152
+    assert res.nodes_used == 72576
 
 
 def test_axis_reduction_matches_full_rule_off_axis(spec):
