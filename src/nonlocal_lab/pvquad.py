@@ -22,6 +22,12 @@ evaluation strategy:
     by a patch in its own polar coordinates with graded bands; the even
     part gives the patches at c and -c the same bits, so one patch is
     integrated and taken twice;
+  * a plan depends on c only through |c|, which sets the bands and the
+    patch radius, and one cache (`_plan`) keeps the plans of both sphere
+    rules.  A plan's main cutoff values are those of the pair at |c| e1.  A
+    call with c off the e1 axis evaluates its cutoff in the run from the
+    cached points (`_pair_cutoff`), only at the rows within about R of
+    +-c: chi is exactly 0 farther out, so the cutoff keeps its bits;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
@@ -35,8 +41,7 @@ the Gauss nodes of that weight (Golub-Welsch).  That rule's nodes +-mu are
 mirror images, where such an integrand's even part takes the same bits, so
 its passes are folded: the plan holds the nodes mu >= 0, and the run
 rebuilds each full row from them before the reduction, which keeps every
-bit of the unfolded rule at half the integrand evaluations.  Its plans
-depend only on (spec, d, c), and are cached.
+bit of the unfolded rule at half the integrand evaluations.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
@@ -64,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _unit
+from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _rowdot, _unit
 from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
@@ -80,8 +85,10 @@ _PATCH_GUARD = 1e-10
 # until they hold this many, so the per-call overhead is paid per group.
 _BATCH = 4096
 
-# Most meridian-rule plans kept: a plan depends on (spec, d, c) alone, and
-# the oracles at d >= 3 put c at |x| e1.
+# Most plans kept by _plan.  At the default spec a d = 2 plan holds about
+# 3.5 MB (traced) and a d = 3 or 4 plan under 1 MB, so a full cache of d = 2
+# plans at distinct |c| holds about 56 MB; `first_variation_residual` at
+# d = 2 fills 6 entries.
 _PLAN_CACHE = 16
 
 
@@ -219,7 +226,7 @@ def _fold_index(n: int) -> np.ndarray:
     return _frozen(np.maximum(j, n - 1 - j) - n // 2)
 
 
-def _pass(bands, d: int, radial_nodes: int, fold: bool):
+def _pass(bands, d: int, radial_nodes: int, fold: bool) -> tuple:
     """The geometry of one pass over the bands (a, b, (omegas, oweights), cutoff), by group.
 
     Consecutive whole bands are grouped until they hold at least _BATCH
@@ -229,7 +236,7 @@ def _pass(bands, d: int, radial_nodes: int, fold: bool):
     of its n nodes: node j mirrors node n-1-j, and `idx` rebuilds the full
     row from them.  Every array is read-only, so a cached pass stays intact.
     """
-    group, size = [], 0
+    groups, group, size = [], [], 0
     for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
         r, wr = _log_band(a, b, radial_nodes, d)
         idx = None
@@ -242,27 +249,35 @@ def _pass(bands, d: int, radial_nodes: int, fold: bool):
         size += len(pts)
         if size < _BATCH and i + 1 < len(bands):
             continue
-        yield _frozen(np.concatenate([g[0] for g in group])), tuple(g[1] for g in group)
+        groups.append((_frozen(np.concatenate([g[0] for g in group])), tuple(g[1] for g in group)))
         group, size = [], 0
+    return tuple(groups)
 
 
-def _band_values(fn, groups) -> tuple[list[float], int]:
+def _band_values(fn, groups, cutoff=None) -> tuple[list[float], int]:
     """Values of one pass's bands, in order, and the number of rows fn saw.
 
     Each group of the pass is one fn call.  Each band is still reduced on
     its own rows, times its cutoff where it has one, so its value does not
     depend on the grouping; a folded band takes its values at the mirror
     nodes from the columns it kept, with the bits of an unfolded pass.
+    `cutoff`, if given, maps points to the cutoff values that replace the
+    ones the plan holds; it is evaluated once per group that has a cutoff.
     """
     values: list[float] = []
     rows = 0
     for pts, bands in groups:
         vals = fn(pts)
         rows += len(pts)
+        cuts = None
+        if cutoff is not None and any(band[3] is not None for band in bands):
+            cuts = cutoff(pts)
         start = 0
         for size, wr, oweights, cut, idx in bands:
             band = vals[start : start + size]
             if cut is not None:
+                if cuts is not None:
+                    cut = cuts[start : start + size]
                 band = band * cut
             band = band.reshape(len(wr), -1)
             if idx is not None:
@@ -377,68 +392,83 @@ def _split(edges, lo: float, hi: float, width: float) -> list:
 
 
 def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
-    """(a, b, grade, cutoff) bands of [r_min, r_max]; grade multiplies the angular nodes.
+    """(a, b, grade, cut) bands of [r_min, r_max]; grade multiplies the angular nodes.
 
     Bands meeting the annulus [|c| - R, |c| + R] are split to about R/4 and
-    carry the cutoff 1 - chi(|h - c|) - chi(|h + c|), exactly 1 off it; they
-    and a factor-2 halo, which still has patch-scale angular features, take the fine rule.
+    cut: they carry the pair cutoff 1 - chi(|h - c|) - chi(|h + c|), which
+    is exactly 1 off the annulus.  They and a factor-2 halo, which still has
+    patch-scale angular features, take the fine rule.  The bands depend on
+    c through |c| alone.
     """
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
     if patch is None:
-        return [(a, b, 1, None) for a, b in zip(edges[:-1], edges[1:])]
+        return [(a, b, 1, False) for a, b in zip(edges[:-1], edges[1:])]
     center, radius = patch
     norm = float(np.linalg.norm(center))
     lo, hi = norm - radius, norm + radius
     fine_mult = 6 if d == 2 else 2
-
-    def mask(pts):
-        # the cutoffs at +-c are disjoint, so their order keeps the bits
-        return 1.0 - _chi(_norms(pts - center), radius) - _chi(_norms(pts + center), radius)
-
     bands = []
     for a, b, split in _split(edges, lo, hi, radius / 4.0):
         fine = split or (b > 0.5 * lo and a < 2.0 * hi)
-        bands.append((a, b, fine_mult if fine else 1, mask if b > lo and a < hi else None))
+        bands.append((a, b, fine_mult if fine else 1, b > lo and a < hi))
     return bands
 
 
 def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
-    """The patch's bands of [_PATCH_RHO_MIN, R], split to about R/8; those
-    reaching past R/2 carry chi(|l|, R), which is exactly 1 inside R/2."""
+    """The patch's (a, b, 1, cut) bands of [_PATCH_RHO_MIN, R], split to about
+    R/8; those reaching past R/2 are cut: they carry chi(|l|, R), which is
+    exactly 1 inside R/2."""
     edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
-
-    def chi(local_pts):
-        return _chi(_norms(local_pts), radius)
-
     bands = _split(edges, 0.0, radius, radius / 8.0)
-    return [(a, b, 1, chi if b > 0.5 * radius else None) for a, b, _ in bands]
+    return [(a, b, 1, b > 0.5 * radius) for a, b, _ in bands]
 
 
-def _stage_plan(bands, rule, d: int, spec: QuadratureSpec, fold: bool):
-    """(shells, (nominal pass, jackknife pass)) of one stage's bands (a, b, grade, cutoff).
+def _pair_cutoff(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, with chi = chi(., R).
 
-    shells holds each band's log10 shell, by its midpoint.  The jackknife
-    pass runs a downgraded rule, whose difference from the nominal one
-    bounds the nominal discretization error.  The passes are lazy: each
-    group's geometry is built as the run reaches it.
+    chi is exactly 0 at |h -+ c| >= R, and the two balls are disjoint, so
+    the cutoff is exactly 1 unless 2 |h . c| > |h|^2 + |c|^2 - R^2.  That
+    test, with a relative margin far above its rounding, picks the rows
+    where the cutoff is evaluated; the others keep 1.0, the bits the full
+    expression gives them.  R <= |c|/2, so a row near +-c has h . c of
+    that sign, and the chi of the other point is exactly 0: 1 - chi of the
+    nearer point alone has the bits of the full expression.
+    """
+    cut = np.ones(len(pts))
+    proj = pts @ center
+    reach = (1.0 - 1e-9) * (_rowdot(pts, pts) + float(center @ center)) - radius * radius
+    near = np.flatnonzero(2.0 * np.abs(proj) >= reach)
+    side = np.where(proj[near] < 0.0, -1.0, 1.0)
+    cut[near] = 1.0 - _chi(_norms(pts[near] - side[:, None] * center), radius)
+    return cut
+
+
+def _stage_plan(bands, rule, d: int, spec: QuadratureSpec, fold: bool, cutoff):
+    """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
+
+    shells holds each band's log10 shell, by its midpoint, and the cut
+    bands carry the values of `cutoff` at their points.  The jackknife pass
+    runs a downgraded rule, whose difference from the nominal one bounds
+    the nominal discretization error.
     """
     low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
     passes = tuple(
-        _pass([(a, b, rule(ang_nodes * grade), cut) for a, b, grade, cut in bands], d, n, fold)
-        for n, ang_nodes in ((spec.radial_nodes, spec.angular_nodes), low)
+        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, fold)
+        for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
     return shells, passes
 
 
-def _stage(fn, plan):
+def _stage(fn, plan, cutoff=None):
     """(sum, scale, shell sums, jackknife difference, rows) of one stage plan.
 
     scale is the sum of |band values|, and rows counts the points fn saw
-    in both passes.
+    in both passes.  `cutoff` replaces the plan's cutoff values, as in
+    `_band_values`.
     """
     shells, passes = plan
-    (values, rows), (low_values, low_rows) = (_band_values(fn, p) for p in passes)
+    (values, rows), (low_values, low_rows) = (_band_values(fn, p, cutoff) for p in passes)
     total = float(sum(values))
     scale = float(sum(abs(v) for v in values)) + 1e-300
     jack = total - float(sum(low_values))
@@ -454,30 +484,31 @@ def _patch(singular_point):
     return center, radius
 
 
-def _plans(spec: QuadratureSpec, d: int, axial: bool, c):
-    """(main stage plan, patch stage plan or None) of pv_integral at the singular point c.
+@lru_cache(maxsize=_PLAN_CACHE)
+def _plan(spec: QuadratureSpec, d: int, axial: bool, norm: float | None):
+    """(main stage plan, patch stage plan or None) of pv_integral at a singular point of norm |c|.
 
-    c is a tuple or None.  The meridian rule (`axial`) is folded; the full
-    sphere rule is not.
+    norm is |c|, or None for no singular point.  Points, weights, fold
+    indices and the patch's chi depend on c only through |c|, and the main
+    cutoff values are those of the pair at |c| e1.  The meridian rule
+    (`axial`) is folded; the full sphere rule is not.
     """
-    patch = None if c is None else _patch(c)
 
     def rule(ang_nodes):
         return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
 
-    main = _stage_plan(_main_bands(spec, d, patch), rule, d, spec, axial)
-    if patch is None:
-        return main, None
-    return main, _stage_plan(_patch_bands(spec, patch[1]), rule, d, spec, axial)
+    if norm is None:
+        return _stage_plan(_main_bands(spec, d, None), rule, d, spec, axial, None), None
+    center, radius = _patch(norm * np.eye(d)[0])
 
+    def main_cutoff(pts):
+        return _pair_cutoff(pts, center, radius)
 
-@lru_cache(maxsize=_PLAN_CACHE)
-def _axial_plans(spec: QuadratureSpec, d: int, c):
-    """_plans on the meridian rule, each pass built whole once and kept."""
-    return tuple(
-        None if plan is None else (plan[0], tuple(tuple(p) for p in plan[1]))
-        for plan in _plans(spec, d, True, c)
-    )
+    def chi(local_pts):
+        return _chi(_norms(local_pts), radius)
+
+    main = _stage_plan(_main_bands(spec, d, (center, radius)), rule, d, spec, axial, main_cutoff)
+    return main, _stage_plan(_patch_bands(spec, radius), rule, d, spec, axial, chi)
 
 
 def pv_integral(
@@ -495,13 +526,16 @@ def pv_integral(
 
     A pass is a plan, its geometry (points, radial and angular weights,
     cutoff values), and a run: one integrand call per group of bands and
-    the per-band reduction.  With `axial=True` the integrand must depend on
-    h only through (h . e1, |h|), d >= 3, every sphere rule is the meridian
-    rule, and the singular point must lie on the e1 axis.  The plans are
-    then cached per (spec, d, c), and folded: the meridian nodes +-mu are
-    mirror images, where the even part takes one value, so it is evaluated
-    at mu >= 0 only, with the bits of the unfolded rule.  Without
-    `axial`, d is 2 or 3, and the plan is built as the run goes.
+    the per-band reduction.  Plans depend on (spec, d, axial, |c|) alone
+    and are cached (`_plan`); their main cutoff is that of the pair at
+    |c| e1, and a c off the e1 axis has its cutoff evaluated in the run,
+    only where it differs from 1, with the same bits.  With `axial=True` the
+    integrand must depend on h only through (h . e1, |h|), d >= 3, every
+    sphere rule is the meridian rule, and the singular point must lie on
+    the e1 axis.  Its plans are folded: the meridian nodes +-mu are mirror
+    images, where the even part takes one value, so it is evaluated at
+    mu >= 0 only, with the bits of the unfolded rule.  Without `axial`, d
+    is 2 or 3.
     """
     _check_range(d)
     if axial and d < 3:
@@ -509,13 +543,19 @@ def pv_integral(
     patch = None if singular_point is None else _patch(singular_point)
     if axial and patch is not None and np.any(patch[0][1:]):
         raise DomainError("an axial integral needs its singular point on the e1 axis")
-    c = None if patch is None else tuple(patch[0].tolist())
-    main_plan, patch_plan = _axial_plans(spec, d, c) if axial else _plans(spec, d, False, c)
+    norm = None if patch is None else float(np.linalg.norm(patch[0]))
+    main_plan, patch_plan = _plan(spec, d, axial, norm)
+    cutoff = None
+    if patch is not None and np.any(patch[0][1:]):
+        # the plan's cutoff values are those at |c| e1, and so at -|c| e1
+
+        def cutoff(pts):
+            return _pair_cutoff(pts, *patch)
 
     def sym(pts):
         return 0.5 * (np.asarray(integrand(pts), float) + np.asarray(integrand(-pts), float))
 
-    main_sum, scale, shells, main_jack, main_rows = _stage(sym, main_plan)
+    main_sum, scale, shells, main_jack, main_rows = _stage(sym, main_plan, cutoff)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 

@@ -190,17 +190,51 @@ def _rule(d):
     return (lambda n: pq._sphere_rule(2, n)) if d == 2 else (lambda n: pq._meridian_rule(d, n // 2))
 
 
+@pytest.fixture()
+def cold_plans():
+    # no cached plan before or after the test
+    pq._plan.cache_clear()
+    yield
+    pq._plan.cache_clear()
+
+
+def _band_points(passes):
+    # (points, cached cutoff values or None) of each band of a stage's passes
+    for groups in passes:
+        for pts, bands in groups:
+            start = 0
+            for size, _, _, cut, _ in bands:
+                yield pts[start : start + size], cut
+                start += size
+
+
+def _cutoff_of(patch):
+    # the pair cutoff of the patch (c, R) as the run evaluates it
+    return lambda pts: pq._pair_cutoff(pts, *patch)
+
+
+def _pair_mask(center, radius):
+    # the pair cutoff as written: 1 - chi(|h - c|) - chi(|h + c|) at every point
+    def mask(pts):
+        return 1.0 - pq._chi(norms(pts - center), radius) - pq._chi(norms(pts + center), radius)
+
+    return mask
+
+
 @pytest.mark.parametrize("d", [2, 4])
-def test_band_values_grouping_is_bitwise(spec, d):
-    # grouped bands keep the bits of one integrand call per band, on the
-    # d = 2 full rule and on the folded d = 4 meridian rule, with the cutoff
-    # of the patch pair +-e1 on the bands that carry it
+def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
+    # the cached plan's grouped bands keep the bits of one integrand call
+    # per band, on the d = 2 full rule and on the folded d = 4 meridian
+    # rule, with the cutoff of the patch pair +-e1 on the bands that carry
+    # it; at d = 2 also with the cutoff of an off-axis c evaluated in the run
     sym = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
     rule, fold = _rule(d), d >= 3
+    patch = pq._patch(np.eye(d)[0])
+    (_, (nominal, _)), _ = pq._plan(window, d, fold, 1.0)
     bands = [
-        (a, b, rule(spec.angular_nodes * grade), cutoff)
-        for a, b, grade, cutoff in pq._main_bands(window, d, pq._patch(np.eye(d)[0]))
+        (a, b, rule(spec.angular_nodes * grade), _cutoff_of(patch) if cut else None)
+        for a, b, grade, cut in pq._main_bands(window, d, patch)
     ]
     assert any(cutoff is not None for *_, cutoff in bands)
     sizes = []
@@ -209,7 +243,7 @@ def test_band_values_grouping_is_bitwise(spec, d):
         sizes.append(len(pts))
         return sym(pts)
 
-    grouped, rows = pq._band_values(counted, pq._pass(bands, d, spec.radial_nodes, fold))
+    grouped, rows = pq._band_values(counted, nominal)
     assert rows == sum(sizes) > 2 * pq._BATCH
     assert 1 < len(sizes) < len(bands)
     assert all(n >= pq._BATCH for n in sizes[:-1])
@@ -217,6 +251,15 @@ def test_band_values_grouping_is_bitwise(spec, d):
         pq._band_values(sym, pq._pass([band], d, spec.radial_nodes, fold))[0][0] for band in bands
     ]
     assert _hex(grouped) == _hex(single)
+    if d == 2:
+        off = pq._patch(np.array([0.6, 0.8]))
+        grouped, _ = pq._band_values(sym, nominal, _cutoff_of(off))
+        off_bands = [(a, b, ow, _cutoff_of(off) if cut else None) for a, b, ow, cut in bands]
+        single = [
+            pq._band_values(sym, pq._pass([band], d, spec.radial_nodes, fold))[0][0]
+            for band in off_bands
+        ]
+        assert _hex(grouped) == _hex(single)
 
 
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
@@ -228,24 +271,62 @@ def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
     center = norm * (np.array([0.6, -0.8]) if d == 2 else np.eye(d)[0])
     _, radius = pq._patch(center)
 
-    def mask(pts):
-        return 1.0 - pq._chi(norms(pts - center), radius) - pq._chi(norms(pts + center), radius)
-
     def chi(pts):
         return pq._chi(norms(pts), radius)
 
     rule = _rule(d)
     main, patch = pq._main_bands(spec, d, (center, radius)), pq._patch_bands(spec, radius)
-    for bands, full in ((main, mask), (patch, chi)):
-        assert any(cutoff is not None for *_, cutoff in bands)
+    for bands, full, cutoff in (
+        (main, _pair_mask(center, radius), _cutoff_of((center, radius))),
+        (patch, chi, chi),
+    ):
+        assert any(cut for *_, cut in bands)
         for radial_nodes, ang_nodes in ((10, 64), (7, 32)):
-            for a, b, grade, cutoff in bands:
+            for a, b, grade, cut in bands:
                 r, _ = pq._log_band(a, b, radial_nodes, d)
                 pts = (r[:, None, None] * rule(ang_nodes * grade)[0][None]).reshape(-1, d)
-                if cutoff is None:
+                if not cut:
                     assert np.all(full(pts) == 1.0)
                 else:
                     assert _hex(cutoff(pts)) == _hex(full(pts))
+
+
+def _directions(d, k):
+    # k unit vectors off the e1 axis, e1 . v of either sign
+    if d == 2:
+        return [np.array([math.cos(t), math.sin(t)]) for t in (0.3, 2.2, -1.1, math.pi / 2)][:k]
+    v = np.random.default_rng(3).standard_normal((k, d))
+    return list(v / norms(v)[:, None])
+
+
+@pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
+@pytest.mark.parametrize(
+    "d, axial", [(2, False), (3, False), (3, True)], ids=["d2-full", "d3-full", "d3-meridian"]
+)
+def test_plan_cutoff_is_bitwise(spec, d, axial, norm, cold_plans):
+    # on every band of both main passes of the cached plan: the cached values
+    # are the pair cutoff at |c| e1, the cutoff evaluated in the run at an
+    # off-axis c of that |c| is the full expression at c to the bit, and a
+    # band without cached values has the cutoff exactly 1 at every such c;
+    # the d = 3 product rule is taken coarse, at 12 x 24 nodes
+    if d == 3 and not axial:
+        spec = pq.QuadratureSpec(angular_nodes=24)
+    axis = norm * np.eye(d)[0]
+    (_, passes), _ = pq._plan(spec, d, axial, norm)
+    _, radius = pq._patch(axis)
+    centers = [axis, -axis] if axial else [axis] + [norm * v for v in _directions(d, 4)]
+    n_cut = 0
+    for pts, cut in _band_points(passes):
+        for center in centers:
+            full = _pair_mask(center, radius)(pts)
+            if cut is None:
+                assert np.all(full == 1.0)
+            else:
+                n_cut += 1
+                assert _hex(pq._pair_cutoff(pts, center, radius)) == _hex(full)
+        if cut is not None:
+            assert _hex(cut) == _hex(_pair_mask(axis, radius)(pts))
+    assert n_cut > 0
 
 
 _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
@@ -274,22 +355,14 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, c):
     assert res.nodes_used == sum(rows)
 
 
-@pytest.fixture()
-def cold_plans():
-    # no cached meridian plan before or after the test
-    pq._axial_plans.cache_clear()
-    yield
-    pq._axial_plans.cache_clear()
-
-
 def test_pv_integral_independent_of_grouping(spec, monkeypatch, cold_plans):
     # every pass, patches included, gives the same bits with one band per call
     params = FracParams(2, 0.3, 0.1, 0.4)
     x = np.array([0.78, -1.04])
     batched = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
     monkeypatch.setattr(pq, "_BATCH", 1)
-    # the cached d = 4 plan was grouped at the old _BATCH
-    pq._axial_plans.cache_clear()
+    # the cached plans were grouped at the old _BATCH
+    pq._plan.cache_clear()
     calls = []
     kernel = pq._kernel
     monkeypatch.setattr(pq, "_kernel", lambda *args: calls.append(1) or kernel(*args))
@@ -388,9 +461,9 @@ def test_axial_rule_needs_three_dimensions(spec):
             pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
 
 
-def _plan_arrays(plans):
-    for plan in plans:
-        for groups in plan[1] if plan is not None else ():
+def _plan_arrays(plan):
+    for stage in plan:
+        for groups in stage[1] if stage is not None else ():
             for pts, bands in groups:
                 yield pts
                 for _, wr, oweights, cut, idx in bands:
@@ -398,47 +471,57 @@ def _plan_arrays(plans):
 
 
 def test_cached_plan_is_read_only(spec, cold_plans):
-    # an integrand that writes into its argument raises on a cached plan,
-    # and the next call still has the bits of a cold one
-    d, c = 3, np.array([1.0, 0.0, 0.0])
-    g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+    # an integrand that writes into its argument raises on a cached plan, on
+    # the d = 2 full rule and the d = 3 meridian rule, and the next call
+    # still has the bits of a cold one
+    for d in (2, 3):
+        c, axial = np.eye(d)[0], d >= 3
+        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
 
-    def writer(h):
-        h *= 2.0
-        return g(h)
+        def writer(h):
+            h *= 2.0
+            return g(h)
 
-    with pytest.raises(ValueError, match="read-only"):
-        pq.pv_integral(writer, d, spec, singular_point=c, axial=True)
-    arrays = list(_plan_arrays(pq._axial_plans(spec, d, (1.0, 0.0, 0.0))))
-    assert arrays and not any(a.flags.writeable for a in arrays)
-    warm = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
-    pq._axial_plans.cache_clear()
-    cold = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
-    assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
-    assert warm.nodes_used == cold.nodes_used
+        with pytest.raises(ValueError, match="read-only"):
+            pq.pv_integral(writer, d, spec, singular_point=c, axial=axial)
+        arrays = list(_plan_arrays(pq._plan(spec, d, axial, 1.0)))
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        warm = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
+        pq._plan.cache_clear()
+        cold = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
+        assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
+        assert warm.nodes_used == cold.nodes_used
 
 
 def test_cached_plans_keep_cold_bits(spec, cold_plans):
-    # interleaved d = 3 and 4 calls at two |c| reuse their own plans only
-    cases = [(d, norm, kind) for norm in (1.0, 0.5) for d in (3, 4) for kind in ("op", "pot")]
+    # warm calls keep the bits of cold ones: at d = 2 at e1 and at two
+    # off-axis c, which take the plan of their |c| and evaluate their cutoff
+    # in the run, interleaved with d = 3 and 4 calls at three |c|
+    d2 = [(2, np.array(c)) for c in ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))]
+    nd = [(d, norm * np.eye(d)[0]) for d in (3, 4) for norm in (1.0, 0.5, 1.0 - 2.0**-53)]
+    points = [p for pair in zip(d2 + d2, nd) for p in pair]
+    cases = [(d, c, kind) for d, c in points for kind in ("op", "pot")]
 
-    def run(d, norm, kind):
-        c = norm * np.eye(d)[0]
+    def run(d, c, kind):
         if kind == "op":
             g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
         else:
             g = _potential_integrand(d, 0.4, 0.2, c)
-        res = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+        res = pq.pv_integral(g, d, spec, singular_point=c, axial=d >= 3)
         return _hex([res.value, res.err_estimate]), res.nodes_used, res.converged
 
-    cold = {}
+    cold = []
     for case in cases:
-        pq._axial_plans.cache_clear()
-        cold[case] = run(*case)
-    pq._axial_plans.cache_clear()
-    for case in cases + cases[::-1]:
-        assert run(*case) == cold[case]
-    assert pq._axial_plans.cache_info().currsize == 4
+        pq._plan.cache_clear()
+        cold.append(run(*case))
+    pq._plan.cache_clear()
+    for i in list(range(len(cases))) + list(range(len(cases)))[::-1]:
+        assert run(*cases[i]) == cold[i]
+    # one plan per dimension and |c|: the off-axis d = 2 calls add none;
+    # |(0.6, 0.8)| is 1, and |(cos 0.3, sin 0.3)| is 1 - 2^-53
+    keys = {(d, float(np.linalg.norm(c))) for d, c in points}
+    assert np.linalg.norm(d2[1][1]) == 1.0 and len(keys) == 2 + 2 * 3
+    assert pq._plan.cache_info().currsize == len(keys)
 
 
 @pytest.mark.parametrize("kind", ["operator", "potential", "no-patch"])
@@ -460,7 +543,7 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     folded = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
     unfolded_pass = pq._pass
     monkeypatch.setattr(pq, "_pass", lambda bands, d, n, fold: unfolded_pass(bands, d, n, False))
-    pq._axial_plans.cache_clear()
+    pq._plan.cache_clear()
     full = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
     assert _hex([folded.value, folded.err_estimate]) == _hex([full.value, full.err_estimate])
     assert folded.converged == full.converged
