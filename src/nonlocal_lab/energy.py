@@ -246,7 +246,8 @@ class _Grid:
             h = (rho[..., None] * self.om[:, None, :]).reshape(-1, d)
             x = r * np.eye(d)[0]
             dh = (self.ow[:, None] * t * rho**d).ravel()
-            x_out[i] = 2.0 * _kernel(pair, d, s, x, h, x + h) @ dh
+            (k,) = _kernel(pair, d, s, x, h, x + h)
+            x_out[i] = 2.0 * k @ dh
         # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled
         tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
         tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * sphere_area(d) * tail_a

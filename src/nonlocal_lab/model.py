@@ -195,25 +195,33 @@ def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
     return a + b, a
 
 
-def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Jump kernel k(x, y) for one point x != 0 and the rows of h, y = x + h.
+def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, *ys: np.ndarray) -> tuple:
+    """Jump kernel k(x, y) for one point x != 0, the rows of h and each y given.
 
     k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
-    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  y comes with h because
-    the callers need x + h for the field as well, and form it once.  With
-    b_rad = 0 the angular factor is skipped: the general formula would only
-    add 0.5 * 0.0 * (...), so the bits are the same.
+    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  Each y is x + h or
+    x - h, one array per y is returned, and y comes with h because the
+    callers need it for the field as well, and form it once.  |h|, its
+    power and <hhat, xhat>^2 are the same at h and -h, so they are taken
+    once for all ys; at y = x - h, the <hhat, yhat> of h is minus that of
+    -h, to the bit, so its square is that of -h.  With b_rad = 0 the angular
+    factor is skipped: the general formula would only add
+    0.5 * 0.0 * (...), so the bits are the same.
     """
     a_iso, b_rad = pair
     r = np.maximum(_norms(h), _ORIGIN_GUARD)
     rpow = r ** (-d - 2.0 * s)
     if b_rad == 0.0:
-        return a_iso * rpow
-    ry = np.maximum(_norms(y), _ORIGIN_GUARD)
-    cos_x = (h @ x) / (r * _norm(x))
-    # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
-    cos_y = sum((h[:, j] / r) * (y[:, j] / ry) for j in range(len(x)))
-    return rpow * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
+        return (a_iso * rpow,) * len(ys)
+    cos_x2 = ((h @ x) / (r * _norm(x))) ** 2
+    hhat = [h[:, j] / r for j in range(len(x))]
+    out = []
+    for y in ys:
+        ry = np.maximum(_norms(y), _ORIGIN_GUARD)
+        # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
+        cos_y = sum(hhat[j] * (y[:, j] / ry) for j in range(len(x)))
+        out.append(rpow * (a_iso + 0.5 * b_rad * (cos_x2 + cos_y**2)))
+    return tuple(out)
 
 
 def kernel_eval(params: FracParams, x, y) -> float:
@@ -226,7 +234,8 @@ def kernel_eval(params: FracParams, x, y) -> float:
     for pt in (x, y):
         _unit(pt)  # A has no value at the origin
     pair = _coeffs("fractional", params)
-    return float(_kernel(pair, params.d, params.s, x, h[None, :], y[None, :])[0])
+    (k,) = _kernel(pair, params.d, params.s, x, h[None, :], y[None, :])
+    return float(k[0])
 
 
 def log_coeff_norm(params: FracParams) -> float:

@@ -5,18 +5,24 @@ non-integrable singularity at the origin, possible kinks or integrable
 singularities at one point c != 0, and slow power decay at infinity.  The
 evaluation strategy:
 
-  * antipodal symmetrization g_sym(h) = (g(h) + g(-h))/2 cancels the odd
-    leading parts pointwise, which makes both the origin and the tail
-    absolutely convergent and realizes the principal value at the level of
-    the integrand; it also turns the point c into the antipodal pair +-c;
+  * the integrand gives its even part (g(h) + g(-h))/2, whose antipodal
+    symmetry cancels the odd leading parts of g pointwise, which makes both
+    the origin and the tail absolutely convergent and realizes the
+    principal value at the level of the integrand; it also turns the point
+    c into the antipodal pair +-c.  The oracles' even parts
+    (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
+    once per row, with the bits of the average of the two;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
     a spectral rule on the sphere handle each annulus.  `_stage` runs the
     main bands, and then the patch below, on the nominal and a downgraded
     jackknife rule.  Each pass is a plan and a run: the plan (`_pass`)
-    holds the geometry, the points in groups of whole bands, each band's
-    weights and its cutoff values; the run (`_band_values`) makes one
-    integrand call per group and reduces every band on its own, so the
-    grouping does not change a bit of any band value;
+    holds the geometry, the points in groups of whole bands, and each
+    group's consecutive like bands (one size, angular rule, fold index and
+    cutoff presence) as runs with their radial weights stacked and their
+    cutoff values concatenated; the run (`_band_values`) makes one
+    integrand call per group, one stacked angular product per run and one
+    radial dot per band, so the grouping does not change a bit of any band
+    value;
   * the pair +-c is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch in its own polar coordinates with graded bands; the even
@@ -65,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -230,11 +237,12 @@ def _pass(bands, d: int, radial_nodes: int, fold: bool) -> tuple:
     """The geometry of one pass over the bands (a, b, (omegas, oweights), cutoff), by group.
 
     Consecutive whole bands are grouped until they hold at least _BATCH
-    points; each group is (points, ((size, wr, oweights, cut, idx), ...)),
-    with a band's cutoff values `cut` at its points where it has a cutoff.
+    points; each group is (points, runs), its consecutive bands in runs of
+    one size, angular rule, fold index and cutoff presence (`_runs`).
     With `fold` (the meridian rule) a band keeps only the columns j >= n//2
-    of its n nodes: node j mirrors node n-1-j, and `idx` rebuilds the full
-    row from them.  Every array is read-only, so a cached pass stays intact.
+    of its n nodes: node j mirrors node n-1-j, and the fold index rebuilds
+    the full row from them.  Every array is read-only, so a cached pass
+    stays intact.
     """
     groups, group, size = [], [], 0
     for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
@@ -244,46 +252,63 @@ def _pass(bands, d: int, radial_nodes: int, fold: bool) -> tuple:
             idx = _fold_index(len(oweights))
             omegas = omegas[len(oweights) // 2 :]
         pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
-        cut = None if cutoff is None else _frozen(cutoff(pts))
-        group.append((pts, (len(pts), _frozen(wr), oweights, cut, idx)))
+        group.append((pts, wr, oweights, None if cutoff is None else cutoff(pts), idx))
         size += len(pts)
         if size < _BATCH and i + 1 < len(bands):
             continue
-        groups.append((_frozen(np.concatenate([g[0] for g in group])), tuple(g[1] for g in group)))
+        groups.append((_frozen(np.concatenate([g[0] for g in group])), _runs(group)))
         group, size = [], 0
     return tuple(groups)
+
+
+def _runs(bands) -> tuple:
+    """The runs of a group's consecutive (points, wr, oweights, cut, idx) bands.
+
+    A run is (size, wr, oweights, cut, idx): its number of points, its
+    bands' radial weights stacked (one row per band), their angular
+    weights and fold index, and their cutoff values concatenated, or None
+    where they have no cutoff.
+    """
+    runs = []
+    for _, run in groupby(bands, key=lambda b: (len(b[0]), id(b[2]), b[3] is None, id(b[4]))):
+        pts, wr, oweights, cut, idx = zip(*run)
+        cut = None if cut[0] is None else _frozen(np.concatenate(cut))
+        runs.append((sum(map(len, pts)), _frozen(np.stack(wr)), oweights[0], cut, idx[0]))
+    return tuple(runs)
 
 
 def _band_values(fn, groups, cutoff=None) -> tuple[list[float], int]:
     """Values of one pass's bands, in order, and the number of rows fn saw.
 
-    Each group of the pass is one fn call.  Each band is still reduced on
-    its own rows, times its cutoff where it has one, so its value does not
-    depend on the grouping; a folded band takes its values at the mirror
-    nodes from the columns it kept, with the bits of an unfolded pass.
-    `cutoff`, if given, maps points to the cutoff values that replace the
-    ones the plan holds; it is evaluated once per group that has a cutoff.
+    Each group of the pass is one fn call.  Each run of like bands takes
+    one cutoff product, one gather of a folded rule's mirror columns and
+    one stacked angular product, whose rows have the bits of each band's
+    own product; each band then takes its own radial dot.  So no band
+    value depends on the grouping, and a folded band has the bits of an
+    unfolded pass.  `cutoff`, if given, maps points to the cutoff values
+    that replace the ones the plan holds; it is evaluated once per group
+    that has a cutoff.
     """
     values: list[float] = []
     rows = 0
-    for pts, bands in groups:
+    for pts, runs in groups:
         vals = fn(pts)
         rows += len(pts)
         cuts = None
-        if cutoff is not None and any(band[3] is not None for band in bands):
+        if cutoff is not None and any(run[3] is not None for run in runs):
             cuts = cutoff(pts)
         start = 0
-        for size, wr, oweights, cut, idx in bands:
-            band = vals[start : start + size]
+        for size, wr, oweights, cut, idx in runs:
+            block = vals[start : start + size]
             if cut is not None:
-                if cuts is not None:
-                    cut = cuts[start : start + size]
-                band = band * cut
-            band = band.reshape(len(wr), -1)
+                block = block * (cut if cuts is None else cuts[start : start + size])
+            block = block.reshape(*wr.shape, -1)
             if idx is not None:
-                # a contiguous copy, reduced as the unfolded row would be
-                band = np.ascontiguousarray(band[:, idx])
-            values.append(float(wr @ (band @ oweights)))
+                block = block[:, :, idx]
+            # a 3-D product reduces each band as a 2-D one would; einsum or
+            # one taller 2-D product would change the bits
+            stacked = np.ascontiguousarray(block) @ oweights
+            values.extend(float(w @ m) for w, m in zip(wr, stacked))
             start += size
     return values, rows
 
@@ -514,28 +539,31 @@ def _plan(spec: QuadratureSpec, d: int, axial: bool, norm: float | None):
 def pv_integral(
     integrand, d: int, spec: QuadratureSpec, singular_point=None, axial: bool = False
 ) -> PVResult:
-    """Symmetric-window principal value of a vectorized integrand.
+    """Symmetric-window principal value of a vectorized even integrand.
 
-    `integrand` maps an (n, d) array of points to (n,) values, without
-    writing into its argument; it is only ever evaluated away from the
-    origin and from +-c, c the declared `singular_point`.  The even part
-    (g(h) + g(-h))/2 is what is integrated, so +-c is one patch, taken
-    twice: the patch at -c has the bits of the one at c.  The returned
-    value extrapolates the window to (0, infinity) by shell completion at
-    both ends.
+    `integrand` maps an (n, d) array of points h to the (n,) float values
+    of the even part (g(h) + g(-h))/2 of the integrand g, without writing
+    into its argument; it is only ever evaluated away from the origin and
+    from +-c, c the declared `singular_point`.  Integrating the even part
+    realizes the principal value, and it makes +-c one patch, taken twice:
+    the patch at -c has the bits of the one at c.  The returned value
+    extrapolates the window to (0, infinity) by shell completion at both
+    ends.  `nodes_used` counts the samples of g: two per main-band row, at
+    h and -h, and four per patch row, whose pair average takes the even
+    part at c + l and c - l.
 
     A pass is a plan, its geometry (points, radial and angular weights,
     cutoff values), and a run: one integrand call per group of bands and
-    the per-band reduction.  Plans depend on (spec, d, axial, |c|) alone
-    and are cached (`_plan`); their main cutoff is that of the pair at
-    |c| e1, and a c off the e1 axis has its cutoff evaluated in the run,
-    only where it differs from 1, with the same bits.  With `axial=True` the
-    integrand must depend on h only through (h . e1, |h|), d >= 3, every
-    sphere rule is the meridian rule, and the singular point must lie on
-    the e1 axis.  Its plans are folded: the meridian nodes +-mu are mirror
-    images, where the even part takes one value, so it is evaluated at
-    mu >= 0 only, with the bits of the unfolded rule.  Without `axial`, d
-    is 2 or 3.
+    one stacked reduction per run of like bands.  Plans depend on (spec, d,
+    axial, |c|) alone and are cached (`_plan`); their main cutoff is that
+    of the pair at |c| e1, and a c off the e1 axis has its cutoff evaluated
+    in the run, only where it differs from 1, with the same bits.  With
+    `axial=True` the integrand must depend on h only through (h . e1, |h|),
+    d >= 3, every sphere rule is the meridian rule, and the singular point
+    must lie on the e1 axis.  Its plans are folded: the meridian nodes +-mu
+    are mirror images, where the even part takes one value, so it is
+    evaluated at mu >= 0 only, with the bits of the unfolded rule.  Without
+    `axial`, d is 2 or 3.
     """
     _check_range(d)
     if axial and d < 3:
@@ -552,10 +580,7 @@ def pv_integral(
         def cutoff(pts):
             return _pair_cutoff(pts, *patch)
 
-    def sym(pts):
-        return 0.5 * (np.asarray(integrand(pts), float) + np.asarray(integrand(-pts), float))
-
-    main_sum, scale, shells, main_jack, main_rows = _stage(sym, main_plan, cutoff)
+    main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan, cutoff)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
@@ -567,7 +592,7 @@ def pv_integral(
         def pair(local_pts):
             # antipodal averaging inside the ball kills the odd leading
             # part of the local singularity at evaluation level
-            return 0.5 * (sym(center + local_pts) + sym(center - local_pts))
+            return 0.5 * (integrand(center + local_pts) + integrand(center - local_pts))
 
         p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(pair, patch_plan)
         p_tail, p_tail_err = _completion(p_shells, p_scale)
@@ -579,7 +604,7 @@ def pv_integral(
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
-    # sym evaluates the integrand twice per row, and the patch's pair twice sym
+    # the even part samples g at h and -h, and the patch's pair takes it twice
     nodes = 2 * main_rows + 4 * patch_rows
     return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
 
@@ -614,35 +639,54 @@ def _on_axis(integrate, d: int, x) -> PVResult:
     return _scaled(integrate(on_axis, True), float(x[0]) / r)
 
 
-def _operator_integrand(pair, d: int, s: float, p: float, x: np.ndarray):
-    """Integrand k_pair(x, x+h) (u(x) - u(x+h)) of the operator on u = |z|^(p-1) z1."""
+def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
+    """Even part in h of the operator's integrand k_pair(x, x+h) (u(x) - u(x+h)).
+
+    u = |z|^(p-1) z1.  The kernel at x + h and x - h shares |h|, its power
+    and <hhat, xhat>^2, and the field is taken at both points.  x - h has
+    the bits of x + (-h), so each row has the bits of (g(h) + g(-h))/2.
+    """
     ux = float(_field(p, x[None, :])[0])
 
-    def g(h):
-        y = x[None, :] + h
-        return _kernel(pair, d, s, x, h, y) * (ux - _field(p, y))
+    def even(h):
+        y_plus, y_minus = x + h, x - h
+        k_plus, k_minus = _kernel(pair, d, s, x, h, y_plus, y_minus)
+        return 0.5 * (k_plus * (ux - _field(p, y_plus)) + k_minus * (ux - _field(p, y_minus)))
 
-    return g
+    return even
 
 
 def _operator(pair, d: int, s: float, p: float, x, spec: QuadratureSpec) -> PVResult:
     """2 p.v. int k_pair(x, x+h) (u(x) - u(x+h)) dh at x != 0, u = |z|^(p-1) z1."""
 
     def integrate(x, axial):
-        g = _operator_integrand(pair, d, s, p, x)
-        return pv_integral(g, d, spec, singular_point=x, axial=axial)
+        even = _operator_even(pair, d, s, p, x)
+        return pv_integral(even, d, spec, singular_point=x, axial=axial)
 
     return _scaled(_on_axis(integrate, d, x), 2.0)
+
+
+def _potential_even(d: int, s: float, power: float, x: np.ndarray):
+    """Even part in h of the potential's integrand u(x - h) |h|^(-(d-1+s)).
+
+    u = |z|^(power-1) z1.  |h| and its power are taken once per row for
+    x - h and x + h, with the bits of (g(h) + g(-h))/2: |-h| has the bits
+    of |h|, and x - (-h) those of x + h.
+    """
+
+    def even(h):
+        w = _norms(h) ** (-(d - 1.0 + s))
+        return 0.5 * (_field(power, x - h) * w + _field(power, x + h) * w)
+
+    return even
 
 
 def _potential(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
     """p.v. int u(x - h) |h|^(-(d-1+s)) dh at x != 0, u = |z|^(power-1) z1: I_(1-s) of u."""
 
     def integrate(x, axial):
-        def g(h):
-            return _field(power, x[None, :] - h) * _norms(h) ** (-(d - 1.0 + s))
-
-        return pv_integral(g, d, spec, singular_point=x, axial=axial)
+        even = _potential_even(d, s, power, x)
+        return pv_integral(even, d, spec, singular_point=x, axial=axial)
 
     return _on_axis(integrate, d, x)
 

@@ -266,7 +266,7 @@ def test_radial_kernel_at_e1_is_the_f2_polynomial(rng):
         near = -e1 + u[200:] * 10.0 ** rng.uniform(-1.0, 0.0, size=(200, 1))
         h = np.concatenate([far, near])
         h = h[np.linalg.norm(h + e1, axis=1) > 1e-2]
-        got = _kernel((0.0, 1.0), d, s, e1, h, e1 + h)
+        (got,) = _kernel((0.0, 1.0), d, s, e1, h, e1 + h)
         g = -h
         r2 = np.sum(g * g, axis=1)
         g1 = g[:, 0]

@@ -6,7 +6,7 @@ import pytest
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
-from nonlocal_lab.model import FracParams, _field
+from nonlocal_lab.model import FracParams, _field, _kernel
 from nonlocal_lab.riesz import riesz_constants, riesz_kernel_constant, riesz_potential_num
 from nonlocal_lab.specfun import kappa
 
@@ -17,10 +17,37 @@ def norms(h):
     return np.sqrt(np.sum(h * h, axis=1))
 
 
+def _operator_integrand(pair, d, s, p, x):
+    # the operator's plain integrand k_pair(x, x+h) (u(x) - u(x+h)), whose
+    # even part pq._operator_even gives
+    ux = float(_field(p, x[None, :])[0])
+
+    def g(h):
+        y = x[None, :] + h
+        (k,) = _kernel(pair, d, s, x, h, y)
+        return k * (ux - _field(p, y))
+
+    return g
+
+
+def _potential_integrand(d, s, power, x):
+    # the potential's plain integrand u(x - h) |h|^(-(d-1+s)), whose even
+    # part pq._potential_even gives
+    def g(h):
+        return _field(power, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
+
+    return g
+
+
+def _even(g):
+    # the even part (g(h) + g(-h))/2 that pv_integral integrates
+    return lambda h: 0.5 * (g(h) + g(-h))
+
+
 def f1_integrand(d, s, delta):
     # f1 is -1/2 of the operator at e1 with the isotropic pair (1, 0), and the
     # operator is twice its p.v. integral: f1's integrand is the negated one
-    g = pq._operator_integrand((1.0, 0.0), d, s, 1.0 - delta, np.eye(d)[0])
+    g = _operator_integrand((1.0, 0.0), d, s, 1.0 - delta, np.eye(d)[0])
     return lambda h: -g(h)
 
 
@@ -32,14 +59,15 @@ def test_spec_validation():
 
 
 def test_odd_integrand_is_exactly_zero(spec):
-    res = pq.pv_integral(lambda h: norms(h) ** (-2 - 1.0) * h[:, 0], 2, spec)
+    # the even part of an odd integrand is 0.0 at every row
+    res = pq.pv_integral(_even(lambda h: norms(h) ** (-2 - 1.0) * h[:, 0]), 2, spec)
     assert res.value == 0.0
     assert res.err_estimate >= 0.0
     assert res.converged
 
 
 def test_pv_integral_f1_example(spec):
-    g = f1_integrand(2, 0.5, 0.25)
+    g = _even(f1_integrand(2, 0.5, 0.25))
     res = pq.pv_integral(g, 2, spec, singular_point=E1)
     want = cf.f1_closed(2, 0.5, 0.25)
     assert res.value == pytest.approx(want, rel=1e-4)
@@ -161,21 +189,17 @@ def test_frac_op_s_harmonic_linear_field(spec):
     assert abs(res.value) <= res.err_estimate + 1e-10
 
 
-def _even(g):
-    return lambda h: 0.5 * (g(h) + g(-h))
-
-
 def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
-    sym = _even(f1_integrand(d, s, delta))
+    even = _even(f1_integrand(d, s, delta))
     rule = pq._sphere_rule(d, spec.angular_nodes)
     shell = []
     for k in range(1, 5):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
         bands = [(aa, bb, rule, None) for aa, bb in zip(edges[:-1], edges[1:])]
-        values, _ = pq._band_values(sym, pq._pass(bands, d, spec.radial_nodes, False))
+        values, _ = pq._band_values(even, pq._pass(bands, d, spec.radial_nodes, False))
         shell.append(abs(sum(values)))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
@@ -199,12 +223,17 @@ def cold_plans():
 
 
 def _band_points(passes):
-    # (points, cached cutoff values or None) of each band of a stage's passes
+    # (points, cached cutoff values or None) of each band of a stage's
+    # passes: a run of like bands holds one row of radial weights per band,
+    # and its points and cutoff values band after band
     for groups in passes:
-        for pts, bands in groups:
+        for pts, runs in groups:
             start = 0
-            for size, _, _, cut, _ in bands:
-                yield pts[start : start + size], cut
+            for size, wr, _, cut, _ in runs:
+                step = size // len(wr)
+                for lo in range(0, size, step):
+                    band = slice(start + lo, start + lo + step)
+                    yield pts[band], None if cut is None else cut[lo : lo + step]
                 start += size
 
 
@@ -227,7 +256,7 @@ def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
     # per band, on the d = 2 full rule and on the folded d = 4 meridian
     # rule, with the cutoff of the patch pair +-e1 on the bands that carry
     # it; at d = 2 also with the cutoff of an off-axis c evaluated in the run
-    sym = _even(f1_integrand(d, 0.5, 0.25))
+    even = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
     rule, fold = _rule(d), d >= 3
     patch = pq._patch(np.eye(d)[0])
@@ -241,25 +270,92 @@ def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
 
     def counted(pts):
         sizes.append(len(pts))
-        return sym(pts)
+        return even(pts)
 
     grouped, rows = pq._band_values(counted, nominal)
     assert rows == sum(sizes) > 2 * pq._BATCH
     assert 1 < len(sizes) < len(bands)
     assert all(n >= pq._BATCH for n in sizes[:-1])
     single = [
-        pq._band_values(sym, pq._pass([band], d, spec.radial_nodes, fold))[0][0] for band in bands
+        pq._band_values(even, pq._pass([band], d, spec.radial_nodes, fold))[0][0] for band in bands
     ]
     assert _hex(grouped) == _hex(single)
     if d == 2:
         off = pq._patch(np.array([0.6, 0.8]))
-        grouped, _ = pq._band_values(sym, nominal, _cutoff_of(off))
+        grouped, _ = pq._band_values(even, nominal, _cutoff_of(off))
         off_bands = [(a, b, ow, _cutoff_of(off) if cut else None) for a, b, ow, cut in bands]
         single = [
-            pq._band_values(sym, pq._pass([band], d, spec.radial_nodes, fold))[0][0]
+            pq._band_values(even, pq._pass([band], d, spec.radial_nodes, fold))[0][0]
             for band in off_bands
         ]
         assert _hex(grouped) == _hex(single)
+
+
+def _stage_rows(stage):
+    # every point of both passes of a stage plan
+    return np.concatenate([pts for groups in stage[1] for pts, _ in groups])
+
+
+def _same_bits(a, b):
+    # float-hex equality of two float arrays, row by row
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "d, c",
+    [(2, (1.0, 0.0)), (2, (0.78, -1.04)), (3, (1.3, 0.0, 0.0)), (4, (1.0, 0.0, 0.0, 0.0))],
+    ids=["d2-axis", "d2-off-axis", "d3", "d4"],
+)
+def test_even_parts_are_bitwise(spec, d, c, cold_plans):
+    # each oracle's even part against (g(h) + g(-h))/2 of its plain
+    # integrand g, row by row to the bit: at the main-band points of the
+    # cached plan of |c| and at the patch points c + l and c - l
+    c = np.array(c)
+    main, patch = pq._plan(spec, d, d >= 3, float(np.linalg.norm(c)))
+    local = _stage_rows(patch)
+    points = [_stage_rows(main), c + local, c - local]
+    s, delta = 0.4, 0.2
+    p = 1.0 - delta
+    pairs = [
+        (pq._operator_even(pair, d, s, p, c), _operator_integrand(pair, d, s, p, c))
+        for pair in ((1.0, 0.0), (0.0, 1.0), (0.8, 0.3))
+    ]
+    pairs += [
+        (pq._potential_even(d, s, power, c), _potential_integrand(d, s, power, c))
+        for power in (s - delta, -1.0 - delta)
+    ]
+    for even, plain in pairs:
+        for pts in points:
+            assert _same_bits(even(pts), _even(plain)(pts))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_plans):
+    # the cached plan's runs of like bands, each reduced by one stacked
+    # product, against a plan of one band per group: the bits of every band
+    # of both passes of the main stage, with the plan's cutoff and with the
+    # cutoff of an off-axis c evaluated in the run, and of the patch stage
+    axial, c = d >= 3, np.eye(d)[0]
+    even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
+
+    def pair(local_pts):
+        return 0.5 * (even(c + local_pts) + even(c - local_pts))
+
+    stacked = pq._plan(spec, d, axial, 1.0)
+    monkeypatch.setattr(pq, "_BATCH", 1)
+    single = pq._plan.__wrapped__(spec, d, axial, 1.0)
+    # bands per run, from its stacked radial weights
+    runs = [len(r[1]) for stage in stacked for groups in stage[1] for _, rs in groups for r in rs]
+    assert max(runs) > 1 and len(runs) < sum(runs)
+    for stage in single:
+        assert all(len(rs) == len(rs[0][1]) == 1 for groups in stage[1] for _, rs in groups)
+    off = pq._patch(_directions(d, 1)[0])
+    cases = [(0, even, None), (0, even, _cutoff_of(off)), (1, pair, None)]
+    for stage, fn, cutoff in cases:
+        for by_run, by_band in zip(stacked[stage][1], single[stage][1]):
+            values, rows = pq._band_values(fn, by_run, cutoff)
+            want, want_rows = pq._band_values(fn, by_band, cutoff)
+            assert _hex(values) == _hex(want) and rows == want_rows
 
 
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
@@ -338,21 +434,29 @@ _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
     [(2, (0.78, -1.04)), (3, (1.3, 0.0, 0.0)), (2, None)],
     ids=["d2-full", "d3-meridian", "no-patch"],
 )
-def test_nodes_used_counts_integrand_rows(spec_fields, d, c):
-    # nodes_used, counted from the rule sizes, is every row the integrand saw
+def test_nodes_used_counts_integrand_rows(spec_fields, d, c, cold_plans):
+    # nodes_used, counted from the rule sizes, is every sample of g: the even
+    # integrand sees each main-band row once and each patch row twice, at
+    # c + l and c - l, and takes g at h and -h, so nodes_used is twice its
+    # rows, 2 per main-band row of the plan and 4 per patch row
+    spec, axial = pq.QuadratureSpec(**spec_fields), d == 3
     if c is None:
-        g = lambda h: np.exp(-norms(h)) * norms(h) ** -1.5  # noqa: E731
+        even = _even(lambda h: np.exp(-norms(h)) * norms(h) ** -1.5)
     else:
         c = np.array(c)
-        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+        even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
     rows = []
 
     def counted(h):
         rows.append(len(h))
-        return g(h)
+        return even(h)
 
-    res = pq.pv_integral(counted, d, pq.QuadratureSpec(**spec_fields), c, axial=d == 3)
-    assert res.nodes_used == sum(rows)
+    res = pq.pv_integral(counted, d, spec, c, axial=axial)
+    plan = pq._plan(spec, d, axial, None if c is None else float(np.linalg.norm(c)))
+    main_rows, patch_rows = (len(_stage_rows(stage)) if stage else 0 for stage in plan)
+    assert (patch_rows > 0) == (c is not None)
+    assert sum(rows) == main_rows + 2 * patch_rows
+    assert res.nodes_used == 2 * sum(rows) == 2 * main_rows + 4 * patch_rows
 
 
 def test_pv_integral_independent_of_grouping(spec, monkeypatch, cold_plans):
@@ -369,10 +473,11 @@ def test_pv_integral_independent_of_grouping(spec, monkeypatch, cold_plans):
     single = [pq.frac_op_num(params, x, spec)]
     calls.clear()
     single.append(pq.f_integral_num("f2", 4, 0.5, 0.25, spec))
-    # one call per band and pass: sym calls the integrand twice, the patch's pair four times
+    # one integrand call per band and pass, each taking the kernel once for
+    # its rows at h and -h; the patch's pair calls the integrand twice
     n_main = len(pq._main_bands(spec, 4, pq._patch(np.eye(4)[0])))
     n_patch = len(pq._patch_bands(spec, pq._PATCH_RADIUS))
-    assert len(calls) == 2 * (2 * n_main + 4 * n_patch)
+    assert len(calls) == 2 * (n_main + 2 * n_patch)
     for r1, r2 in zip(batched, single):
         assert _hex([r1.value, r1.err_estimate]) == _hex([r2.value, r2.err_estimate])
         assert r1.nodes_used == r2.nodes_used
@@ -444,7 +549,7 @@ def test_meridian_rule_folds_the_circle_rule(n):
 
 
 def test_axial_path_guards(spec):
-    g = f1_integrand(4, 0.5, 0.25)
+    g = _even(f1_integrand(4, 0.5, 0.25))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         pq.pv_integral(g, 4, spec, singular_point=e1)  # no full rule at d = 4
@@ -455,7 +560,7 @@ def test_axial_path_guards(spec):
 
 def test_axial_rule_needs_three_dimensions(spec):
     # the d = 2 meridian rule is not mirrored to the bit, so it cannot fold
-    g = f1_integrand(2, 0.5, 0.25)
+    g = _even(f1_integrand(2, 0.5, 0.25))
     for c in (None, E1):
         with pytest.raises(DomainError):
             pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
@@ -464,9 +569,9 @@ def test_axial_rule_needs_three_dimensions(spec):
 def _plan_arrays(plan):
     for stage in plan:
         for groups in stage[1] if stage is not None else ():
-            for pts, bands in groups:
+            for pts, runs in groups:
                 yield pts
-                for _, wr, oweights, cut, idx in bands:
+                for _, wr, oweights, cut, idx in runs:
                     yield from (a for a in (wr, oweights, cut, idx) if a is not None)
 
 
@@ -476,7 +581,7 @@ def test_cached_plan_is_read_only(spec, cold_plans):
     # still has the bits of a cold one
     for d in (2, 3):
         c, axial = np.eye(d)[0], d >= 3
-        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
 
         def writer(h):
             h *= 2.0
@@ -504,9 +609,9 @@ def test_cached_plans_keep_cold_bits(spec, cold_plans):
 
     def run(d, c, kind):
         if kind == "op":
-            g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+            g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
         else:
-            g = _potential_integrand(d, 0.4, 0.2, c)
+            g = pq._potential_even(d, 0.4, 0.2, c)
         res = pq.pv_integral(g, d, spec, singular_point=c, axial=d >= 3)
         return _hex([res.value, res.err_estimate]), res.nodes_used, res.converged
 
@@ -534,11 +639,11 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     spec = pq.QuadratureSpec(**spec_fields)
     c = 1.3 * np.eye(d)[0]
     if kind == "operator":
-        g = pq._operator_integrand((0.8, 0.3), d, 0.4, 0.8, c)
+        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
     elif kind == "potential":
-        g = _potential_integrand(d, 0.4, 0.2, c)
+        g = pq._potential_even(d, 0.4, 0.2, c)
     else:
-        g = lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5  # noqa: E731
+        g = _even(lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5)
         c = None
     folded = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
     unfolded_pass = pq._pass
@@ -606,14 +711,14 @@ def test_axis_reduction_matches_full_rule_off_axis(spec):
         kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
         return kern * (ux - field(1.0 - delta, y))
 
-    full = pq.pv_integral(op, d, spec, singular_point=x, axial=False)
+    full = pq.pv_integral(_even(op), d, spec, singular_point=x, axial=False)
     got = pq.frac_op_num(params, x, spec)
     assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
 
     def pot(h):
         return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
 
-    full = pq.pv_integral(pot, d, spec, singular_point=x, axial=False)
+    full = pq.pv_integral(_even(pot), d, spec, singular_point=x, axial=False)
     got = riesz_potential_num(d, s, delta, x, spec)
     assert got.value == pytest.approx(riesz_kernel_constant(d, 1.0 - s) * full.value, rel=1e-5)
 
@@ -628,13 +733,6 @@ def test_patch_geometry_guard(spec):
         pq._patch(np.zeros(2))
 
 
-def _potential_integrand(d, s, power, x):
-    def g(h):
-        return _field(power, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
-
-    return g
-
-
 @pytest.mark.parametrize(
     "d, x", [(2, (0.78, -1.04)), (3, (0.6, 0.48, 0.64))], ids=["d2-full", "d3-meridian"]
 )
@@ -647,8 +745,8 @@ def test_singular_point_sign_does_not_matter(spec, d, x):
     c = np.linalg.norm(x) * np.eye(d)[0] if axial else x
     s, delta = 0.4, 0.2
     for g in (
-        pq._operator_integrand((0.8, 0.3), d, s, 1.0 - delta, c),
-        _potential_integrand(d, s, s - delta, c),
+        pq._operator_even((0.8, 0.3), d, s, 1.0 - delta, c),
+        pq._potential_even(d, s, s - delta, c),
     ):
         plus = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
         minus = pq.pv_integral(g, d, spec, singular_point=-c, axial=axial)
@@ -657,7 +755,7 @@ def test_singular_point_sign_does_not_matter(spec, d, x):
 
 
 def test_singular_point_too_close_to_origin(spec):
-    g = f1_integrand(2, 0.5, 0.25)
+    g = _even(f1_integrand(2, 0.5, 0.25))
     for c in (np.array([2e-10, 0.0]), np.array([-1e-12, 1e-12]), np.zeros(2)):
         with pytest.raises(DomainError):
             pq.pv_integral(g, 2, spec, singular_point=c)
