@@ -39,31 +39,30 @@ evaluation strategy:
     sequence, whose measured ratio extrapolates the missing mass at both
     ends (this is the Richardson limit over shrinking/growing windows).
 
-The full sphere rule covers d = 2 and 3.  In any d >= 3 an integrand that
+The full sphere rule covers d = 2 and 3.  In any d >= 2 an integrand that
 depends on h only through (h . e1, |h|), with its singular point on the e1
 axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
 sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
-the Gauss nodes of that weight (Golub-Welsch).  That rule's nodes +-mu are
-mirror images, where such an integrand's even part takes the same bits, so
-its passes are folded: the plan holds the nodes mu >= 0, and the run
-rebuilds each full row from them before the reduction, which keeps every
-bit of the unfolded rule at half the integrand evaluations.
+the Gauss nodes of that weight (Golub-Welsch); at d = 2 it is the circle
+rule folded by h2 -> -h2, a half circle.  That rule's nodes +-mu are
+mirror images to the bit, where such an integrand's even part takes the
+same bits, so its passes are folded: the plan holds the nodes mu >= 0,
+and the run rebuilds each full row from them before the reduction, which
+keeps every bit of the unfolded rule at half the integrand evaluations.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
 pair (a_iso, b_rad), and the potential p.v. int u(x - h) |h|^(-(d-1+s)) dh
 of I_(1-s).  Both commute with rotations, so their value at x is (x1/|x|)
-times their value at |x| e1, where the integrand is axial.  `_on_axis` alone
-picks the rule: the meridian rule for d >= 3, the full circle at x itself
-for d = 2.  `frac_op_num` is the operator with the fractional pair, and the
+times their value at |x| e1, where the integrand is axial.  `_on_axis`
+takes every oracle there, onto the folded meridian rule in every d.
+`frac_op_num` is the operator with the fractional pair, and the
 Riesz oracles scale the potential.  The named integrals are the two oracles
 at e1: f1 and f2 are -1/2 times the operator on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
 f3 and f4 are the potential of the Riesz model's field (p = s - delta) and
-of its divergence field (p = -1 - delta).  The meridian rule also has a
-closed form at d = 2, which the energy's x rule uses; it is not mirrored to
-the bit, and `pv_integral` takes the meridian rule at d >= 3 only.  Every
-path is deterministic.
+of its divergence field (p = -1 - delta).  The energy's x rule takes the
+meridian rule too.  Every path is deterministic.
 """
 
 from __future__ import annotations
@@ -92,10 +91,11 @@ _PATCH_GUARD = 1e-10
 # until they hold this many, so the per-call overhead is paid per group.
 _BATCH = 4096
 
-# Most plans kept by _plan.  At the default spec a d = 2 plan holds about
-# 3.5 MB (traced) and a d = 3 or 4 plan under 1 MB, so a full cache of d = 2
-# plans at distinct |c| holds about 56 MB; `first_variation_residual` at
-# d = 2 fills 6 entries.
+# Most plans kept by _plan.  At the default spec a folded plan holds about
+# 1 MB (traced; 0.96 MB at d = 2), and a d = 2 full-circle plan of a
+# `pv_integral` call with axial=False 3.6 MB, so a full cache of oracle
+# plans holds about 16 MB; `first_variation_residual` at d = 2 fills 6
+# entries.
 _PLAN_CACHE = 16
 
 
@@ -180,11 +180,20 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     the Gauss-Legendre nodes of the product rule's mu factor.  At d = 2 the
     recurrence is 0/0 (lam = -1/2); the rule there is the upper half of the
     2n-node circle rule with doubled weights, the circle rule folded by
-    omega_2 -> -omega_2.
+    omega_2 -> -omega_2.  Its nodes j < n/2 (mu >= 0) are computed, and
+    node n-1-j is their exact mirror (-mu_j, sin theta_j), with (0, 1) in
+    the middle for odd n, so that, as in d >= 3, nodes j and n-1-j are
+    mirror images to the bit.
     """
     if d == 2:
-        omegas, weights = _sphere_rule(2, 2 * n)
-        return omegas[:n], _frozen(2.0 * weights[:n])
+        half = n // 2
+        theta = math.pi * (np.arange(half) + 0.5) / n
+        omegas = np.empty((n, 2))
+        omegas[:half] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        omegas[n - half :] = omegas[:half][::-1] * (-1.0, 1.0)
+        if n % 2:
+            omegas[half] = (0.0, 1.0)
+        return _frozen(omegas), _frozen(np.full(n, 2.0 * math.pi / n))
     lam = 0.5 * (d - 3)
     k = np.arange(1, n)
     jacobi = np.diag(np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0)), -1)
@@ -422,8 +431,11 @@ def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
     Bands meeting the annulus [|c| - R, |c| + R] are split to about R/4 and
     cut: they carry the pair cutoff 1 - chi(|h - c|) - chi(|h + c|), which
     is exactly 1 off the annulus.  They and a factor-2 halo, which still has
-    patch-scale angular features, take the fine rule.  The bands depend on
-    c through |c| alone.
+    patch-scale angular features, take the fine rule: 7 times the angular
+    nodes at d = 2 and 2 times above.  On the d = 2 meridian rule +-c sit at
+    a mirror-symmetric phase of the fine bands' equispaced nodes, the phase
+    where their aliasing error is largest; 6 times lost about 0.1 digits
+    there.  The bands depend on c through |c| alone.
     """
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
     if patch is None:
@@ -431,7 +443,7 @@ def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
     center, radius = patch
     norm = float(np.linalg.norm(center))
     lo, hi = norm - radius, norm + radius
-    fine_mult = 6 if d == 2 else 2
+    fine_mult = 7 if d == 2 else 2
     bands = []
     for a, b, split in _split(edges, lo, hi, radius / 4.0):
         fine = split or (b > 0.5 * lo and a < 2.0 * hi)
@@ -559,15 +571,13 @@ def pv_integral(
     of the pair at |c| e1, and a c off the e1 axis has its cutoff evaluated
     in the run, only where it differs from 1, with the same bits.  With
     `axial=True` the integrand must depend on h only through (h . e1, |h|),
-    d >= 3, every sphere rule is the meridian rule, and the singular point
-    must lie on the e1 axis.  Its plans are folded: the meridian nodes +-mu
-    are mirror images, where the even part takes one value, so it is
-    evaluated at mu >= 0 only, with the bits of the unfolded rule.  Without
-    `axial`, d is 2 or 3.
+    every sphere rule is the meridian rule, and the singular point must lie
+    on the e1 axis.  Its plans are folded: the meridian nodes +-mu are
+    mirror images, where the even part takes one value, so it is evaluated
+    at mu >= 0 only, with the bits of the unfolded rule.  Every oracle
+    takes this path; without `axial`, d is 2 or 3.
     """
     _check_range(d)
-    if axial and d < 3:
-        raise DomainError("the meridian rule of pv_integral needs d >= 3")
     patch = None if singular_point is None else _patch(singular_point)
     if axial and patch is not None and np.any(patch[0][1:]):
         raise DomainError("an axial integral needs its singular point on the e1 axis")
@@ -618,25 +628,24 @@ def _scaled(res: PVResult, factor: float) -> PVResult:
     )
 
 
-def _on_axis(integrate, d: int, x) -> PVResult:
-    """integrate(x, axial) of an operator on the field phi(|z|) z1, at x != 0.
+def _on_axis(even_at, d: int, x, spec: QuadratureSpec) -> PVResult:
+    """p.v. int of an operator's integrand on the field phi(|z|) z1, at x != 0.
 
-    The operators here commute with rotations, and phi(|z|) z1 is the e1
+    even_at(c) is the even part in h of the integrand at the point c.  The
+    operators here commute with rotations, and phi(|z|) z1 is the e1
     component of the vector field phi(|z|) z, which is rotation-equivariant.
-    So the value at x is (x1/|x|) times the value at |x| e1, where the
-    integrand depends on h only through (h . e1, |h|) and the meridian rule
-    applies.  At d = 2 the integral runs at x itself on the full rule.  This
-    is the one place that chooses between the two rules.
+    So the value at x is (x1/|x|) times the value at c = |x| e1, where the
+    integrand depends on h only through (h . e1, |h|) and the folded
+    meridian rule applies, in every d.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise DomainError(f"x must be a point in R^{d}")
     _, r = _unit(x)
-    if d == 2:
-        return integrate(x, False)
-    on_axis = np.zeros(d)
-    on_axis[0] = r
-    return _scaled(integrate(on_axis, True), float(x[0]) / r)
+    c = np.zeros(d)
+    c[0] = r
+    res = pv_integral(even_at(c), d, spec, singular_point=c, axial=True)
+    return _scaled(res, float(x[0]) / r)
 
 
 def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
@@ -658,12 +667,8 @@ def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
 
 def _operator(pair, d: int, s: float, p: float, x, spec: QuadratureSpec) -> PVResult:
     """2 p.v. int k_pair(x, x+h) (u(x) - u(x+h)) dh at x != 0, u = |z|^(p-1) z1."""
-
-    def integrate(x, axial):
-        even = _operator_even(pair, d, s, p, x)
-        return pv_integral(even, d, spec, singular_point=x, axial=axial)
-
-    return _scaled(_on_axis(integrate, d, x), 2.0)
+    res = _on_axis(lambda c: _operator_even(pair, d, s, p, c), d, x, spec)
+    return _scaled(res, 2.0)
 
 
 def _potential_even(d: int, s: float, power: float, x: np.ndarray):
@@ -683,12 +688,7 @@ def _potential_even(d: int, s: float, power: float, x: np.ndarray):
 
 def _potential(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
     """p.v. int u(x - h) |h|^(-(d-1+s)) dh at x != 0, u = |z|^(power-1) z1: I_(1-s) of u."""
-
-    def integrate(x, axial):
-        even = _potential_even(d, s, power, x)
-        return pv_integral(even, d, spec, singular_point=x, axial=axial)
-
-    return _on_axis(integrate, d, x)
+    return _on_axis(lambda c: _potential_even(d, s, power, c), d, x, spec)
 
 
 def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:

@@ -339,18 +339,18 @@ def test_gamma_limit_trend(spec):
 # parameter, so a re-pin keeps the test ids.
 PINNED_CONVEXITY = [
     # (s, eps, r1, r2, (energy of bump_x1(r1), lhs, rhs))
-    (0.6, 0.3, 0.4, 0.95, (0.01423932647005666, 0.009255887933908979, 0.009255887933908979)),
+    (0.6, 0.3, 0.4, 0.95, (0.01423932647005666, 0.00925588793390898, 0.00925588793390898)),
     (0.3, 0.0, 0.7, 0.5, (0.007825822267638814, 0.0010618055785356218, 0.0010618055785356218)),
-    (0.85, 0.45, 1.0, 0.6, (0.05920380258363226, 0.02119486020834985, 0.02119486020834985)),
+    (0.85, 0.45, 1.0, 0.6, (0.05920380258363227, 0.021194860208349854, 0.021194860208349854)),
 ]
 PINNED_PROBE = [
     # (eps, radius, nonlocal energies at s = 0.9, 0.95, 0.99, local energy)
-    (0.25, 0.8, (0.06907786995547277, 0.08255388604211708, 0.09538650148808903),
+    (0.25, 0.8, (0.06907786995547277, 0.08255388604211708, 0.09538650148808904),
      0.09892224782233605),
     (0.0, 1.0, (0.07671742228928467, 0.0901937763946465, 0.10283725405498563),
      0.10629208289690906),
-    (0.1, 0.55, (0.06647920393886923, 0.08278295663927664, 0.09883873020676319),
-     0.10334414886707985),
+    (0.1, 0.55, (0.06647920393886923, 0.08278295663927664, 0.0988387302067632),
+     0.10334414886707986),
 ]
 
 

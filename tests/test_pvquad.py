@@ -154,6 +154,16 @@ def test_frac_op_matches_closed_form_three_dims(spec):
     assert kappa(3, 0.4) * res.value == pytest.approx(closed, rel=1e-3)
 
 
+def test_frac_op_err_estimate_off_axis(spec):
+    # at this plain off-axis point the full circle at x under-reported its
+    # error 6.4x; reduced to |x| e1 the error is within the estimate
+    params = FracParams(2, 0.5, 0.25, 0.1)
+    x = np.array([0.6, 0.8])
+    res = pq.frac_op_num(params, x, spec)
+    closed = cf.operator_value(params, x) / kappa(2, 0.5)
+    assert abs(res.value - closed) <= res.err_estimate
+
+
 def test_frac_op_scaling(spec):
     params = FracParams(2, 0.5, 0.25, 0.1)
     v1 = pq.frac_op_num(params, E1, spec).value
@@ -210,7 +220,8 @@ def _hex(values):
 
 
 def _rule(d):
-    # the rule pv_integral takes: the full circle at d = 2, the meridian rule above
+    # the rule of these tests' passes: the full circle (axial=False) at d = 2,
+    # the meridian rule above
     return (lambda n: pq._sphere_rule(2, n)) if d == 2 else (lambda n: pq._meridian_rule(d, n // 2))
 
 
@@ -397,7 +408,9 @@ def _directions(d, k):
 
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize(
-    "d, axial", [(2, False), (3, False), (3, True)], ids=["d2-full", "d3-full", "d3-meridian"]
+    "d, axial",
+    [(2, False), (3, False), (3, True), (2, True)],
+    ids=["d2-full", "d3-full", "d3-meridian", "d2-meridian"],
 )
 def test_plan_cutoff_is_bitwise(spec, d, axial, norm, cold_plans):
     # on every band of both main passes of the cached plan: the cached values
@@ -497,9 +510,9 @@ def test_determinism_bitwise(spec):
 # (params, x, value, err_estimate, nodes_used) of frac_op_num; the kernel and
 # field it takes from `model` keep the integrand's operation order
 _FRAC_OP_PINNED = [
-    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080544562882, 2.9246700334195034e-06, 421632),
-    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381845509547, 8.779571458129259e-06, 378432),
-    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008164176720555, 2.715951719846438e-06, 421632),
+    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.8870806839037515, 2.815115031291827e-07, 113616),
+    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381911364636, 9.692909724470322e-06, 101088),
+    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008158878683338, 1.5625127809853158e-06, 113616),
     ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 72576),
 ]
 
@@ -558,12 +571,38 @@ def test_axial_path_guards(spec):
         pq.pv_integral(g, 4, spec, singular_point=off, axial=True)
 
 
-def test_axial_rule_needs_three_dimensions(spec):
-    # the d = 2 meridian rule is not mirrored to the bit, so it cannot fold
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 32, 224])
+def test_meridian_rule_mirrors_at_two_dimensions(n):
+    # node n-1-j of the d = 2 meridian rule is (-mu_j, sin theta_j) to the
+    # bit, the middle node of an odd n is (0, 1), and the nodes mu >= 0 are
+    # those of the 2n-node circle rule; the rule still integrates like it
+    om, w = pq._meridian_rule(2, n)
+    full_om, full_w = pq._sphere_rule(2, 2 * n)
+    half = n // 2
+    # == on mu, as the middle node's mu = 0 is its own mirror -0.0
+    assert np.array_equal(om[::-1, 0], -om[:, 0]) and _same_bits(om[::-1, 1], om[:, 1])
+    assert _same_bits(om[:half], full_om[:half]) and np.all(om[:half, 0] > 0.0)
+    if n % 2:
+        assert om[half].tolist() == [0.0, 1.0]
+    assert np.max(np.abs(om - full_om[:n])) <= 1e-15
+    assert _same_bits(w, 2.0 * full_w[:n])
+    for g in (np.exp, lambda m: 1.0 / (2.0 + m), lambda m: m**4):
+        assert float(w @ g(om[:, 0])) == pytest.approx(float(full_w @ g(full_om[:, 0])), rel=1e-14)
+
+
+def test_axial_path_at_two_dimensions(spec):
+    # pv_integral takes the folded meridian rule at d = 2 as in d >= 3: with
+    # no singular point and at one on the e1 axis it agrees with the full
+    # circle within both estimates, and an off-axis c is refused
     g = _even(f1_integrand(2, 0.5, 0.25))
     for c in (None, E1):
-        with pytest.raises(DomainError):
-            pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
+        axial = pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
+        full = pq.pv_integral(g, 2, spec, singular_point=c)
+        assert axial.converged and full.converged
+        assert abs(axial.value - full.value) <= axial.err_estimate + full.err_estimate
+        assert 3 * axial.nodes_used < full.nodes_used
+    with pytest.raises(DomainError):
+        pq.pv_integral(g, 2, spec, singular_point=np.array([0.6, 0.8]), axial=True)
 
 
 def _plan_arrays(plan):
@@ -631,11 +670,12 @@ def test_cached_plans_keep_cold_bits(spec, cold_plans):
 
 @pytest.mark.parametrize("kind", ["operator", "potential", "no-patch"])
 @pytest.mark.parametrize("spec_fields", [{}, {"angular_nodes": 18}], ids=["default", "odd-n"])
-@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("d", [3, 4, 5, 2])
 def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans):
     # the folded passes against the unfolded full meridian rule: the even
     # part takes one value at the mirror nodes +-mu, so the fold keeps every
-    # bit; at 18 angular nodes the 9-node rule holds mu = 0, its own mirror
+    # bit; at 18 angular nodes the 9-node rule holds mu = 0, its own mirror.
+    # At d = 2 the rule is the half circle, whose mirrors are exact too
     spec = pq.QuadratureSpec(**spec_fields)
     c = 1.3 * np.eye(d)[0]
     if kind == "operator":
@@ -690,37 +730,39 @@ def test_three_dimensional_values_pinned(spec, which, s, delta, want):
 
 def test_axis_reduction_matches_full_rule_off_axis(spec):
     # the value at an off-axis x, reduced to |x| e1, against the integrand
-    # at x itself on the d = 3 product rule
-    d, s, delta = 3, 0.4, 0.2
-    x = np.array([0.6, 0.48, 0.64])
-    rx = float(np.linalg.norm(x))
+    # at x itself on the full rule: the d = 3 product rule and the d = 2 circle
+    for x in ((0.6, 0.48, 0.64), (0.78, -1.04)):
+        x = np.array(x)
+        d, s, delta = len(x), 0.4, 0.2
+        rx = float(np.linalg.norm(x))
 
-    def field(power, z):
-        return norms(z) ** (power - 1.0) * z[:, 0]
+        def field(power, z):
+            return norms(z) ** (power - 1.0) * z[:, 0]
 
-    params = FracParams(d, s, delta, 0.15)
-    a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * params.epsilon
-    b_rad = 0.5 * (d + 2.0 * s) * params.epsilon
-    ux = float(field(1.0 - delta, x[None, :])[0])
+        params = FracParams(d, s, delta, 0.15)
+        a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * params.epsilon
+        b_rad = 0.5 * (d + 2.0 * s) * params.epsilon
+        ux = float(field(1.0 - delta, x[None, :])[0])
 
-    def op(h):
-        y = x[None, :] + h
-        r = norms(h)
-        cos_x = (h @ x) / (r * rx)
-        cos_y = np.sum(h * y, axis=1) / (r * norms(y))
-        kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
-        return kern * (ux - field(1.0 - delta, y))
+        def op(h):
+            y = x[None, :] + h
+            r = norms(h)
+            cos_x = (h @ x) / (r * rx)
+            cos_y = np.sum(h * y, axis=1) / (r * norms(y))
+            kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
+            return kern * (ux - field(1.0 - delta, y))
 
-    full = pq.pv_integral(_even(op), d, spec, singular_point=x, axial=False)
-    got = pq.frac_op_num(params, x, spec)
-    assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
+        full = pq.pv_integral(_even(op), d, spec, singular_point=x, axial=False)
+        got = pq.frac_op_num(params, x, spec)
+        assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
 
-    def pot(h):
-        return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
+        def pot(h):
+            return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
 
-    full = pq.pv_integral(_even(pot), d, spec, singular_point=x, axial=False)
-    got = riesz_potential_num(d, s, delta, x, spec)
-    assert got.value == pytest.approx(riesz_kernel_constant(d, 1.0 - s) * full.value, rel=1e-5)
+        full = pq.pv_integral(_even(pot), d, spec, singular_point=x, axial=False)
+        got = riesz_potential_num(d, s, delta, x, spec)
+        want = riesz_kernel_constant(d, 1.0 - s) * full.value
+        assert got.value == pytest.approx(want, rel=1e-5)
 
 
 def test_not_converged_on_divergent_integrand(spec):

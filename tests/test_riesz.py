@@ -68,6 +68,16 @@ def test_potential_is_homogeneous_field(spec):
     assert got == pytest.approx(c_star * r ** (1 - delta) * x[0] / r, rel=1e-6)
 
 
+def test_potential_err_estimate_off_axis(spec):
+    # a drawn point where the full circle at x under-reported its error 57x;
+    # reduced to |x| e1 the error against c* |x|^-delta x1 is within the estimate
+    d, s, delta = 2, 0.37558, 0.62360
+    x = np.array([0.73729, -0.67558])
+    c_star, _ = rz.riesz_constants(d, s, delta)
+    res = rz.riesz_potential_num(d, s, delta, x, spec)
+    assert abs(res.value - c_star * float(np.linalg.norm(x)) ** -delta * x[0]) <= res.err_estimate
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_potential_at_e1_is_scaled_f3(spec, d):
     # the Riesz oracle at e1 and f3 integrate one integrand on one rule
