@@ -13,42 +13,35 @@ evaluation strategy:
     (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
     once per row, with the bits of the average of the two;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
-    a spectral rule on the sphere handle each annulus.  `_stage` runs the
-    main bands, and then the patch below, on the nominal and a downgraded
-    jackknife rule.  Each pass is a plan and a run: the plan (`_pass`)
-    holds the geometry, the points in groups of whole bands, and each
-    group's consecutive like bands (one size, angular rule, fold index and
-    cutoff presence) as runs with their radial weights stacked and their
-    cutoff values concatenated; the run (`_band_values`) makes one
-    integrand call per group, one stacked angular product per run and one
-    radial dot per band, so the grouping does not change a bit of any band
-    value;
+    the meridian rule below on the sphere handle each annulus.  `_stage`
+    runs the main bands, and then the patch below, on the nominal and a
+    downgraded jackknife rule.  Each pass is a plan and a run: the plan
+    (`_pass`) holds the geometry, the points in groups of whole bands, and
+    each group's consecutive like bands (one size, angular rule, fold index
+    and cutoff presence) as runs with their radial weights stacked and their
+    cutoff values concatenated; the run (`_band_values`) makes one integrand
+    call per group, one stacked angular product per run and one radial dot
+    per band, so the grouping does not change a bit of any band value;
   * the pair +-c is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch in its own polar coordinates with graded bands; the even
     part gives the patches at c and -c the same bits, so one patch is
-    integrated and taken twice;
-  * a plan depends on c only through |c|, which sets the bands and the
-    patch radius, and one cache (`_plan`) keeps the plans of both sphere
-    rules.  A plan's main cutoff values are those of the pair at |c| e1.  A
-    call with c off the e1 axis evaluates its cutoff in the run from the
-    cached points (`_pair_cutoff`), only at the rows within about R of
-    +-c: chi is exactly 0 farther out, so the cutoff keeps its bits;
+    integrated and taken twice.  c lies on the e1 axis, so the plans depend
+    on c only through |c|, and `_plan` caches them by |c|;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
     ends (this is the Richardson limit over shrinking/growing windows).
 
-The full sphere rule covers d = 2 and 3.  In any d >= 2 an integrand that
-depends on h only through (h . e1, |h|), with its singular point on the e1
-axis, is integrated on a meridian rule (`axial=True`): by Funk-Hecke the
-sphere integral is |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken at
+The integrand depends on h only through (h . e1, |h|).  By Funk-Hecke its
+sphere integral in any d >= 2 is
+|S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken on the meridian rule at
 the Gauss nodes of that weight (Golub-Welsch); at d = 2 it is the circle
-rule folded by h2 -> -h2, a half circle.  That rule's nodes +-mu are
-mirror images to the bit, where such an integrand's even part takes the
-same bits, so its passes are folded: the plan holds the nodes mu >= 0,
-and the run rebuilds each full row from them before the reduction, which
-keeps every bit of the unfolded rule at half the integrand evaluations.
+rule folded by h2 -> -h2, a half circle.  That rule's nodes +-mu are mirror
+images to the bit, where the even part takes the same bits, so the passes
+are folded: the plan holds the nodes mu >= 0, and the run rebuilds each
+full row from them before the reduction, which keeps every bit of the
+unfolded rule at half the integrand evaluations.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
@@ -75,7 +68,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _rowdot, _unit
+from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _unit
 from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
@@ -91,11 +84,9 @@ _PATCH_GUARD = 1e-10
 # until they hold this many, so the per-call overhead is paid per group.
 _BATCH = 4096
 
-# Most plans kept by _plan.  At the default spec a folded plan holds about
-# 1 MB (traced; 0.96 MB at d = 2), and a d = 2 full-circle plan of a
-# `pv_integral` call with axial=False 3.6 MB, so a full cache of oracle
-# plans holds about 16 MB; `first_variation_residual` at d = 2 fills 6
-# entries.
+# Most plans kept by _plan.  At the default spec a plan holds about 1 MB
+# (traced; 0.96 MB at d = 2), so a full cache holds about 16 MB;
+# `first_variation_residual` at d = 2 fills 6 entries.
 _PLAN_CACHE = 16
 
 
@@ -142,33 +133,6 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _sphere_rule(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights integrating smooth functions over S^(d-1)."""
-    if d == 2:
-        theta = 2.0 * math.pi * (np.arange(angular_nodes) + 0.5) / angular_nodes
-        omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
-        return _frozen(omegas), _frozen(weights)
-    if d == 3:
-        n_mu = max(8, angular_nodes // 2)
-        n_phi = max(8, angular_nodes)
-        mu, wmu = _gl(n_mu)
-        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        sin_t = np.sqrt(1.0 - mu**2)
-        omegas = np.stack(
-            [
-                np.repeat(mu, n_phi),
-                np.repeat(sin_t, n_phi) * np.tile(np.cos(phi), n_mu),
-                np.repeat(sin_t, n_phi) * np.tile(np.sin(phi), n_mu),
-            ],
-            axis=1,
-        )
-        weights = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
-        return _frozen(omegas), _frozen(weights)
-    raise DomainError("the full sphere rule covers d in {2, 3}; use the meridian rule")
-
-
-@lru_cache(maxsize=32)
 def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating functions of omega_1 alone over S^(d-1).
 
@@ -177,13 +141,13 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Jacobi matrix of the Gegenbauer recurrence, with weights from the first
     eigenvector components (Golub & Welsch 1969).  The weights sum to
     |S^(d-1)| = |S^(d-2)| int (1 - mu^2)^lam dmu.  At d = 3 the nodes are
-    the Gauss-Legendre nodes of the product rule's mu factor.  At d = 2 the
-    recurrence is 0/0 (lam = -1/2); the rule there is the upper half of the
-    2n-node circle rule with doubled weights, the circle rule folded by
-    omega_2 -> -omega_2.  Its nodes j < n/2 (mu >= 0) are computed, and
-    node n-1-j is their exact mirror (-mu_j, sin theta_j), with (0, 1) in
-    the middle for odd n, so that, as in d >= 3, nodes j and n-1-j are
-    mirror images to the bit.
+    the Gauss-Legendre nodes.  At d = 2 the recurrence is 0/0 (lam = -1/2);
+    the rule there is the upper half of the 2n-node circle rule (angles
+    pi (k + 1/2)/n, weights pi/n) with doubled weights, the circle rule
+    folded by omega_2 -> -omega_2.  Its nodes j < n/2 (mu >= 0) are
+    computed, and node n-1-j is their exact mirror (-mu_j, sin theta_j),
+    with (0, 1) in the middle for odd n, so that, as in d >= 3, nodes j and
+    n-1-j are mirror images to the bit.
     """
     if d == 2:
         half = n // 2
@@ -248,10 +212,10 @@ def _pass(bands, d: int, radial_nodes: int, fold: bool) -> tuple:
     Consecutive whole bands are grouped until they hold at least _BATCH
     points; each group is (points, runs), its consecutive bands in runs of
     one size, angular rule, fold index and cutoff presence (`_runs`).
-    With `fold` (the meridian rule) a band keeps only the columns j >= n//2
-    of its n nodes: node j mirrors node n-1-j, and the fold index rebuilds
-    the full row from them.  Every array is read-only, so a cached pass
-    stays intact.
+    With `fold`, as in every plan, a band keeps only the columns j >= n//2
+    of its n meridian nodes: node j mirrors node n-1-j, and the fold index
+    rebuilds the full row from them; the unfolded pass is the fold's test
+    reference.  Every array is read-only, so a cached pass stays intact.
     """
     groups, group, size = [], [], 0
     for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
@@ -286,7 +250,7 @@ def _runs(bands) -> tuple:
     return tuple(runs)
 
 
-def _band_values(fn, groups, cutoff=None) -> tuple[list[float], int]:
+def _band_values(fn, groups) -> tuple[list[float], int]:
     """Values of one pass's bands, in order, and the number of rows fn saw.
 
     Each group of the pass is one fn call.  Each run of like bands takes
@@ -294,23 +258,18 @@ def _band_values(fn, groups, cutoff=None) -> tuple[list[float], int]:
     one stacked angular product, whose rows have the bits of each band's
     own product; each band then takes its own radial dot.  So no band
     value depends on the grouping, and a folded band has the bits of an
-    unfolded pass.  `cutoff`, if given, maps points to the cutoff values
-    that replace the ones the plan holds; it is evaluated once per group
-    that has a cutoff.
+    unfolded pass.
     """
     values: list[float] = []
     rows = 0
     for pts, runs in groups:
         vals = fn(pts)
         rows += len(pts)
-        cuts = None
-        if cutoff is not None and any(run[3] is not None for run in runs):
-            cuts = cutoff(pts)
         start = 0
         for size, wr, oweights, cut, idx in runs:
             block = vals[start : start + size]
             if cut is not None:
-                block = block * (cut if cuts is None else cuts[start : start + size])
+                block = block * cut
             block = block.reshape(*wr.shape, -1)
             if idx is not None:
                 block = block[:, :, idx]
@@ -461,51 +420,40 @@ def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
 
 
 def _pair_cutoff(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, with chi = chi(., R).
-
-    chi is exactly 0 at |h -+ c| >= R, and the two balls are disjoint, so
-    the cutoff is exactly 1 unless 2 |h . c| > |h|^2 + |c|^2 - R^2.  That
-    test, with a relative margin far above its rounding, picks the rows
-    where the cutoff is evaluated; the others keep 1.0, the bits the full
-    expression gives them.  R <= |c|/2, so a row near +-c has h . c of
-    that sign, and the chi of the other point is exactly 0: 1 - chi of the
-    nearer point alone has the bits of the full expression.
-    """
-    cut = np.ones(len(pts))
-    proj = pts @ center
-    reach = (1.0 - 1e-9) * (_rowdot(pts, pts) + float(center @ center)) - radius * radius
-    near = np.flatnonzero(2.0 * np.abs(proj) >= reach)
-    side = np.where(proj[near] < 0.0, -1.0, 1.0)
-    cut[near] = 1.0 - _chi(_norms(pts[near] - side[:, None] * center), radius)
-    return cut
+    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, with chi = chi(., R)."""
+    return 1.0 - _chi(_norms(pts - center), radius) - _chi(_norms(pts + center), radius)
 
 
-def _stage_plan(bands, rule, d: int, spec: QuadratureSpec, fold: bool, cutoff):
+def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff):
     """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
-    shells holds each band's log10 shell, by its midpoint, and the cut
-    bands carry the values of `cutoff` at their points.  The jackknife pass
-    runs a downgraded rule, whose difference from the nominal one bounds
-    the nominal discretization error.
+    A band of grade g takes the folded meridian rule of max(8, m g / 2)
+    nodes, m the pass's angular nodes.  shells holds each band's log10
+    shell, by its midpoint, and the cut bands carry the values of `cutoff`
+    at their points.  The jackknife pass runs a downgraded rule, whose
+    difference from the nominal one bounds the nominal discretization error.
     """
+
+    def rule(ang_nodes):
+        return _meridian_rule(d, max(8, ang_nodes // 2))
+
     low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
     passes = tuple(
-        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, fold)
+        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, True)
         for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
     return shells, passes
 
 
-def _stage(fn, plan, cutoff=None):
+def _stage(fn, plan):
     """(sum, scale, shell sums, jackknife difference, rows) of one stage plan.
 
     scale is the sum of |band values|, and rows counts the points fn saw
-    in both passes.  `cutoff` replaces the plan's cutoff values, as in
-    `_band_values`.
+    in both passes.
     """
     shells, passes = plan
-    (values, rows), (low_values, low_rows) = (_band_values(fn, p, cutoff) for p in passes)
+    (values, rows), (low_values, low_rows) = (_band_values(fn, p) for p in passes)
     total = float(sum(values))
     scale = float(sum(abs(v) for v in values)) + 1e-300
     jack = total - float(sum(low_values))
@@ -522,20 +470,14 @@ def _patch(singular_point):
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
-def _plan(spec: QuadratureSpec, d: int, axial: bool, norm: float | None):
+def _plan(spec: QuadratureSpec, d: int, norm: float | None):
     """(main stage plan, patch stage plan or None) of pv_integral at a singular point of norm |c|.
 
-    norm is |c|, or None for no singular point.  Points, weights, fold
-    indices and the patch's chi depend on c only through |c|, and the main
-    cutoff values are those of the pair at |c| e1.  The meridian rule
-    (`axial`) is folded; the full sphere rule is not.
+    norm is |c|, or None for no singular point; the plans are those of the
+    pair at |c| e1, whose cutoff values they hold.
     """
-
-    def rule(ang_nodes):
-        return _meridian_rule(d, max(8, ang_nodes // 2)) if axial else _sphere_rule(d, ang_nodes)
-
     if norm is None:
-        return _stage_plan(_main_bands(spec, d, None), rule, d, spec, axial, None), None
+        return _stage_plan(_main_bands(spec, d, None), d, spec, None), None
     center, radius = _patch(norm * np.eye(d)[0])
 
     def main_cutoff(pts):
@@ -544,53 +486,41 @@ def _plan(spec: QuadratureSpec, d: int, axial: bool, norm: float | None):
     def chi(local_pts):
         return _chi(_norms(local_pts), radius)
 
-    main = _stage_plan(_main_bands(spec, d, (center, radius)), rule, d, spec, axial, main_cutoff)
-    return main, _stage_plan(_patch_bands(spec, radius), rule, d, spec, axial, chi)
+    main = _stage_plan(_main_bands(spec, d, (center, radius)), d, spec, main_cutoff)
+    return main, _stage_plan(_patch_bands(spec, radius), d, spec, chi)
 
 
-def pv_integral(
-    integrand, d: int, spec: QuadratureSpec, singular_point=None, axial: bool = False
-) -> PVResult:
-    """Symmetric-window principal value of a vectorized even integrand.
+def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) -> PVResult:
+    """Symmetric-window principal value of a vectorized even axial integrand.
 
     `integrand` maps an (n, d) array of points h to the (n,) float values
     of the even part (g(h) + g(-h))/2 of the integrand g, without writing
-    into its argument; it is only ever evaluated away from the origin and
-    from +-c, c the declared `singular_point`.  Integrating the even part
-    realizes the principal value, and it makes +-c one patch, taken twice:
-    the patch at -c has the bits of the one at c.  The returned value
-    extrapolates the window to (0, infinity) by shell completion at both
-    ends.  `nodes_used` counts the samples of g: two per main-band row, at
-    h and -h, and four per patch row, whose pair average takes the even
-    part at c + l and c - l.
+    into its argument; g depends on h only through (h . e1, |h|).  It is
+    only ever evaluated away from the origin and from +-c, c the declared
+    `singular_point`, which must be a point of R^d on the e1 axis.
+    Integrating the even part realizes the principal value, and it makes
+    +-c one patch, taken twice: the patch at -c has the bits of the one at
+    c.  The returned value extrapolates the window to (0, infinity) by
+    shell completion at both ends.  `nodes_used` counts the samples of g:
+    two per main-band row, at h and -h, and four per patch row, whose pair
+    average takes the even part at c + l and c - l.
 
-    A pass is a plan, its geometry (points, radial and angular weights,
-    cutoff values), and a run: one integrand call per group of bands and
-    one stacked reduction per run of like bands.  Plans depend on (spec, d,
-    axial, |c|) alone and are cached (`_plan`); their main cutoff is that
-    of the pair at |c| e1, and a c off the e1 axis has its cutoff evaluated
-    in the run, only where it differs from 1, with the same bits.  With
-    `axial=True` the integrand must depend on h only through (h . e1, |h|),
-    every sphere rule is the meridian rule, and the singular point must lie
-    on the e1 axis.  Its plans are folded: the meridian nodes +-mu are
-    mirror images, where the even part takes one value, so it is evaluated
-    at mu >= 0 only, with the bits of the unfolded rule.  Every oracle
-    takes this path; without `axial`, d is 2 or 3.
+    The sphere rule is the meridian rule, folded: its nodes +-mu are mirror
+    images, where the even part takes one value, so it is evaluated at
+    mu >= 0 only, with the bits of the unfolded rule.  The geometry of the
+    passes is cached by (spec, d, |c|) (`_plan`).
     """
     _check_range(d)
-    patch = None if singular_point is None else _patch(singular_point)
-    if axial and patch is not None and np.any(patch[0][1:]):
-        raise DomainError("an axial integral needs its singular point on the e1 axis")
-    norm = None if patch is None else float(np.linalg.norm(patch[0]))
-    main_plan, patch_plan = _plan(spec, d, axial, norm)
-    cutoff = None
-    if patch is not None and np.any(patch[0][1:]):
-        # the plan's cutoff values are those at |c| e1, and so at -|c| e1
-
-        def cutoff(pts):
-            return _pair_cutoff(pts, *patch)
-
-    main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan, cutoff)
+    patch = norm = None
+    if singular_point is not None:
+        if np.shape(singular_point) != (d,):
+            raise DomainError(f"singular_point must be a point in R^{d}")
+        patch = _patch(singular_point)
+        if np.any(patch[0][1:]):
+            raise DomainError("the singular point must lie on the e1 axis")
+        norm = float(np.linalg.norm(patch[0]))
+    main_plan, patch_plan = _plan(spec, d, norm)
+    main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
@@ -644,7 +574,7 @@ def _on_axis(even_at, d: int, x, spec: QuadratureSpec) -> PVResult:
     _, r = _unit(x)
     c = np.zeros(d)
     c[0] = r
-    res = pv_integral(even_at(c), d, spec, singular_point=c, axial=True)
+    res = pv_integral(even_at(c), d, spec, singular_point=c)
     return _scaled(res, float(x[0]) / r)
 
 

@@ -203,13 +203,13 @@ def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
     even = _even(f1_integrand(d, s, delta))
-    rule = pq._sphere_rule(d, spec.angular_nodes)
+    rule = pq._meridian_rule(d, spec.angular_nodes // 2)
     shell = []
     for k in range(1, 5):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
         bands = [(aa, bb, rule, None) for aa, bb in zip(edges[:-1], edges[1:])]
-        values, _ = pq._band_values(even, pq._pass(bands, d, spec.radial_nodes, False))
+        values, _ = pq._band_values(even, pq._pass(bands, d, spec.radial_nodes, True))
         shell.append(abs(sum(values)))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
@@ -220,9 +220,8 @@ def _hex(values):
 
 
 def _rule(d):
-    # the rule of these tests' passes: the full circle (axial=False) at d = 2,
-    # the meridian rule above
-    return (lambda n: pq._sphere_rule(2, n)) if d == 2 else (lambda n: pq._meridian_rule(d, n // 2))
+    # the rule of a plan's band at n angular nodes times its grade
+    return lambda n: pq._meridian_rule(d, max(8, n // 2))
 
 
 @pytest.fixture()
@@ -249,7 +248,7 @@ def _band_points(passes):
 
 
 def _cutoff_of(patch):
-    # the pair cutoff of the patch (c, R) as the run evaluates it
+    # the pair cutoff of the patch (c, R) as the plan evaluates it
     return lambda pts: pq._pair_cutoff(pts, *patch)
 
 
@@ -264,14 +263,13 @@ def _pair_mask(center, radius):
 @pytest.mark.parametrize("d", [2, 4])
 def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
     # the cached plan's grouped bands keep the bits of one integrand call
-    # per band, on the d = 2 full rule and on the folded d = 4 meridian
-    # rule, with the cutoff of the patch pair +-e1 on the bands that carry
-    # it; at d = 2 also with the cutoff of an off-axis c evaluated in the run
+    # per band, on the folded d = 2 and d = 4 meridian rules, with the
+    # cutoff of the patch pair +-e1 on the bands that carry it
     even = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
-    rule, fold = _rule(d), d >= 3
+    rule = _rule(d)
     patch = pq._patch(np.eye(d)[0])
-    (_, (nominal, _)), _ = pq._plan(window, d, fold, 1.0)
+    (_, (nominal, _)), _ = pq._plan(window, d, 1.0)
     bands = [
         (a, b, rule(spec.angular_nodes * grade), _cutoff_of(patch) if cut else None)
         for a, b, grade, cut in pq._main_bands(window, d, patch)
@@ -288,18 +286,9 @@ def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
     assert 1 < len(sizes) < len(bands)
     assert all(n >= pq._BATCH for n in sizes[:-1])
     single = [
-        pq._band_values(even, pq._pass([band], d, spec.radial_nodes, fold))[0][0] for band in bands
+        pq._band_values(even, pq._pass([band], d, spec.radial_nodes, True))[0][0] for band in bands
     ]
     assert _hex(grouped) == _hex(single)
-    if d == 2:
-        off = pq._patch(np.array([0.6, 0.8]))
-        grouped, _ = pq._band_values(even, nominal, _cutoff_of(off))
-        off_bands = [(a, b, ow, _cutoff_of(off) if cut else None) for a, b, ow, cut in bands]
-        single = [
-            pq._band_values(even, pq._pass([band], d, spec.radial_nodes, fold))[0][0]
-            for band in off_bands
-        ]
-        assert _hex(grouped) == _hex(single)
 
 
 def _stage_rows(stage):
@@ -322,7 +311,7 @@ def test_even_parts_are_bitwise(spec, d, c, cold_plans):
     # integrand g, row by row to the bit: at the main-band points of the
     # cached plan of |c| and at the patch points c + l and c - l
     c = np.array(c)
-    main, patch = pq._plan(spec, d, d >= 3, float(np.linalg.norm(c)))
+    main, patch = pq._plan(spec, d, float(np.linalg.norm(c)))
     local = _stage_rows(patch)
     points = [_stage_rows(main), c + local, c - local]
     s, delta = 0.4, 0.2
@@ -344,38 +333,35 @@ def test_even_parts_are_bitwise(spec, d, c, cold_plans):
 def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_plans):
     # the cached plan's runs of like bands, each reduced by one stacked
     # product, against a plan of one band per group: the bits of every band
-    # of both passes of the main stage, with the plan's cutoff and with the
-    # cutoff of an off-axis c evaluated in the run, and of the patch stage
-    axial, c = d >= 3, np.eye(d)[0]
+    # of both passes of the main stage and of the patch stage
+    c = np.eye(d)[0]
     even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
 
     def pair(local_pts):
         return 0.5 * (even(c + local_pts) + even(c - local_pts))
 
-    stacked = pq._plan(spec, d, axial, 1.0)
+    stacked = pq._plan(spec, d, 1.0)
     monkeypatch.setattr(pq, "_BATCH", 1)
-    single = pq._plan.__wrapped__(spec, d, axial, 1.0)
+    single = pq._plan.__wrapped__(spec, d, 1.0)
     # bands per run, from its stacked radial weights
     runs = [len(r[1]) for stage in stacked for groups in stage[1] for _, rs in groups for r in rs]
     assert max(runs) > 1 and len(runs) < sum(runs)
     for stage in single:
         assert all(len(rs) == len(rs[0][1]) == 1 for groups in stage[1] for _, rs in groups)
-    off = pq._patch(_directions(d, 1)[0])
-    cases = [(0, even, None), (0, even, _cutoff_of(off)), (1, pair, None)]
-    for stage, fn, cutoff in cases:
+    for stage, fn in ((0, even), (1, pair)):
         for by_run, by_band in zip(stacked[stage][1], single[stage][1]):
-            values, rows = pq._band_values(fn, by_run, cutoff)
-            want, want_rows = pq._band_values(fn, by_band, cutoff)
+            values, rows = pq._band_values(fn, by_run)
+            want, want_rows = pq._band_values(fn, by_band)
             assert _hex(values) == _hex(want) and rows == want_rows
 
 
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
-@pytest.mark.parametrize("d", [2, 3], ids=["d2-full", "d3-meridian"])
+@pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
 def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
     # a band without a cutoff would multiply its values by exactly 1.0: the
     # pair cutoff on the main bands and chi on the patch bands, at the nodes
     # of the nominal and the jackknife pass
-    center = norm * (np.array([0.6, -0.8]) if d == 2 else np.eye(d)[0])
+    center = norm * np.eye(d)[0]
     _, radius = pq._patch(center)
 
     def chi(pts):
@@ -398,35 +384,19 @@ def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
                     assert _hex(cutoff(pts)) == _hex(full(pts))
 
 
-def _directions(d, k):
-    # k unit vectors off the e1 axis, e1 . v of either sign
-    if d == 2:
-        return [np.array([math.cos(t), math.sin(t)]) for t in (0.3, 2.2, -1.1, math.pi / 2)][:k]
-    v = np.random.default_rng(3).standard_normal((k, d))
-    return list(v / norms(v)[:, None])
-
-
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
-@pytest.mark.parametrize(
-    "d, axial",
-    [(2, False), (3, False), (3, True), (2, True)],
-    ids=["d2-full", "d3-full", "d3-meridian", "d2-meridian"],
-)
-def test_plan_cutoff_is_bitwise(spec, d, axial, norm, cold_plans):
+@pytest.mark.parametrize("d", [3, 2], ids=["d3-meridian", "d2-meridian"])
+def test_plan_cutoff_is_bitwise(spec, d, norm, cold_plans):
     # on every band of both main passes of the cached plan: the cached values
-    # are the pair cutoff at |c| e1, the cutoff evaluated in the run at an
-    # off-axis c of that |c| is the full expression at c to the bit, and a
-    # band without cached values has the cutoff exactly 1 at every such c;
-    # the d = 3 product rule is taken coarse, at 12 x 24 nodes
-    if d == 3 and not axial:
-        spec = pq.QuadratureSpec(angular_nodes=24)
+    # are the pair cutoff at |c| e1, the cutoff at c = +-|c| e1 is the full
+    # expression to the bit, and a band without cached values has the cutoff
+    # exactly 1 at either c
     axis = norm * np.eye(d)[0]
-    (_, passes), _ = pq._plan(spec, d, axial, norm)
+    (_, passes), _ = pq._plan(spec, d, norm)
     _, radius = pq._patch(axis)
-    centers = [axis, -axis] if axial else [axis] + [norm * v for v in _directions(d, 4)]
     n_cut = 0
     for pts, cut in _band_points(passes):
-        for center in centers:
+        for center in (axis, -axis):
             full = _pair_mask(center, radius)(pts)
             if cut is None:
                 assert np.all(full == 1.0)
@@ -444,15 +414,15 @@ _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
 @pytest.mark.parametrize("spec_fields", [{}, _COARSE], ids=["default", "coarse"])
 @pytest.mark.parametrize(
     "d, c",
-    [(2, (0.78, -1.04)), (3, (1.3, 0.0, 0.0)), (2, None)],
-    ids=["d2-full", "d3-meridian", "no-patch"],
+    [(2, (1.3, 0.0)), (3, (1.3, 0.0, 0.0)), (2, None)],
+    ids=["d2-meridian", "d3-meridian", "no-patch"],
 )
 def test_nodes_used_counts_integrand_rows(spec_fields, d, c, cold_plans):
     # nodes_used, counted from the rule sizes, is every sample of g: the even
     # integrand sees each main-band row once and each patch row twice, at
     # c + l and c - l, and takes g at h and -h, so nodes_used is twice its
     # rows, 2 per main-band row of the plan and 4 per patch row
-    spec, axial = pq.QuadratureSpec(**spec_fields), d == 3
+    spec = pq.QuadratureSpec(**spec_fields)
     if c is None:
         even = _even(lambda h: np.exp(-norms(h)) * norms(h) ** -1.5)
     else:
@@ -464,8 +434,8 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, c, cold_plans):
         rows.append(len(h))
         return even(h)
 
-    res = pq.pv_integral(counted, d, spec, c, axial=axial)
-    plan = pq._plan(spec, d, axial, None if c is None else float(np.linalg.norm(c)))
+    res = pq.pv_integral(counted, d, spec, c)
+    plan = pq._plan(spec, d, None if c is None else float(np.linalg.norm(c)))
     main_rows, patch_rows = (len(_stage_rows(stage)) if stage else 0 for stage in plan)
     assert (patch_rows > 0) == (c is not None)
     assert sum(rows) == main_rows + 2 * patch_rows
@@ -550,25 +520,34 @@ def test_meridian_rule_moments(d):
     assert float(w @ om[:, 0] ** 2) == pytest.approx(area / d, rel=1e-14)
 
 
+def _circle_rule(n):
+    # the n-node midpoint rule on the circle: angles 2 pi (k + 1/2)/n, weights 2 pi/n
+    theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n, 2.0 * math.pi / n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_meridian_rule_folds_the_circle_rule(n):
     # at d = 2 the meridian rule is the 2n-node circle rule folded by
     # omega_2 -> -omega_2: the same integral of any g(omega_1)
     om, w = pq._meridian_rule(2, n)
-    full_om, full_w = pq._sphere_rule(2, 2 * n)
+    full_om, full_w = _circle_rule(2 * n)
     assert np.all(om[:, 1] > 0.0)
     for g in (np.exp, lambda m: 1.0 / (2.0 + m)):
         assert float(w @ g(om[:, 0])) == pytest.approx(float(full_w @ g(full_om[:, 0])), rel=1e-15)
 
 
 def test_axial_path_guards(spec):
-    g = _even(f1_integrand(4, 0.5, 0.25))
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        pq.pv_integral(g, 4, spec, singular_point=e1)  # no full rule at d = 4
-    off = np.array([0.8, 0.6, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        pq.pv_integral(g, 4, spec, singular_point=off, axial=True)
+    # the singular point is a point of R^d on the e1 axis, at every d: a
+    # length-1 point no longer broadcasts against the patch's points
+    for d in (2, 3, 4):
+        g = _even(f1_integrand(d, 0.5, 0.25))
+        for c in (1.0, [1.0], np.ones(d - 1), np.ones(d + 1), np.eye(d)[:2]):
+            with pytest.raises(DomainError, match=f"must be a point in R\\^{d}"):
+                pq.pv_integral(g, d, spec, singular_point=c)
+        off = 0.8 * np.eye(d)[0] + 0.6 * np.eye(d)[1]
+        with pytest.raises(DomainError, match="on the e1 axis"):
+            pq.pv_integral(g, d, spec, singular_point=off)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 32, 224])
@@ -577,7 +556,7 @@ def test_meridian_rule_mirrors_at_two_dimensions(n):
     # bit, the middle node of an odd n is (0, 1), and the nodes mu >= 0 are
     # those of the 2n-node circle rule; the rule still integrates like it
     om, w = pq._meridian_rule(2, n)
-    full_om, full_w = pq._sphere_rule(2, 2 * n)
+    full_om, full_w = _circle_rule(2 * n)
     half = n // 2
     # == on mu, as the middle node's mu = 0 is its own mirror -0.0
     assert np.array_equal(om[::-1, 0], -om[:, 0]) and _same_bits(om[::-1, 1], om[:, 1])
@@ -588,21 +567,6 @@ def test_meridian_rule_mirrors_at_two_dimensions(n):
     assert _same_bits(w, 2.0 * full_w[:n])
     for g in (np.exp, lambda m: 1.0 / (2.0 + m), lambda m: m**4):
         assert float(w @ g(om[:, 0])) == pytest.approx(float(full_w @ g(full_om[:, 0])), rel=1e-14)
-
-
-def test_axial_path_at_two_dimensions(spec):
-    # pv_integral takes the folded meridian rule at d = 2 as in d >= 3: with
-    # no singular point and at one on the e1 axis it agrees with the full
-    # circle within both estimates, and an off-axis c is refused
-    g = _even(f1_integrand(2, 0.5, 0.25))
-    for c in (None, E1):
-        axial = pq.pv_integral(g, 2, spec, singular_point=c, axial=True)
-        full = pq.pv_integral(g, 2, spec, singular_point=c)
-        assert axial.converged and full.converged
-        assert abs(axial.value - full.value) <= axial.err_estimate + full.err_estimate
-        assert 3 * axial.nodes_used < full.nodes_used
-    with pytest.raises(DomainError):
-        pq.pv_integral(g, 2, spec, singular_point=np.array([0.6, 0.8]), axial=True)
 
 
 def _plan_arrays(plan):
@@ -616,10 +580,10 @@ def _plan_arrays(plan):
 
 def test_cached_plan_is_read_only(spec, cold_plans):
     # an integrand that writes into its argument raises on a cached plan, on
-    # the d = 2 full rule and the d = 3 meridian rule, and the next call
-    # still has the bits of a cold one
+    # the d = 2 and the d = 3 meridian rule, and the next call still has the
+    # bits of a cold one
     for d in (2, 3):
-        c, axial = np.eye(d)[0], d >= 3
+        c = np.eye(d)[0]
         g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
 
         def writer(h):
@@ -627,31 +591,30 @@ def test_cached_plan_is_read_only(spec, cold_plans):
             return g(h)
 
         with pytest.raises(ValueError, match="read-only"):
-            pq.pv_integral(writer, d, spec, singular_point=c, axial=axial)
-        arrays = list(_plan_arrays(pq._plan(spec, d, axial, 1.0)))
+            pq.pv_integral(writer, d, spec, singular_point=c)
+        arrays = list(_plan_arrays(pq._plan(spec, d, 1.0)))
         assert arrays and not any(a.flags.writeable for a in arrays)
-        warm = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
+        warm = pq.pv_integral(g, d, spec, singular_point=c)
         pq._plan.cache_clear()
-        cold = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
+        cold = pq.pv_integral(g, d, spec, singular_point=c)
         assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
         assert warm.nodes_used == cold.nodes_used
 
 
 def test_cached_plans_keep_cold_bits(spec, cold_plans):
-    # warm calls keep the bits of cold ones: at d = 2 at e1 and at two
-    # off-axis c, which take the plan of their |c| and evaluate their cutoff
-    # in the run, interleaved with d = 3 and 4 calls at three |c|
-    d2 = [(2, np.array(c)) for c in ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))]
+    # warm oracle calls keep the bits of cold ones: at d = 2 at e1 and at two
+    # off-axis x, which take the plan of their |x|, interleaved with d = 3
+    # and 4 calls at three |x|
+    d2 = [(2, np.array(x)) for x in ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))]
     nd = [(d, norm * np.eye(d)[0]) for d in (3, 4) for norm in (1.0, 0.5, 1.0 - 2.0**-53)]
     points = [p for pair in zip(d2 + d2, nd) for p in pair]
-    cases = [(d, c, kind) for d, c in points for kind in ("op", "pot")]
+    cases = [(d, x, kind) for d, x in points for kind in ("op", "pot")]
 
-    def run(d, c, kind):
+    def run(d, x, kind):
         if kind == "op":
-            g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
+            res = pq.frac_op_num(FracParams(d, 0.4, 0.2, 0.15), x, spec)
         else:
-            g = pq._potential_even(d, 0.4, 0.2, c)
-        res = pq.pv_integral(g, d, spec, singular_point=c, axial=d >= 3)
+            res = riesz_potential_num(d, 0.4, 0.2, x, spec)
         return _hex([res.value, res.err_estimate]), res.nodes_used, res.converged
 
     cold = []
@@ -663,7 +626,7 @@ def test_cached_plans_keep_cold_bits(spec, cold_plans):
         assert run(*cases[i]) == cold[i]
     # one plan per dimension and |c|: the off-axis d = 2 calls add none;
     # |(0.6, 0.8)| is 1, and |(cos 0.3, sin 0.3)| is 1 - 2^-53
-    keys = {(d, float(np.linalg.norm(c))) for d, c in points}
+    keys = {(d, float(np.linalg.norm(x))) for d, x in points}
     assert np.linalg.norm(d2[1][1]) == 1.0 and len(keys) == 2 + 2 * 3
     assert pq._plan.cache_info().currsize == len(keys)
 
@@ -685,11 +648,11 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     else:
         g = _even(lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5)
         c = None
-    folded = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    folded = pq.pv_integral(g, d, spec, singular_point=c)
     unfolded_pass = pq._pass
     monkeypatch.setattr(pq, "_pass", lambda bands, d, n, fold: unfolded_pass(bands, d, n, False))
     pq._plan.cache_clear()
-    full = pq.pv_integral(g, d, spec, singular_point=c, axial=True)
+    full = pq.pv_integral(g, d, spec, singular_point=c)
     assert _hex([folded.value, folded.err_estimate]) == _hex([full.value, full.err_estimate])
     assert folded.converged == full.converged
     if spec_fields:
@@ -728,41 +691,21 @@ def test_three_dimensional_values_pinned(spec, which, s, delta, want):
     assert res.nodes_used == 72576
 
 
-def test_axis_reduction_matches_full_rule_off_axis(spec):
-    # the value at an off-axis x, reduced to |x| e1, against the integrand
-    # at x itself on the full rule: the d = 3 product rule and the d = 2 circle
-    for x in ((0.6, 0.48, 0.64), (0.78, -1.04)):
+def test_axis_reduction_matches_closed_forms_off_axis(spec):
+    # the value at an off-axis x, reduced to |x| e1, against the closed forms
+    # within its own estimate: the operator against operator_value / kappa
+    # and the Riesz potential against c* |x|^-delta x1
+    s, delta, eps = 0.4, 0.2, 0.15
+    for x in ((0.78, -1.04), (0.6, 0.48, 0.64), (0.6, 0.48, 0.64, -0.3)):
         x = np.array(x)
-        d, s, delta = len(x), 0.4, 0.2
-        rx = float(np.linalg.norm(x))
-
-        def field(power, z):
-            return norms(z) ** (power - 1.0) * z[:, 0]
-
-        params = FracParams(d, s, delta, 0.15)
-        a_iso = 1.0 - 0.5 * (1.0 + 2.0 * s) * params.epsilon
-        b_rad = 0.5 * (d + 2.0 * s) * params.epsilon
-        ux = float(field(1.0 - delta, x[None, :])[0])
-
-        def op(h):
-            y = x[None, :] + h
-            r = norms(h)
-            cos_x = (h @ x) / (r * rx)
-            cos_y = np.sum(h * y, axis=1) / (r * norms(y))
-            kern = r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * (cos_x**2 + cos_y**2))
-            return kern * (ux - field(1.0 - delta, y))
-
-        full = pq.pv_integral(_even(op), d, spec, singular_point=x, axial=False)
-        got = pq.frac_op_num(params, x, spec)
-        assert got.value == pytest.approx(2.0 * full.value, rel=1e-5)
-
-        def pot(h):
-            return field(s - delta, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
-
-        full = pq.pv_integral(_even(pot), d, spec, singular_point=x, axial=False)
-        got = riesz_potential_num(d, s, delta, x, spec)
-        want = riesz_kernel_constant(d, 1.0 - s) * full.value
-        assert got.value == pytest.approx(want, rel=1e-5)
+        d = len(x)
+        params = FracParams(d, s, delta, eps)
+        res = pq.frac_op_num(params, x, spec)
+        assert abs(res.value - cf.operator_value(params, x) / kappa(d, s)) <= res.err_estimate
+        c_star, _ = riesz_constants(d, s, delta)
+        res = riesz_potential_num(d, s, delta, x, spec)
+        want = c_star * float(np.linalg.norm(x)) ** -delta * x[0]
+        assert abs(res.value - want) <= res.err_estimate
 
 
 def test_not_converged_on_divergent_integrand(spec):
@@ -776,29 +719,27 @@ def test_patch_geometry_guard(spec):
 
 
 @pytest.mark.parametrize(
-    "d, x", [(2, (0.78, -1.04)), (3, (0.6, 0.48, 0.64))], ids=["d2-full", "d3-meridian"]
+    "d, x", [(2, (0.78, -1.04)), (3, (0.6, 0.48, 0.64))], ids=["d2-meridian", "d3-meridian"]
 )
 def test_singular_point_sign_does_not_matter(spec, d, x):
     # the even part makes +c and -c one patch pair, so declaring either
-    # gives the same bits: the d = 2 full rule at an off-axis c, and the
-    # d = 3 meridian rule at c = |x| e1
-    x = np.array(x)
-    axial = d >= 3
-    c = np.linalg.norm(x) * np.eye(d)[0] if axial else x
+    # gives the same bits, on the d = 2 and d = 3 meridian rule at c = |x| e1
+    c = np.linalg.norm(x) * np.eye(d)[0]
     s, delta = 0.4, 0.2
     for g in (
         pq._operator_even((0.8, 0.3), d, s, 1.0 - delta, c),
         pq._potential_even(d, s, s - delta, c),
     ):
-        plus = pq.pv_integral(g, d, spec, singular_point=c, axial=axial)
-        minus = pq.pv_integral(g, d, spec, singular_point=-c, axial=axial)
+        plus = pq.pv_integral(g, d, spec, singular_point=c)
+        minus = pq.pv_integral(g, d, spec, singular_point=-c)
         assert _hex([plus.value, plus.err_estimate]) == _hex([minus.value, minus.err_estimate])
         assert plus.nodes_used == minus.nodes_used
 
 
 def test_singular_point_too_close_to_origin(spec):
     g = _even(f1_integrand(2, 0.5, 0.25))
+    # (-1e-12, 1e-12) is also off the e1 axis: the guard comes first
     for c in (np.array([2e-10, 0.0]), np.array([-1e-12, 1e-12]), np.zeros(2)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="too close"):
             pq.pv_integral(g, 2, spec, singular_point=c)
     assert pq._patch(np.array([4e-10, 0.0]))[1] == 2e-10
