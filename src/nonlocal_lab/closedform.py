@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .model import FracParams, _check_range, homogeneous_field
+from .model import FracParams, _check_range, _coeffs, homogeneous_field
 from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
@@ -104,18 +104,18 @@ def f2_closed(d: int, s: float, delta: float) -> float:
 
 
 def operator_bracket(d: int, s: float, delta: float, epsilon: float) -> float:
-    """The affine-in-epsilon bracket whose root defines the coupling."""
+    """The bracket (d - delta) delta a_iso - b_rad X, whose root in epsilon is the coupling.
+
+    (a_iso, b_rad) is the fractional pair at epsilon, and X, the radial
+    term's factor, does not depend on epsilon, so the bracket is affine in it.
+    """
     _check_range(d, s, delta)
+    a_iso, b_rad = _coeffs("fractional", d, s, epsilon)
     ct_ratio = _ctilde(d, s, 0.0) / _ctilde(d, s, delta)
-    eps_slope = (
-        0.5
-        * (d + 2.0 * s)
-        * (
-            2.0 * s * f21_closed(d, s, delta)
-            - ct_ratio * s * (d - 1.0) * (d - 2.0 * s) / (d + 2.0 * s)
-        )
+    radial = 2.0 * s * f21_closed(d, s, delta) - (
+        ct_ratio * s * (d - 1.0) * (d - 2.0 * s) / (d + 2.0 * s)
     )
-    return (d - delta) * delta * (1.0 - 0.5 * (1.0 + 2.0 * s) * epsilon) - eps_slope * epsilon
+    return (d - delta) * delta * a_iso - b_rad * radial
 
 
 def operator_value(params: FracParams, x) -> float:

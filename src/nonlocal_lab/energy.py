@@ -228,7 +228,7 @@ class _Grid:
     def weights(self, params: FracParams) -> _Form:
         """The quadratic form's weights at (s, epsilon)."""
         d, s = self.d, params.s
-        pair = _coeffs("fractional", params)
+        pair = _coeffs("fractional", d, s, params.epsilon)
         a_iso, b_rad = pair
         mu2 = self.om[:, 0] ** 2
 
@@ -329,10 +329,11 @@ def local_energy(d: int, epsilon: float, v: TestFunction) -> float:
     to rounding, where the energy grid's 18 leave about 1e-4.
     """
     _check_range(d, epsilon=epsilon)
+    a_iso, b_rad = _coeffs("classical", d, None, epsilon)
     x, wx = _ball_rule(d, v.radius, 100, 2)
     g = v.grad(x)
     proj2 = _rowdot(g, x) ** 2 / _rowdot(x, x)
-    return 0.5 * float(wx @ ((1.0 - epsilon) * _rowdot(g, g) + epsilon * proj2))
+    return 0.5 * float(wx @ (a_iso * _rowdot(g, g) + b_rad * proj2))
 
 
 def gamma_limit_probe(

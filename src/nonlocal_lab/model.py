@@ -171,19 +171,21 @@ def homogeneous_field(p: float, x) -> float:
     return float(_field(p, x[None, :])[0])
 
 
-def _coeffs(flavor: str, params: FracParams) -> tuple[float, float]:
-    """(isotropic, radial-rank-one) weights of the selected family."""
-    eps = params.epsilon
+def _coeffs(flavor: str, d: int, s: float | None, epsilon: float) -> tuple[float, float]:
+    """The pair (a_iso, b_rad) of the family, A = a_iso I + b_rad xhat (x) xhat.
+
+    The classical family does not depend on d or s.
+    """
     if flavor == "classical":
-        return 1.0 - eps, eps
+        return 1.0 - epsilon, epsilon
     if flavor == "fractional":
-        return 1.0 - 0.5 * (1.0 + 2.0 * params.s) * eps, 0.5 * (params.d + 2.0 * params.s) * eps
+        return 1.0 - 0.5 * (1.0 + 2.0 * s) * epsilon, 0.5 * (d + 2.0 * s) * epsilon
     raise DomainError(f"unknown coefficient flavor {flavor!r}")
 
 
 def coeff_matrix(flavor: str, params: FracParams, x) -> SymMatrix:
     """Coefficient matrix a I + b xhat (x) xhat at x != 0."""
-    a, b = _coeffs(flavor, params)
+    a, b = _coeffs(flavor, params.d, params.s, params.epsilon)
     xh, _ = _unit(x)
     m = a * np.eye(params.d) + b * np.outer(xh, xh)
     return SymMatrix(params.d, m)
@@ -191,7 +193,7 @@ def coeff_matrix(flavor: str, params: FracParams, x) -> SymMatrix:
 
 def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
     """(radial, tangential) eigenvalues, the same at every x."""
-    a, b = _coeffs(flavor, params)
+    a, b = _coeffs(flavor, params.d, params.s, params.epsilon)
     return a + b, a
 
 
@@ -233,7 +235,7 @@ def kernel_eval(params: FracParams, x, y) -> float:
         raise DomainError("kernel is singular on the diagonal x = y")
     for pt in (x, y):
         _unit(pt)  # A has no value at the origin
-    pair = _coeffs("fractional", params)
+    pair = _coeffs("fractional", params.d, params.s, params.epsilon)
     (k,) = _kernel(pair, params.d, params.s, x, h[None, :], y[None, :])
     return float(k[0])
 

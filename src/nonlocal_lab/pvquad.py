@@ -13,15 +13,15 @@ evaluation strategy:
     (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
     once per row, with the bits of the average of the two;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
-    the meridian rule below on the sphere handle each annulus.  `_stage`
-    runs the main bands, and then the patch below, on the nominal and a
+    the even rule below on the sphere handle each annulus.  `_stage` runs
+    the main bands, and then the patch below, on the nominal and a
     downgraded jackknife rule.  Each pass is a plan and a run: the plan
-    (`_pass`) holds the geometry, the points in groups of whole bands, and
-    each group's consecutive like bands (one size, angular rule, fold index
-    and cutoff presence) as runs with their radial weights stacked and their
-    cutoff values concatenated; the run (`_band_values`) makes one integrand
-    call per group, one stacked angular product per run and one radial dot
-    per band, so the grouping does not change a bit of any band value;
+    (`_pass`) is flat, every band's points one after another, each with
+    its weight (radial times angular weight, times the cutoff where the
+    band has one), and each band's first row; the run (`_band_values`)
+    calls the integrand on chunks of at most _BATCH rows and sums the
+    weighted values band by band in one `np.add.reduceat`, so no band value
+    depends on the chunking or on the other bands;
   * the pair +-c is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch in its own polar coordinates with graded bands; the even
@@ -39,16 +39,15 @@ sphere integral in any d >= 2 is
 the Gauss nodes of that weight (Golub-Welsch); at d = 2 it is the circle
 rule folded by h2 -> -h2, a half circle.  That rule's nodes +-mu are mirror
 images to the bit, where the even part takes the same bits, so the passes
-are folded: the plan holds the nodes mu >= 0, and the run rebuilds each
-full row from them before the reduction, which keeps every bit of the
-unfolded rule at half the integrand evaluations.
+run on the even rule (`_even_rule`): the meridian rule's nodes j >= n/2,
+each carrying its mirror's weight too, at half the integrand evaluations.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
 pair (a_iso, b_rad), and the potential p.v. int u(x - h) |h|^(-(d-1+s)) dh
 of I_(1-s).  Both commute with rotations, so their value at x is (x1/|x|)
 times their value at |x| e1, where the integrand is axial.  `_on_axis`
-takes every oracle there, onto the folded meridian rule in every d.
+takes every oracle there, onto the even rule in every d.
 `frac_op_num` is the operator with the fractional pair, and the
 Riesz oracles scale the potential.  The named integrals are the two oracles
 at e1: f1 and f2 are -1/2 times the operator on the difference model's field
@@ -63,7 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -80,13 +78,14 @@ _PATCH_RADIUS = 0.3
 _PATCH_RHO_MIN = 1e-10
 _PATCH_GUARD = 1e-10
 
-# Fewest points per integrand call: consecutive bands of a pass are grouped
-# until they hold this many, so the per-call overhead is paid per group.
+# Most points per integrand call: a pass's points are taken in chunks of at
+# most this many, which bound the integrand's temporaries.
 _BATCH = 4096
 
 # Most plans kept by _plan.  At the default spec a plan holds about 1 MB
-# (traced; 0.96 MB at d = 2), so a full cache holds about 16 MB;
-# `first_variation_residual` at d = 2 fills 6 entries.
+# (traced: 1.15 MB at d = 2, 0.87 MB at d = 3, 1.09 MB at d = 4), so a full
+# cache holds at most about 18 MB; `first_variation_residual` at d = 2
+# fills 6 entries.
 _PLAN_CACHE = 16
 
 
@@ -171,6 +170,21 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(omegas), _frozen(sphere_area(d) * w)
 
 
+@lru_cache(maxsize=32)
+def _even_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node meridian rule for even integrands, on its nodes j >= n//2.
+
+    Node n-1-j of the meridian rule is the mirror of node j, where an
+    integrand even in h takes one value, so each kept node carries its
+    mirror's weight as well: 2w, or w for the middle node of an odd n,
+    its own mirror.  The nodes have the bits of the meridian rule's.
+    """
+    omegas, w = _meridian_rule(d, n)
+    j = np.arange(n // 2, n)
+    weights = np.where(j == n - 1 - j, w[j], w[j] + w[n - 1 - j])
+    return _frozen(omegas[n // 2 :]), _frozen(weights)
+
+
 def _band_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
     n = max(1, math.ceil(math.log10(hi / lo) * per_decade))
     return np.exp(np.linspace(math.log(lo), math.log(hi), n + 1))
@@ -199,86 +213,36 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
-@lru_cache(maxsize=32)
-def _fold_index(n: int) -> np.ndarray:
-    """Column of node j among the folded columns n//2, ..., n-1: that of j or its mirror n-1-j."""
-    j = np.arange(n)
-    return _frozen(np.maximum(j, n - 1 - j) - n // 2)
+def _pass(bands, d: int, radial_nodes: int) -> tuple:
+    """(points, weights, starts) of one pass over the bands (a, b, (omegas, oweights), cutoff).
 
-
-def _pass(bands, d: int, radial_nodes: int, fold: bool) -> tuple:
-    """The geometry of one pass over the bands (a, b, (omegas, oweights), cutoff), by group.
-
-    Consecutive whole bands are grouped until they hold at least _BATCH
-    points; each group is (points, runs), its consecutive bands in runs of
-    one size, angular rule, fold index and cutoff presence (`_runs`).
-    With `fold`, as in every plan, a band keeps only the columns j >= n//2
-    of its n meridian nodes: node j mirrors node n-1-j, and the fold index
-    rebuilds the full row from them; the unfolded pass is the fold's test
-    reference.  Every array is read-only, so a cached pass stays intact.
+    A band's points are its radii times its angular nodes, row by row, and
+    each point's weight is its radial weight times its angular weight, times
+    the band's cutoff at the point where the band has one.  starts holds
+    each band's first row.  Every array is read-only, so a cached pass
+    stays intact.
     """
-    groups, group, size = [], [], 0
-    for i, (a, b, (omegas, oweights), cutoff) in enumerate(bands):
+    points, weights = [], []
+    for a, b, (omegas, oweights), cutoff in bands:
         r, wr = _log_band(a, b, radial_nodes, d)
-        idx = None
-        if fold:
-            idx = _fold_index(len(oweights))
-            omegas = omegas[len(oweights) // 2 :]
         pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
-        group.append((pts, wr, oweights, None if cutoff is None else cutoff(pts), idx))
-        size += len(pts)
-        if size < _BATCH and i + 1 < len(bands):
-            continue
-        groups.append((_frozen(np.concatenate([g[0] for g in group])), _runs(group)))
-        group, size = [], 0
-    return tuple(groups)
+        w = (wr[:, None] * oweights[None, :]).ravel()
+        points.append(pts)
+        weights.append(w if cutoff is None else w * cutoff(pts))
+    starts = np.cumsum([0] + [len(p) for p in points[:-1]])
+    return tuple(_frozen(a) for a in (np.concatenate(points), np.concatenate(weights), starts))
 
 
-def _runs(bands) -> tuple:
-    """The runs of a group's consecutive (points, wr, oweights, cut, idx) bands.
+def _band_values(fn, plan) -> np.ndarray:
+    """Values of one pass's bands, in order: the weighted sum of fn over each band's rows.
 
-    A run is (size, wr, oweights, cut, idx): its number of points, its
-    bands' radial weights stacked (one row per band), their angular
-    weights and fold index, and their cutoff values concatenated, or None
-    where they have no cutoff.
+    fn is called on consecutive chunks of at most _BATCH rows, which bound
+    its temporaries; a row's value does not depend on its chunk, so no band
+    value depends on the chunking.
     """
-    runs = []
-    for _, run in groupby(bands, key=lambda b: (len(b[0]), id(b[2]), b[3] is None, id(b[4]))):
-        pts, wr, oweights, cut, idx = zip(*run)
-        cut = None if cut[0] is None else _frozen(np.concatenate(cut))
-        runs.append((sum(map(len, pts)), _frozen(np.stack(wr)), oweights[0], cut, idx[0]))
-    return tuple(runs)
-
-
-def _band_values(fn, groups) -> tuple[list[float], int]:
-    """Values of one pass's bands, in order, and the number of rows fn saw.
-
-    Each group of the pass is one fn call.  Each run of like bands takes
-    one cutoff product, one gather of a folded rule's mirror columns and
-    one stacked angular product, whose rows have the bits of each band's
-    own product; each band then takes its own radial dot.  So no band
-    value depends on the grouping, and a folded band has the bits of an
-    unfolded pass.
-    """
-    values: list[float] = []
-    rows = 0
-    for pts, runs in groups:
-        vals = fn(pts)
-        rows += len(pts)
-        start = 0
-        for size, wr, oweights, cut, idx in runs:
-            block = vals[start : start + size]
-            if cut is not None:
-                block = block * cut
-            block = block.reshape(*wr.shape, -1)
-            if idx is not None:
-                block = block[:, :, idx]
-            # a 3-D product reduces each band as a 2-D one would; einsum or
-            # one taller 2-D product would change the bits
-            stacked = np.ascontiguousarray(block) @ oweights
-            values.extend(float(w @ m) for w, m in zip(wr, stacked))
-            start += size
-    return values, rows
+    points, weights, starts = plan
+    vals = np.concatenate([fn(points[i : i + _BATCH]) for i in range(0, len(points), _BATCH)])
+    return np.add.reduceat(vals * weights, starts)
 
 
 def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | None:
@@ -427,19 +391,20 @@ def _pair_cutoff(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarr
 def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff):
     """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
-    A band of grade g takes the folded meridian rule of max(8, m g / 2)
-    nodes, m the pass's angular nodes.  shells holds each band's log10
-    shell, by its midpoint, and the cut bands carry the values of `cutoff`
-    at their points.  The jackknife pass runs a downgraded rule, whose
+    Each pass is a flat plan (points, weights, starts) (`_pass`).  A band
+    of grade g takes the even rule of max(8, m g / 2) meridian nodes, m the
+    pass's angular nodes, and the weights of the cut bands carry the values
+    of `cutoff` at their points.  shells holds each band's log10 shell, by
+    its midpoint.  The jackknife pass runs a downgraded rule, whose
     difference from the nominal one bounds the nominal discretization error.
     """
 
     def rule(ang_nodes):
-        return _meridian_rule(d, max(8, ang_nodes // 2))
+        return _even_rule(d, max(8, ang_nodes // 2))
 
     low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
     passes = tuple(
-        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, True)
+        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n)
         for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
@@ -453,11 +418,11 @@ def _stage(fn, plan):
     in both passes.
     """
     shells, passes = plan
-    (values, rows), (low_values, low_rows) = (_band_values(fn, p) for p in passes)
-    total = float(sum(values))
-    scale = float(sum(abs(v) for v in values)) + 1e-300
-    jack = total - float(sum(low_values))
-    return total, scale, _shell_sums(shells, values), jack, rows + low_rows
+    values, low_values = (_band_values(fn, p).tolist() for p in passes)
+    total = sum(values)
+    scale = sum(map(abs, values)) + 1e-300
+    jack = total - sum(low_values)
+    return total, scale, _shell_sums(shells, values), jack, sum(len(p[0]) for p in passes)
 
 
 def _patch(singular_point):
@@ -505,10 +470,11 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
     two per main-band row, at h and -h, and four per patch row, whose pair
     average takes the even part at c + l and c - l.
 
-    The sphere rule is the meridian rule, folded: its nodes +-mu are mirror
-    images, where the even part takes one value, so it is evaluated at
-    mu >= 0 only, with the bits of the unfolded rule.  The geometry of the
-    passes is cached by (spec, d, |c|) (`_plan`).
+    The sphere rule is the even rule: the meridian rule's nodes +-mu are
+    mirror images, where the even part takes one value, so it is evaluated
+    on one of each pair, which carries both weights.  Each pass is a flat
+    plan of points, weights and band starts, cached by (spec, d, |c|)
+    (`_plan`), and its band values are one weighted reduction.
     """
     _check_range(d)
     patch = norm = None
@@ -565,8 +531,8 @@ def _on_axis(even_at, d: int, x, spec: QuadratureSpec) -> PVResult:
     operators here commute with rotations, and phi(|z|) z1 is the e1
     component of the vector field phi(|z|) z, which is rotation-equivariant.
     So the value at x is (x1/|x|) times the value at c = |x| e1, where the
-    integrand depends on h only through (h . e1, |h|) and the folded
-    meridian rule applies, in every d.
+    integrand depends on h only through (h . e1, |h|) and the even rule
+    applies, in every d.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
@@ -642,5 +608,5 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    pair = _coeffs("fractional", params)
+    pair = _coeffs("fractional", params.d, params.s, params.epsilon)
     return _operator(pair, params.d, params.s, 1.0 - params.delta, x, spec)

@@ -203,13 +203,13 @@ def test_symmetrized_tail_decays(spec):
     # per-decade outer shells beyond |h| = 10 shrink by ~10^-(delta+2s)
     d, s, delta = 2, 0.5, 0.25
     even = _even(f1_integrand(d, s, delta))
-    rule = pq._meridian_rule(d, spec.angular_nodes // 2)
+    rule = pq._even_rule(d, spec.angular_nodes // 2)
     shell = []
     for k in range(1, 5):
         a, b = 10.0**k, 10.0 ** (k + 1)
         edges = pq._band_edges(a, b, spec.bands_per_decade)
         bands = [(aa, bb, rule, None) for aa, bb in zip(edges[:-1], edges[1:])]
-        values, _ = pq._band_values(even, pq._pass(bands, d, spec.radial_nodes, True))
+        values = pq._band_values(even, pq._pass(bands, d, spec.radial_nodes))
         shell.append(abs(sum(values)))
     for t1, t2 in zip(shell, shell[1:]):
         assert t2 <= 0.6 * t1  # expected factor 10^-(delta+2s) ~ 0.056
@@ -232,19 +232,12 @@ def cold_plans():
     pq._plan.cache_clear()
 
 
-def _band_points(passes):
-    # (points, cached cutoff values or None) of each band of a stage's
-    # passes: a run of like bands holds one row of radial weights per band,
-    # and its points and cutoff values band after band
-    for groups in passes:
-        for pts, runs in groups:
-            start = 0
-            for size, wr, _, cut, _ in runs:
-                step = size // len(wr)
-                for lo in range(0, size, step):
-                    band = slice(start + lo, start + lo + step)
-                    yield pts[band], None if cut is None else cut[lo : lo + step]
-                start += size
+def _bands(plan):
+    # (points, weights) of each band of a pass (points, weights, starts):
+    # band i holds the rows starts[i] up to the next band's first row
+    points, weights, starts = plan
+    for lo, hi in zip(starts, [*starts[1:], len(points)]):
+        yield points[lo:hi], weights[lo:hi]
 
 
 def _cutoff_of(patch):
@@ -260,40 +253,9 @@ def _pair_mask(center, radius):
     return mask
 
 
-@pytest.mark.parametrize("d", [2, 4])
-def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
-    # the cached plan's grouped bands keep the bits of one integrand call
-    # per band, on the folded d = 2 and d = 4 meridian rules, with the
-    # cutoff of the patch pair +-e1 on the bands that carry it
-    even = _even(f1_integrand(d, 0.5, 0.25))
-    window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
-    rule = _rule(d)
-    patch = pq._patch(np.eye(d)[0])
-    (_, (nominal, _)), _ = pq._plan(window, d, 1.0)
-    bands = [
-        (a, b, rule(spec.angular_nodes * grade), _cutoff_of(patch) if cut else None)
-        for a, b, grade, cut in pq._main_bands(window, d, patch)
-    ]
-    assert any(cutoff is not None for *_, cutoff in bands)
-    sizes = []
-
-    def counted(pts):
-        sizes.append(len(pts))
-        return even(pts)
-
-    grouped, rows = pq._band_values(counted, nominal)
-    assert rows == sum(sizes) > 2 * pq._BATCH
-    assert 1 < len(sizes) < len(bands)
-    assert all(n >= pq._BATCH for n in sizes[:-1])
-    single = [
-        pq._band_values(even, pq._pass([band], d, spec.radial_nodes, True))[0][0] for band in bands
-    ]
-    assert _hex(grouped) == _hex(single)
-
-
 def _stage_rows(stage):
     # every point of both passes of a stage plan
-    return np.concatenate([pts for groups in stage[1] for pts, _ in groups])
+    return np.concatenate([points for points, _, _ in stage[1]])
 
 
 def _same_bits(a, b):
@@ -331,28 +293,36 @@ def test_even_parts_are_bitwise(spec, d, c, cold_plans):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_plans):
-    # the cached plan's runs of like bands, each reduced by one stacked
-    # product, against a plan of one band per group: the bits of every band
-    # of both passes of the main stage and of the patch stage
+    # each band value of every pass of both stages of the cached plan, to the
+    # bit: against a one-band pass over the band's slice of the plan, and
+    # against the pass with fn called on chunks of at most 977 rows, which
+    # split bands, and on one chunk of every row
     c = np.eye(d)[0]
     even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
 
     def pair(local_pts):
         return 0.5 * (even(c + local_pts) + even(c - local_pts))
 
-    stacked = pq._plan(spec, d, 1.0)
-    monkeypatch.setattr(pq, "_BATCH", 1)
-    single = pq._plan.__wrapped__(spec, d, 1.0)
-    # bands per run, from its stacked radial weights
-    runs = [len(r[1]) for stage in stacked for groups in stage[1] for _, rs in groups for r in rs]
-    assert max(runs) > 1 and len(runs) < sum(runs)
-    for stage in single:
-        assert all(len(rs) == len(rs[0][1]) == 1 for groups in stage[1] for _, rs in groups)
-    for stage, fn in ((0, even), (1, pair)):
-        for by_run, by_band in zip(stacked[stage][1], single[stage][1]):
-            values, rows = pq._band_values(fn, by_run)
-            want, want_rows = pq._band_values(fn, by_band)
-            assert _hex(values) == _hex(want) and rows == want_rows
+    main, patch = pq._plan(spec, d, 1.0)
+    for (_, passes), fn in ((main, even), (patch, pair)):
+        for plan in passes:
+            values = _hex(pq._band_values(fn, plan))
+            one_band = [
+                pq._band_values(fn, (pts, w, np.zeros(1, dtype=int))) for pts, w in _bands(plan)
+            ]
+            assert len(values) == len(one_band) > 1
+            assert values == _hex(np.concatenate(one_band))
+            for batch in (977, 10**7):
+                sizes = []
+
+                def counted(pts):
+                    sizes.append(len(pts))
+                    return fn(pts)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(pq, "_BATCH", batch)
+                    assert _hex(pq._band_values(counted, plan)) == values
+                assert sum(sizes) == len(plan[0]) and max(sizes) == min(batch, len(plan[0]))
 
 
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
@@ -387,24 +357,32 @@ def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize("d", [3, 2], ids=["d3-meridian", "d2-meridian"])
 def test_plan_cutoff_is_bitwise(spec, d, norm, cold_plans):
-    # on every band of both main passes of the cached plan: the cached values
-    # are the pair cutoff at |c| e1, the cutoff at c = +-|c| e1 is the full
-    # expression to the bit, and a band without cached values has the cutoff
-    # exactly 1 at either c
+    # on every band of both main passes of the cached plan: a cut band's
+    # weights are its uncut weights times the pair cutoff at |c| e1, the
+    # cutoff at c = +-|c| e1 is the full expression to the bit, and a band
+    # without a cutoff keeps its uncut weights, with the cutoff exactly 1
+    # at either c
     axis = norm * np.eye(d)[0]
+    patch = pq._patch(axis)
+    _, radius = patch
+    bands = pq._main_bands(spec, d, patch)
     (_, passes), _ = pq._plan(spec, d, norm)
-    _, radius = pq._patch(axis)
+    _, uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in bands], d, spec, None)
     n_cut = 0
-    for pts, cut in _band_points(passes):
-        for center in (axis, -axis):
-            full = _pair_mask(center, radius)(pts)
-            if cut is None:
-                assert np.all(full == 1.0)
-            else:
+    for cached, plain in zip(passes, uncut):
+        assert _same_bits(cached[0], plain[0]) and len(cached[2]) == len(bands)
+        for (pts, w), (_, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
+            for center in (axis, -axis):
+                full = _pair_mask(center, radius)(pts)
+                if not cut:
+                    assert np.all(full == 1.0)
+                else:
+                    assert _hex(pq._pair_cutoff(pts, center, radius)) == _hex(full)
+            if cut:
                 n_cut += 1
-                assert _hex(pq._pair_cutoff(pts, center, radius)) == _hex(full)
-        if cut is not None:
-            assert _hex(cut) == _hex(_pair_mask(axis, radius)(pts))
+                assert _same_bits(w, w0 * _pair_mask(axis, radius)(pts))
+            else:
+                assert _same_bits(w, w0)
     assert n_cut > 0
 
 
@@ -440,30 +418,6 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, c, cold_plans):
     assert (patch_rows > 0) == (c is not None)
     assert sum(rows) == main_rows + 2 * patch_rows
     assert res.nodes_used == 2 * sum(rows) == 2 * main_rows + 4 * patch_rows
-
-
-def test_pv_integral_independent_of_grouping(spec, monkeypatch, cold_plans):
-    # every pass, patches included, gives the same bits with one band per call
-    params = FracParams(2, 0.3, 0.1, 0.4)
-    x = np.array([0.78, -1.04])
-    batched = pq.frac_op_num(params, x, spec), pq.f_integral_num("f2", 4, 0.5, 0.25, spec)
-    monkeypatch.setattr(pq, "_BATCH", 1)
-    # the cached plans were grouped at the old _BATCH
-    pq._plan.cache_clear()
-    calls = []
-    kernel = pq._kernel
-    monkeypatch.setattr(pq, "_kernel", lambda *args: calls.append(1) or kernel(*args))
-    single = [pq.frac_op_num(params, x, spec)]
-    calls.clear()
-    single.append(pq.f_integral_num("f2", 4, 0.5, 0.25, spec))
-    # one integrand call per band and pass, each taking the kernel once for
-    # its rows at h and -h; the patch's pair calls the integrand twice
-    n_main = len(pq._main_bands(spec, 4, pq._patch(np.eye(4)[0])))
-    n_patch = len(pq._patch_bands(spec, pq._PATCH_RADIUS))
-    assert len(calls) == 2 * (n_main + 2 * n_patch)
-    for r1, r2 in zip(batched, single):
-        assert _hex([r1.value, r1.err_estimate]) == _hex([r2.value, r2.err_estimate])
-        assert r1.nodes_used == r2.nodes_used
 
 
 def test_determinism_bitwise(spec):
@@ -570,12 +524,10 @@ def test_meridian_rule_mirrors_at_two_dimensions(n):
 
 
 def _plan_arrays(plan):
+    # the points, weights and starts of every pass of a plan
     for stage in plan:
-        for groups in stage[1] if stage is not None else ():
-            for pts, runs in groups:
-                yield pts
-                for _, wr, oweights, cut, idx in runs:
-                    yield from (a for a in (wr, oweights, cut, idx) if a is not None)
+        for arrays in stage[1] if stage is not None else ():
+            yield from arrays
 
 
 def test_cached_plan_is_read_only(spec, cold_plans):
@@ -631,14 +583,32 @@ def test_cached_plans_keep_cold_bits(spec, cold_plans):
     assert pq._plan.cache_info().currsize == len(keys)
 
 
+@pytest.mark.parametrize("n", [8, 9, 32, 224])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_even_rule_folds_the_meridian_rule(d, n):
+    # the even rule's nodes are the meridian rule's j >= n//2 to the bit,
+    # its weights sum to |S^(d-1)|, and it integrates even polynomials in
+    # mu as the full rule does
+    om, w = pq._meridian_rule(d, n)
+    even_om, even_w = pq._even_rule(d, n)
+    assert _same_bits(even_om, om[n // 2 :])
+    area = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    assert float(np.sum(even_w)) == pytest.approx(area, rel=1e-14)
+    for k in (0, 2, 4, 6, 10):
+        full = float(w @ om[:, 0] ** k)
+        assert float(even_w @ even_om[:, 0] ** k) == pytest.approx(full, rel=1e-14)
+
+
 @pytest.mark.parametrize("kind", ["operator", "potential", "no-patch"])
 @pytest.mark.parametrize("spec_fields", [{}, {"angular_nodes": 18}], ids=["default", "odd-n"])
 @pytest.mark.parametrize("d", [3, 4, 5, 2])
 def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans):
-    # the folded passes against the unfolded full meridian rule: the even
-    # part takes one value at the mirror nodes +-mu, so the fold keeps every
-    # bit; at 18 angular nodes the 9-node rule holds mu = 0, its own mirror.
-    # At d = 2 the rule is the half circle, whose mirrors are exact too
+    # the passes on the even rule against those on the full meridian rule:
+    # each band's points are the full band's at the nodes j >= n//2, to the
+    # bit, and the values, summed in another order, agree within a tenth of
+    # the estimate; at 18 angular nodes the 9-node rule holds mu = 0, its
+    # own mirror.  At d = 2 the rule is the half circle, whose mirrors are
+    # exact too
     spec = pq.QuadratureSpec(**spec_fields)
     c = 1.3 * np.eye(d)[0]
     if kind == "operator":
@@ -648,12 +618,23 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     else:
         g = _even(lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5)
         c = None
+    norm = None if c is None else 1.3
     folded = pq.pv_integral(g, d, spec, singular_point=c)
-    unfolded_pass = pq._pass
-    monkeypatch.setattr(pq, "_pass", lambda bands, d, n, fold: unfolded_pass(bands, d, n, False))
+    folded_plan = pq._plan(spec, d, norm)
+    monkeypatch.setattr(pq, "_even_rule", pq._meridian_rule)
     pq._plan.cache_clear()
     full = pq.pv_integral(g, d, spec, singular_point=c)
-    assert _hex([folded.value, folded.err_estimate]) == _hex([full.value, full.err_estimate])
+    # the radial nodes of the nominal and of the jackknife pass
+    radial = (spec.radial_nodes, max(4, spec.radial_nodes - 3))
+    for half_stage, full_stage in zip(folded_plan, pq._plan(spec, d, norm)):
+        if half_stage is None:
+            continue
+        for half_pass, full_pass, n_r in zip(half_stage[1], full_stage[1], radial):
+            for (half_pts, _), (full_pts, _) in zip(_bands(half_pass), _bands(full_pass)):
+                full_pts = full_pts.reshape(n_r, -1, d)
+                kept = full_pts[:, full_pts.shape[1] // 2 :]
+                assert _same_bits(half_pts, np.ascontiguousarray(kept).reshape(-1, d))
+    assert abs(folded.value - full.value) <= 0.1 * folded.err_estimate
     assert folded.converged == full.converged
     if spec_fields:
         assert full.nodes_used // 2 < folded.nodes_used < full.nodes_used
