@@ -325,6 +325,40 @@ def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_pl
                 assert sum(sizes) == len(plan[0]) and max(sizes) == min(batch, len(plan[0]))
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
+    # the cached plan's nominal main pass, taken in chunks of _BATCH rows,
+    # keeps the bits of one integrand call per band on a pass rebuilt from
+    # the bands alone, on the folded d = 2 and d = 4 meridian rules, with
+    # the cutoff of the patch pair +-e1 on the bands that carry it
+    even = _even(f1_integrand(d, 0.5, 0.25))
+    window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
+    patch = pq._patch(np.eye(d)[0])
+    (_, (nominal, _)), _ = pq._plan(window, d, 1.0)
+    bands = [
+        (a, b, pq._even_rule(d, max(8, window.angular_nodes * grade // 2)), cut)
+        for a, b, grade, cut in pq._main_bands(window, d, patch)
+    ]
+    assert any(cut for *_, cut in bands)
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return even(pts)
+
+    grouped = pq._band_values(counted, nominal)
+    assert len(nominal[0]) == sum(sizes) > 2 * pq._BATCH
+    assert 1 < len(sizes) < len(bands)
+    assert all(n == pq._BATCH for n in sizes[:-1])
+    single = [
+        pq._band_values(
+            even, pq._pass([(a, b, rule, _cutoff_of(patch) if cut else None)], d, window.radial_nodes)
+        )[0]
+        for a, b, rule, cut in bands
+    ]
+    assert _hex(grouped) == _hex(single)
+
+
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
 def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
