@@ -19,15 +19,12 @@ import time
 import numpy as np
 
 from . import closedform, energy, regularity, riesz, symcalc
-from .errors import DomainError, NotConverged
+from .errors import DomainError, NotConverged, PoleEncountered, Unsupported
 from .model import FracParams
 from .pvquad import QuadratureSpec, f_integral_num, frac_op_num
 from .specfun import kappa
 
 __all__ = ["SweepRecord", "emit", "main", "run"]
-
-_CSV_HEADER = "d,s,delta,epsilon,closed_value,quad_value,abs_residual,rel_residual,nodes,seed,wall_ms"
-
 
 @dataclasses.dataclass(frozen=True)
 class SweepRecord:
@@ -42,6 +39,9 @@ class SweepRecord:
     nodes: int
     seed: int
     wall_ms: int
+
+
+_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
 
 
 def _fmt(x) -> str:
@@ -102,11 +102,14 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    """A comma-separated point; its length is checked against --d in `run`."""
+    """A comma-separated finite point; its length is checked against --d in `run`."""
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        x = np.array([float(tok) for tok in text.split(",")])
+        if np.all(np.isfinite(x)):
+            return x
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad point {text!r}: want x1,x2,...") from None
+        pass
+    raise argparse.ArgumentTypeError(f"bad point {text!r}: want finite x1,x2,...")
 
 
 def _coupled_params(d: int, s: float, delta: float) -> FracParams:
@@ -428,7 +431,7 @@ def run(argv=None) -> int:
         parser.error(f"argument --out: the directory of {out} does not exist")
     try:
         return args.fn(args)
-    except (DomainError, NotConverged, AssertionError) as exc:
+    except (DomainError, NotConverged, PoleEncountered, Unsupported, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

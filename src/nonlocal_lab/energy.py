@@ -134,11 +134,14 @@ def _radii(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ball_rule(d: int, radius: float, n_r: int, n_mu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radii x meridian rule on B_radius, for functions of (x1, |x|) alone."""
+    """Gauss-Legendre radii x meridian rule on B_radius, for functions of (x1, |x|) alone.
+
+    The nodes are meridian rows (x1, x2), each standing for x1 e1 + x2 e_perp.
+    """
     om, ow = _meridian_rule(d, n_mu)
     r, wr = _radii(radius, n_r)
     wr = wr * r ** (d - 1)  # jacobian r^(d-1)
-    nodes = (r[:, None, None] * om[None, :, :]).reshape(-1, d)
+    nodes = (r[:, None, None] * om[None, :, :]).reshape(-1, 2)
     return nodes, (wr[:, None] * ow[None, :]).reshape(-1)
 
 
@@ -243,8 +246,8 @@ class _Grid:
         # the factor 2 for the pairs counted from their point outside
         x_out = np.empty(len(self.r))
         for i, (r, rho, t) in enumerate(zip(self.r, self.rho_out, self.t_out)):
-            h = (rho[..., None] * self.om[:, None, :]).reshape(-1, d)
-            x = r * np.eye(d)[0]
+            h = (rho[..., None] * self.om[:, None, :]).reshape(-1, 2)
+            x = np.array([r, 0.0])
             dh = (self.ow[:, None] * t * rho**d).ravel()
             (k,) = _kernel(pair, d, s, x, h, x + h)
             x_out[i] = 2.0 * k @ dh

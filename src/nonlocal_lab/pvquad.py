@@ -26,8 +26,8 @@ evaluation strategy:
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch in its own polar coordinates with graded bands; the even
     part gives the patches at c and -c the same bits, so one patch is
-    integrated and taken twice.  c lies on the e1 axis, so the plans depend
-    on c only through |c|, and `_plan` caches them by |c|;
+    integrated and taken twice.  c = |c1| e1 for a scalar c1, so the plans
+    depend on c only through |c|, and `_plan` caches them by |c|;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
@@ -37,20 +37,24 @@ The integrand depends on h only through (h . e1, |h|).  By Funk-Hecke its
 sphere integral in any d >= 2 is
 |S^(d-2)| int g(mu) (1 - mu^2)^((d-3)/2) dmu, taken on the meridian rule at
 the Gauss nodes of that weight (Golub-Welsch); at d = 2 it is the circle
-rule folded by h2 -> -h2, a half circle.  That rule's nodes +-mu are mirror
-images to the bit, where the even part takes the same bits, so the passes
-run on the even rule (`_even_rule`): the meridian rule's nodes j >= n/2,
-each carrying its mirror's weight too, at half the integrand evaluations.
+rule folded by h2 -> -h2, a half circle.  So every point is a row (h1, h2)
+of the meridian half-plane, standing for h = h1 e1 + h2 e_perp, in every
+d: d enters only through the rule weights, the band weight r^d and the
+integrand's exponents.  The rule's nodes +-mu are mirror images to the
+bit, where the even part takes the same bits, so the passes run on the
+even rule (`_even_rule`): the meridian rule's nodes j >= n/2, each
+carrying its mirror's weight too, at half the integrand evaluations.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
 pair (a_iso, b_rad), and the potential p.v. int u(x - h) |h|^(-(d-1+s)) dh
 of I_(1-s).  Both commute with rotations, so their value at x is (x1/|x|)
 times their value at |x| e1, where the integrand is axial.  `_on_axis`
-takes every oracle there, onto the even rule in every d.
-`frac_op_num` is the operator with the fractional pair, and the
-Riesz oracles scale the potential.  The named integrals are the two oracles
-at e1: f1 and f2 are -1/2 times the operator on the difference model's field
+takes every oracle there, onto the even rule in every d, and applies each
+oracle's constant factor: 2 for `frac_op_num`, the operator with the
+fractional pair, and the potential's constants for the Riesz oracles.
+The named integrals are the two oracles at e1: f1 and f2 are -1/2 times
+the operator, so -1 times its p.v. integral, on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
 f3 and f4 are the potential of the Riesz model's field (p = s - delta) and
 of its divergence field (p = -1 - delta).  The energy's x rule takes the
@@ -61,12 +65,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import FracParams, _check_range, _coeffs, _field, _kernel, _norms, _unit
+from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _field, _kernel, _norm, _norms
 from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
@@ -83,9 +87,9 @@ _PATCH_GUARD = 1e-10
 _BATCH = 4096
 
 # Most plans kept by _plan.  At the default spec a plan holds about 1 MB
-# (traced: 1.15 MB at d = 2, 0.87 MB at d = 3, 1.09 MB at d = 4), so a full
-# cache holds at most about 18 MB; `first_variation_residual` at d = 2
-# fills 6 entries.
+# (traced: 1.15 MB at d = 2 and 0.66 MB at every d >= 3, whose rows have two
+# columns as at d = 2), so a full cache holds at most about 18 MB;
+# `first_variation_residual` at d = 2 fills 6 entries.
 _PLAN_CACHE = 16
 
 
@@ -135,10 +139,12 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating functions of omega_1 alone over S^(d-1).
 
-    The nodes omega = (mu, sqrt(1 - mu^2), 0, ...) carry the Gauss nodes mu
-    for the weight (1 - mu^2)^lam, lam = (d - 3)/2: the eigenvalues of the
-    Jacobi matrix of the Gegenbauer recurrence, with weights from the first
-    eigenvector components (Golub & Welsch 1969).  The weights sum to
+    The (n, 2) nodes are meridian rows (mu, sqrt(1 - mu^2)), each standing
+    for the directions mu e1 + sqrt(1 - mu^2) e_perp, in every d; the
+    weights carry d.  mu are the Gauss nodes for the weight (1 - mu^2)^lam,
+    lam = (d - 3)/2: the eigenvalues of the Jacobi matrix of the Gegenbauer
+    recurrence, with weights from the first eigenvector components (Golub &
+    Welsch 1969).  The weights sum to
     |S^(d-1)| = |S^(d-2)| int (1 - mu^2)^lam dmu.  At d = 3 the nodes are
     the Gauss-Legendre nodes.  At d = 2 the recurrence is 0/0 (lam = -1/2);
     the rule there is the upper half of the 2n-node circle rule (angles
@@ -164,9 +170,7 @@ def _meridian_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     w = vecs[0] ** 2
     # the weight is even: symmetrize away the eigensolver's rounding
     mu, w = 0.5 * (mu - mu[::-1]), 0.5 * (w + w[::-1])
-    omegas = np.zeros((n, d))
-    omegas[:, 0] = mu
-    omegas[:, 1] = np.sqrt(1.0 - mu**2)
+    omegas = np.stack([mu, np.sqrt(1.0 - mu**2)], axis=1)
     return _frozen(omegas), _frozen(sphere_area(d) * w)
 
 
@@ -216,16 +220,16 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _pass(bands, d: int, radial_nodes: int) -> tuple:
     """(points, weights, starts) of one pass over the bands (a, b, (omegas, oweights), cutoff).
 
-    A band's points are its radii times its angular nodes, row by row, and
-    each point's weight is its radial weight times its angular weight, times
-    the band's cutoff at the point where the band has one.  starts holds
-    each band's first row.  Every array is read-only, so a cached pass
-    stays intact.
+    A band's points are its radii times its angular nodes, meridian rows
+    (h1, h2) one radius after another, and each point's weight is its
+    radial weight times its angular weight, times the band's cutoff at the
+    point where the band has one.  starts holds each band's first row.
+    Every array is read-only, so a cached pass stays intact.
     """
     points, weights = [], []
     for a, b, (omegas, oweights), cutoff in bands:
         r, wr = _log_band(a, b, radial_nodes, d)
-        pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
+        pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, 2)
         w = (wr[:, None] * oweights[None, :]).ravel()
         points.append(pts)
         weights.append(w if cutoff is None else w * cutoff(pts))
@@ -363,8 +367,7 @@ def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
     if patch is None:
         return [(a, b, 1, False) for a, b in zip(edges[:-1], edges[1:])]
-    center, radius = patch
-    norm = float(np.linalg.norm(center))
+    norm, radius = patch
     lo, hi = norm - radius, norm + radius
     fine_mult = 7 if d == 2 else 2
     bands = []
@@ -383,8 +386,9 @@ def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
     return [(a, b, 1, b > 0.5 * radius) for a, b, _ in bands]
 
 
-def _pair_cutoff(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, with chi = chi(., R)."""
+def _pair_cutoff(pts: np.ndarray, c1: float, radius: float) -> np.ndarray:
+    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, c = (c1, 0), chi = chi(., R)."""
+    center = np.array([c1, 0.0])
     return 1.0 - _chi(_norms(pts - center), radius) - _chi(_norms(pts + center), radius)
 
 
@@ -425,50 +429,51 @@ def _stage(fn, plan):
     return total, scale, _shell_sums(shells, values), jack, sum(len(p[0]) for p in passes)
 
 
-def _patch(singular_point):
-    """(c, radius) of the patch pair at +-c: at most |c|/2, so the two stay apart."""
-    center = np.asarray(singular_point, dtype=float)
-    radius = min(_PATCH_RADIUS, 0.5 * float(np.linalg.norm(center)))
+def _patch(norm: float) -> float:
+    """Radius of the patch pair at +-c, from |c|: at most |c|/2, so the two stay apart."""
+    radius = min(_PATCH_RADIUS, 0.5 * norm)
     if radius <= _PATCH_GUARD:
         raise DomainError("singular point too close to 0 to patch")
-    return center, radius
+    return radius
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
 def _plan(spec: QuadratureSpec, d: int, norm: float | None):
-    """(main stage plan, patch stage plan or None) of pv_integral at a singular point of norm |c|.
+    """(main stage plan, patch stage plan or None) of pv_integral at the singular pair +-|c| e1.
 
-    norm is |c|, or None for no singular point; the plans are those of the
-    pair at |c| e1, whose cutoff values they hold.
+    norm is |c|, or None for no singular point; the plans hold the pair's
+    cutoff values.
     """
     if norm is None:
         return _stage_plan(_main_bands(spec, d, None), d, spec, None), None
-    center, radius = _patch(norm * np.eye(d)[0])
+    radius = _patch(norm)
 
     def main_cutoff(pts):
-        return _pair_cutoff(pts, center, radius)
+        return _pair_cutoff(pts, norm, radius)
 
     def chi(local_pts):
         return _chi(_norms(local_pts), radius)
 
-    main = _stage_plan(_main_bands(spec, d, (center, radius)), d, spec, main_cutoff)
+    main = _stage_plan(_main_bands(spec, d, (norm, radius)), d, spec, main_cutoff)
     return main, _stage_plan(_patch_bands(spec, radius), d, spec, chi)
 
 
 def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) -> PVResult:
     """Symmetric-window principal value of a vectorized even axial integrand.
 
-    `integrand` maps an (n, d) array of points h to the (n,) float values
-    of the even part (g(h) + g(-h))/2 of the integrand g, without writing
-    into its argument; g depends on h only through (h . e1, |h|).  It is
-    only ever evaluated away from the origin and from +-c, c the declared
-    `singular_point`, which must be a point of R^d on the e1 axis.
-    Integrating the even part realizes the principal value, and it makes
-    +-c one patch, taken twice: the patch at -c has the bits of the one at
-    c.  The returned value extrapolates the window to (0, infinity) by
-    shell completion at both ends.  `nodes_used` counts the samples of g:
-    two per main-band row, at h and -h, and four per patch row, whose pair
-    average takes the even part at c + l and c - l.
+    `integrand` maps an (n, 2) array of meridian rows (h1, h2), each
+    standing for h = h1 e1 + h2 e_perp in R^d, to the (n,) float values of
+    the even part (g(h) + g(-h))/2 of the integrand g, without writing into
+    its argument.  g depends on h only through h1 and |h|: h2 is negative
+    in the patch's rows c - l.  d enters only through the rule weights and
+    r^d.  The integrand is only ever evaluated away from the origin and
+    from the pair +-c, c = |c1| e1, of the declared `singular_point`, the
+    finite scalar c1.  Integrating the even part realizes the principal
+    value, and it makes +-c one patch, taken twice: the patch at -c has the
+    bits of the one at c.  The returned value extrapolates the window to
+    (0, infinity) by shell completion at both ends.  `nodes_used` counts
+    the samples of g: two per main-band row, at h and -h, and four per
+    patch row, whose pair average takes the even part at c + l and c - l.
 
     The sphere rule is the even rule: the meridian rule's nodes +-mu are
     mirror images, where the even part takes one value, so it is evaluated
@@ -477,14 +482,11 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
     (`_plan`), and its band values are one weighted reduction.
     """
     _check_range(d)
-    patch = norm = None
+    norm = None
     if singular_point is not None:
-        if np.shape(singular_point) != (d,):
-            raise DomainError(f"singular_point must be a point in R^{d}")
-        patch = _patch(singular_point)
-        if np.any(patch[0][1:]):
-            raise DomainError("the singular point must lie on the e1 axis")
-        norm = float(np.linalg.norm(patch[0]))
+        if np.shape(singular_point) != () or not math.isfinite(singular_point):
+            raise DomainError(f"singular_point must be a finite scalar c1, got {singular_point!r}")
+        norm = abs(float(singular_point))
     main_plan, patch_plan = _plan(spec, d, norm)
     main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan)
     inner_tail, inner_err = _completion(shells, scale)
@@ -492,8 +494,8 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
 
     patch_sum = patch_err = patch_jack = 0.0
     patch_rows = 0
-    if patch is not None:
-        center, radius = patch
+    if patch_plan is not None:
+        center = np.array([norm, 0.0])
 
         def pair(local_pts):
             # antipodal averaging inside the ball kills the odd leading
@@ -515,33 +517,29 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
     return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
 
 
-def _scaled(res: PVResult, factor: float) -> PVResult:
-    return PVResult(
-        value=factor * res.value,
-        err_estimate=abs(factor) * res.err_estimate,
-        nodes_used=res.nodes_used,
-        converged=res.converged,
-    )
+def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float = 1.0) -> PVResult:
+    """factor times p.v. int of an operator's integrand on the field phi(|z|) z1, at x != 0.
 
-
-def _on_axis(even_at, d: int, x, spec: QuadratureSpec) -> PVResult:
-    """p.v. int of an operator's integrand on the field phi(|z|) z1, at x != 0.
-
-    even_at(c) is the even part in h of the integrand at the point c.  The
-    operators here commute with rotations, and phi(|z|) z1 is the e1
-    component of the vector field phi(|z|) z, which is rotation-equivariant.
-    So the value at x is (x1/|x|) times the value at c = |x| e1, where the
-    integrand depends on h only through (h . e1, |h|) and the even rule
-    applies, in every d.
+    even_at(c) is the even part in h of the integrand at the point c, on
+    meridian rows.  The operators here commute with rotations, and
+    phi(|z|) z1 is the e1 component of the vector field phi(|z|) z, which
+    is rotation-equivariant.  So the value at x is (x1/|x|) times the value
+    at c = (|x|, 0), where the integrand depends on h only through
+    (h . e1, |h|) and the even rule applies, in every d.  A point with a
+    nan or inf coordinate, or whose |x| overflows, raises DomainError
+    before any plan is built.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise DomainError(f"x must be a point in R^{d}")
-    _, r = _unit(x)
-    c = np.zeros(d)
-    c[0] = r
-    res = pv_integral(even_at(c), d, spec, singular_point=c)
-    return _scaled(res, float(x[0]) / r)
+    with np.errstate(over="ignore"):
+        r = _norm(x)
+    if not _ORIGIN_GUARD <= r < math.inf:
+        raise DomainError(f"x must be a finite point with 0 < |x| < inf, got {x.tolist()}")
+    res = pv_integral(even_at(np.array([r, 0.0])), d, spec, singular_point=r)
+    unit1 = float(x[0]) / r
+    value, err = factor * (unit1 * res.value), abs(factor) * (abs(unit1) * res.err_estimate)
+    return PVResult(value, err, res.nodes_used, res.converged)
 
 
 def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
@@ -561,12 +559,6 @@ def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
     return even
 
 
-def _operator(pair, d: int, s: float, p: float, x, spec: QuadratureSpec) -> PVResult:
-    """2 p.v. int k_pair(x, x+h) (u(x) - u(x+h)) dh at x != 0, u = |z|^(p-1) z1."""
-    res = _on_axis(lambda c: _operator_even(pair, d, s, p, c), d, x, spec)
-    return _scaled(res, 2.0)
-
-
 def _potential_even(d: int, s: float, power: float, x: np.ndarray):
     """Even part in h of the potential's integrand u(x - h) |h|^(-(d-1+s)).
 
@@ -582,24 +574,21 @@ def _potential_even(d: int, s: float, power: float, x: np.ndarray):
     return even
 
 
-def _potential(d: int, s: float, power: float, x, spec: QuadratureSpec) -> PVResult:
-    """p.v. int u(x - h) |h|^(-(d-1+s)) dh at x != 0, u = |z|^(power-1) z1: I_(1-s) of u."""
-    return _on_axis(lambda c: _potential_even(d, s, power, c), d, x, spec)
-
-
 def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:
     """Direct quadrature of one of the named singular integrals, at e1."""
     if which in ("f1", "f2"):
-        # the isotropic and the radial part of the difference model's operator
+        # -1/2 of the isotropic and the radial part of the difference model's operator
         _check_range(d, s, delta)
         pair = (1.0, 0.0) if which == "f1" else (0.0, 1.0)
-        return _scaled(_operator(pair, d, s, 1.0 - delta, np.eye(d)[0], spec), -0.5)
-    if which in ("f3", "f4"):
+        even_at, factor = partial(_operator_even, pair, d, s, 1.0 - delta), -1.0
+    elif which in ("f3", "f4"):
         # the potential of the Riesz model's field and of its divergence field
         _check_range(d, s, delta, model="riesz")
         power = s - delta if which == "f3" else -1.0 - delta
-        return _potential(d, s, power, np.eye(d)[0], spec)
-    raise DomainError(f"unknown integral {which!r}")
+        even_at, factor = partial(_potential_even, d, s, power), 1.0
+    else:
+        raise DomainError(f"unknown integral {which!r}")
+    return _on_axis(even_at, d, np.eye(d)[0], spec, factor)
 
 
 def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
@@ -608,5 +597,6 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    pair = _coeffs("fractional", params.d, params.s, params.epsilon)
-    return _operator(pair, params.d, params.s, 1.0 - params.delta, x, spec)
+    d, s = params.d, params.s
+    pair = _coeffs("fractional", d, s, params.epsilon)
+    return _on_axis(partial(_operator_even, pair, d, s, 1.0 - params.delta), d, x, spec, 2.0)

@@ -16,12 +16,13 @@ bracket vanish; both constants tend to 1 as s -> 1.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .model import _check_range, _unit
-from .pvquad import PVResult, QuadratureSpec, _potential, _scaled
+from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential_even
 from .specfun import gamma_ratio
 
 __all__ = [
@@ -105,8 +106,8 @@ def riesz_potential_num(
 ) -> PVResult:
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
     _check_range(d, s, delta, model="riesz")
-    res = _potential(d, s, s - delta, x, spec)
-    return _scaled(res, riesz_kernel_constant(d, 1.0 - s))
+    norm = riesz_kernel_constant(d, 1.0 - s)
+    return _on_axis(partial(_potential_even, d, s, s - delta), d, x, spec, norm)
 
 
 def riesz_div_conv_num(
@@ -116,5 +117,5 @@ def riesz_div_conv_num(
     _check_range(d, s, delta, model="riesz")
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
-    res = _potential(d, s, -1.0 - delta, x, spec)
-    return _scaled(res, norm * c_star * _bracket(d, delta, epsilon))
+    factor = norm * c_star * _bracket(d, delta, epsilon)
+    return _on_axis(partial(_potential_even, d, s, -1.0 - delta), d, x, spec, factor)

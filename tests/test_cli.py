@@ -4,7 +4,7 @@ import os
 import pytest
 
 from nonlocal_lab import cli
-from nonlocal_lab.errors import DomainError
+from nonlocal_lab.errors import DomainError, Unsupported
 from nonlocal_lab.pvquad import QuadratureSpec
 
 
@@ -79,6 +79,20 @@ def test_exit_code_one_on_domain_error(capsys):
     rc = cli.run(["verify", "--d", "2", "--s", "0.25", "--delta", "0.45"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_one_on_pole_or_unsupported(capsys, monkeypatch):
+    # delta = 0 is a Gamma pole of the f1 pipeline: an error line, not a traceback
+    argv = ["fourier", "--which", "f1", "--d", "2", "--s", "0.5", "--delta", "0"]
+    assert cli.run(argv) == 1
+    assert "error: pipeline 'f1' requires delta > 0" in capsys.readouterr().err
+
+    def unsupported(*args):
+        raise Unsupported("no such term")
+
+    monkeypatch.setattr(cli.symcalc, "pipeline", unsupported)
+    assert cli.run(argv[:-1] + ["0.2"]) == 1
+    assert "error: no such term" in capsys.readouterr().err
 
 
 def test_sweep_golden_reproducibility(tmp_path, capsys):
@@ -217,8 +231,8 @@ def test_bad_range_exits_two(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "point, message",
     [("0.6", "point must have 2 coordinates"), ("0.6,0.2,0.1", "point must have 2 coordinates"),
-     ("0.6,abc", "bad point")],
-    ids=["short", "long", "word"],
+     ("0.6,abc", "bad point"), ("nan,0", "bad point"), ("0.6,-inf", "bad point")],
+    ids=["short", "long", "word", "nan", "inf"],
 )
 def test_bad_point_exits_two(capsys, point, message):
     with pytest.raises(SystemExit) as exc:
