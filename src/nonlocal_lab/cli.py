@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -290,7 +291,14 @@ def _add_quad_flags(p: argparse.ArgumentParser, names) -> None:
             p.add_argument(flag, type=type(f.default), default=f.default)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    `run` only reads it: parsing and the --config merge write into the
+    parsed namespace, never into the parser, so a run leaves nothing behind
+    for the next one.
+    """
     parser = argparse.ArgumentParser(
         prog="nonlocal-lab",
         description="verification laboratory for the anisotropic fractional model",

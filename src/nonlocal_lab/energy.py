@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _kernel, _norms, _rowdot
+from .model import _safe_norms
 from .pvquad import QuadratureSpec, _gl, _meridian_rule
 from .pvquad import frac_op_num
 from .closedform import operator_value
@@ -249,7 +250,8 @@ class _Grid:
             h = (rho[..., None] * self.om[:, None, :]).reshape(-1, 2)
             x = np.array([r, 0.0])
             dh = (self.ow[:, None] * t * rho**d).ravel()
-            (k,) = _kernel(pair, d, s, x, h, x + h)
+            y = x + h
+            (k,) = _kernel(pair, d, s, x, h, (y, _safe_norms(y)))
             x_out[i] = 2.0 * k @ dh
         # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled
         tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)

@@ -118,6 +118,20 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(x, x)))
 
 
+def _point_norm(x) -> float:
+    """|x| of a point x with 0 < |x| < inf.
+
+    DomainError at the origin, at a nan or inf coordinate, and where |x|
+    overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        r = _norm(x)
+    if not _ORIGIN_GUARD <= r < math.inf:
+        raise DomainError(f"x must be a finite point with 0 < |x| < inf, got {x.tolist()}")
+    return r
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_i, b_i> for each row pair of two (n, d) arrays, summed column by column.
 
@@ -137,6 +151,11 @@ def _norms(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(pts, pts))
 
 
+def _safe_norms(pts: np.ndarray) -> np.ndarray:
+    """max(|z|, _ORIGIN_GUARD) for each row z of an (n, d) array: |z| where it divides."""
+    return np.maximum(_norms(pts), _ORIGIN_GUARD)
+
+
 def _unit(x) -> tuple[np.ndarray, float]:
     """(x/|x|, |x|) at x != 0."""
     x = np.asarray(x, dtype=float)
@@ -146,15 +165,16 @@ def _unit(x) -> tuple[np.ndarray, float]:
     return x / r, r
 
 
-def _field(p: float, pts: np.ndarray) -> np.ndarray:
-    """|z|^(p-1) z1 for each row z of an (n, d) array.
+def _field(p: float, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|z|^(p-1) z1 for each row z of an (n, d) array, given r = _safe_norms(pts).
 
-    Quadrature never samples z = 0, because its singular points are patched.
-    At z = 0 the row gives 0 for p >= 1, as homogeneous_field does; for p < 1
-    the field has no value there, and the row holds 0 or nan depending on p.
+    The caller passes r because it often needs r as well (the kernel does),
+    and so takes it once.  Quadrature never samples z = 0, because its
+    singular points are patched.  At z = 0 the row gives 0 for p >= 1, as
+    homogeneous_field does; for p < 1 the field has no value there, and the
+    row holds 0 or nan depending on p.
     """
-    safe = np.maximum(_norms(pts), _ORIGIN_GUARD)
-    return safe ** (p - 1.0) * pts[:, 0]
+    return r ** (p - 1.0) * pts[:, 0]
 
 
 def homogeneous_field(p: float, x) -> float:
@@ -168,7 +188,8 @@ def homogeneous_field(p: float, x) -> float:
         if p < 1.0:
             raise DomainError("field is singular (or has no value) at x = 0")
         return 0.0
-    return float(_field(p, x[None, :])[0])
+    pts = x[None, :]
+    return float(_field(p, pts, _safe_norms(pts))[0])
 
 
 def _coeffs(flavor: str, d: int, s: float | None, epsilon: float) -> tuple[float, float]:
@@ -197,29 +218,29 @@ def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
     return a + b, a
 
 
-def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, *ys: np.ndarray) -> tuple:
+def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, *ys: tuple) -> tuple:
     """Jump kernel k(x, y) for one point x != 0, the rows of h and each y given.
 
     k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
-    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  Each y is x + h or
-    x - h, one array per y is returned, and y comes with h because the
-    callers need it for the field as well, and form it once.  |h|, its
-    power and <hhat, xhat>^2 are the same at h and -h, so they are taken
-    once for all ys; at y = x - h, the <hhat, yhat> of h is minus that of
+    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  Each y is a pair
+    (y, _safe_norms(y)) with y = x + h or x - h, and one array per y is
+    returned; y and its norms come with h because the callers need them for
+    the field as well, and take them once.  |h|, its power and
+    <hhat, xhat>^2 are the same at h and -h, so they are taken once for all
+    ys; at y = x - h, the <hhat, yhat> of h is minus that of
     -h, to the bit, so its square is that of -h.  With b_rad = 0 the angular
     factor is skipped: the general formula would only add
     0.5 * 0.0 * (...), so the bits are the same.
     """
     a_iso, b_rad = pair
-    r = np.maximum(_norms(h), _ORIGIN_GUARD)
+    r = _safe_norms(h)
     rpow = r ** (-d - 2.0 * s)
     if b_rad == 0.0:
         return (a_iso * rpow,) * len(ys)
     cos_x2 = ((h @ x) / (r * _norm(x))) ** 2
     hhat = [h[:, j] / r for j in range(len(x))]
     out = []
-    for y in ys:
-        ry = np.maximum(_norms(y), _ORIGIN_GUARD)
+    for y, ry in ys:
         # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
         cos_y = sum(hhat[j] * (y[:, j] / ry) for j in range(len(x)))
         out.append(rpow * (a_iso + 0.5 * b_rad * (cos_x2 + cos_y**2)))
@@ -236,7 +257,8 @@ def kernel_eval(params: FracParams, x, y) -> float:
     for pt in (x, y):
         _unit(pt)  # A has no value at the origin
     pair = _coeffs("fractional", params.d, params.s, params.epsilon)
-    (k,) = _kernel(pair, params.d, params.s, x, h[None, :], y[None, :])
+    y = y[None, :]
+    (k,) = _kernel(pair, params.d, params.s, x, h[None, :], (y, _safe_norms(y)))
     return float(k[0])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import _check_range, _field
+from .model import _check_range, _field, _safe_norms
 
 __all__ = ["membership", "reference_band", "dyadic_seminorm", "DyadicResult"]
 
@@ -92,7 +92,7 @@ def reference_band(
     ry = np.linalg.norm(y, axis=1)
     inside = (ry >= y_lo) & (ry <= hi)
 
-    du = np.abs(_field(1.0 - delta, x) - _field(1.0 - delta, y))
+    du = np.abs(_field(1.0 - delta, x, _safe_norms(x)) - _field(1.0 - delta, y, _safe_norms(y)))
     vals = np.where(inside, du**q * rz ** (-d - t * q), 0.0) * w_z * area_x
     value = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(samples))

@@ -162,6 +162,33 @@ def test_config_defaults_flags_win(tmp_path, capsys):
     assert "b(delta=0.05" in out2
 
 
+def test_config_leaks_into_no_later_run(tmp_path, capsys):
+    # the parser is built once per process, and a --config run writes only
+    # into its own arguments: a plain run after it sees the flags' defaults
+    assert cli._build_parser() is cli._build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 3\ns = 0.5\ndelta = 0.2\nangular_nodes = 32\nr_min = 1e-4\n")
+    assert cli.run(["--config", str(cfg), "couple"]) == 0
+    assert "b(delta=0.2" in capsys.readouterr().out
+    assert cli.run(["couple", "--d", "2", "--s", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("epsilon = b(delta=0) = 0\n")
+    fresh = cli._build_parser.__wrapped__()
+    for argv in (["couple"], ["verify"], ["sweep"], ["quadrature"]):
+        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["couple"])
+    assert exc.value.code == 2
+    assert "missing required argument --d" in capsys.readouterr().err
+
+
+def test_verify_point_whose_norm_overflows_exits_one(capsys):
+    # finite coordinates pass the point parser, but |x| overflows: the closed
+    # form and the oracle reject the point, without a numpy overflow warning
+    argv = ["verify", "--d", "2", "--s", "0.5", "--delta", "0.2", "--x", "1e200,1e200"]
+    assert cli.run(argv) == 1
+    assert "finite point" in capsys.readouterr().err
+
+
 def test_config_boolean_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 2\ns = 0.5\ndelta = 0.2\nepsilon = 0.3\ninverse = false\n")

@@ -88,6 +88,17 @@ def test_operator_zero_at_coupling(rng):
             )
 
 
+@pytest.mark.parametrize(
+    "x", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 1.0), (1e200, 1e200), (0.0, 0.0)],
+    ids=["nan", "inf", "minus-inf", "overflow", "origin"],
+)
+def test_operator_value_rejects_non_finite_points(x):
+    # a point holding nan or inf, or whose |x| overflows, has no operator
+    # value: DomainError, as in the quadrature oracles, not nan or 0.0
+    with pytest.raises(DomainError, match="finite point"):
+        cf.operator_value(FracParams(2, 0.5, 0.2, 0.1), x)
+
+
 def test_operator_s_to_one_limit(rng):
     s = 1.0 - 1e-6
     for _ in range(10):

@@ -16,6 +16,7 @@ from nonlocal_lab.model import (
     _field,
     _kernel,
     _rowdot,
+    _safe_norms,
     coeff_eigen,
     coeff_matrix,
     homogeneous_field,
@@ -147,11 +148,11 @@ def test_field_rows_match_one_point_field(rng):
     pts = rng.normal(size=(20, 3))
     for p in (-1.25, 0.3, 1.0, 1.7):
         want = [homogeneous_field(p, z) for z in pts]
-        assert _field(p, pts) == pytest.approx(want, rel=1e-14)
+        assert _field(p, pts, _safe_norms(pts)) == pytest.approx(want, rel=1e-14)
     # z = 0 has the value 0 for p >= 1, as the one-point field says
     origin = np.zeros((1, 3))
     for p in (1.0, 1.5, 3.0):
-        assert _field(p, origin)[0] == 0.0 == homogeneous_field(p, origin[0])
+        assert _field(p, origin, _safe_norms(origin))[0] == 0.0 == homogeneous_field(p, origin[0])
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -266,7 +267,8 @@ def test_radial_kernel_at_e1_is_the_f2_polynomial(rng):
         near = -e1 + u[200:] * 10.0 ** rng.uniform(-1.0, 0.0, size=(200, 1))
         h = np.concatenate([far, near])
         h = h[np.linalg.norm(h + e1, axis=1) > 1e-2]
-        (got,) = _kernel((0.0, 1.0), d, s, e1, h, e1 + h)
+        y = e1 + h
+        (got,) = _kernel((0.0, 1.0), d, s, e1, h, (y, _safe_norms(y)))
         g = -h
         r2 = np.sum(g * g, axis=1)
         g1 = g[:, 0]

@@ -6,7 +6,7 @@ import pytest
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
-from nonlocal_lab.model import FracParams, _field, _kernel
+from nonlocal_lab.model import FracParams, _field, _kernel, _safe_norms
 from nonlocal_lab.riesz import (
     riesz_constants,
     riesz_div_conv_num,
@@ -26,12 +26,13 @@ def norms(h):
 def _operator_integrand(pair, d, s, p, x):
     # the operator's plain integrand k_pair(x, x+h) (u(x) - u(x+h)), whose
     # even part pq._operator_even gives
-    ux = float(_field(p, x[None, :])[0])
+    ux = float(_field(p, x[None, :], _safe_norms(x[None, :]))[0])
 
     def g(h):
         y = x[None, :] + h
-        (k,) = _kernel(pair, d, s, x, h, y)
-        return k * (ux - _field(p, y))
+        ry = _safe_norms(y)
+        (k,) = _kernel(pair, d, s, x, h, (y, ry))
+        return k * (ux - _field(p, y, ry))
 
     return g
 
@@ -40,7 +41,8 @@ def _potential_integrand(d, s, power, x):
     # the potential's plain integrand u(x - h) |h|^(-(d-1+s)), whose even
     # part pq._potential_even gives
     def g(h):
-        return _field(power, x[None, :] - h) * norms(h) ** (-(d - 1.0 + s))
+        y = x[None, :] - h
+        return _field(power, y, _safe_norms(y)) * norms(h) ** (-(d - 1.0 + s))
 
     return g
 
@@ -362,11 +364,14 @@ def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_pl
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
+def test_band_values_grouping_is_bitwise(spec, d, monkeypatch, cold_plans):
     # the cached plan's nominal main pass, taken in chunks of _BATCH rows,
     # keeps the bits of one integrand call per band on a pass rebuilt from
     # the bands alone, on the folded d = 2 and d = 4 meridian rules, with
-    # the cutoff of the patch pair +-e1 on the bands that carry it
+    # the cutoff of the patch pair +-e1 on the bands that carry it; _BATCH
+    # is 4096 here, so that the d = 4 pass (9,280 rows) spans more than two
+    # chunks
+    monkeypatch.setattr(pq, "_BATCH", 4096)
     even = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
     patch = (1.0, pq._patch(1.0))
@@ -451,6 +456,88 @@ def test_plan_cutoff_is_bitwise(spec, d, norm, cold_plans):
             else:
                 assert _same_bits(w, w0)
     assert n_cut > 0
+
+
+def _smoothstep_everywhere(u):
+    # the smoothstep with both exponentials taken on every row
+    u = np.clip(u, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+        b = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    return a / (a + b)
+
+
+def _chi_everywhere(rho, radius):
+    return 1.0 - _smoothstep_everywhere((rho - 0.5 * radius) / (0.5 * radius))
+
+
+def test_smoothstep_only_between_keeps_the_bits():
+    # evaluated only strictly inside (0, 1), the smoothstep keeps the bits of
+    # the evaluation on every row, at the ends, past them and next to them
+    tiny = np.array([5e-324, 1e-310, 1e-300, 1e-200, 1e-3, 0.5, 1.0 - 2.0**-53, 1.0 - 1e-9])
+    ends = [0.0, 1.0, -3.0, 7.0]
+    u = np.concatenate([tiny, -tiny, 1.0 + tiny, ends, np.linspace(-0.5, 1.5, 2001)])
+    assert _same_bits(pq._smoothstep(u), _smoothstep_everywhere(u))
+
+
+@pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
+@pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
+def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
+    # the cached plan's weights on the cut bands of both passes of both
+    # stages, to the bit: the uncut weights times the pair cutoff, and times
+    # the patch's chi, with the smoothstep evaluated on every row
+    radius = pq._patch(norm)
+    center = np.array([norm, 0.0])
+
+    def pair_full(pts):
+        near, far = norms(pts - center), norms(pts + center)
+        return 1.0 - _chi_everywhere(near, radius) - _chi_everywhere(far, radius)
+
+    stages = zip(
+        pq._plan(spec, d, norm),
+        (pq._main_bands(spec, d, (norm, radius)), pq._patch_bands(spec, radius)),
+        (pair_full, lambda pts: _chi_everywhere(norms(pts), radius)),
+    )
+    n_cut = 0
+    for (_, passes), bands, full in stages:
+        _, uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in bands], d, spec, None)
+        for cached, plain in zip(passes, uncut):
+            for (pts, w), (_, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
+                n_cut += cut
+                assert _same_bits(w, w0 * full(pts) if cut else w0)
+    assert n_cut > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_plans):
+    # every cached plan's points are column-major, and every chunk of rows
+    # the integrand sees has contiguous columns, as do x + h and x - h formed
+    # from it: in the main passes and at the patch rows c + l and c - l
+    c1 = 1.3
+    x = np.array([c1, 0.0])
+    even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, x)
+    chunks = []
+
+    def recording(h):
+        chunks.append(h)
+        return even(h)
+
+    def columns_contiguous(a):
+        return a.shape[1] == 2 and a.strides[0] == a.itemsize
+
+    monkeypatch.setattr(pq, "_BATCH", 977)  # chunks that split bands and passes
+    pq.pv_integral(recording, d, spec, singular_point=c1)
+    pq.pv_integral(even, d, spec)
+    plans = [pq._plan(spec, d, c1), pq._plan(spec, d, None)]
+    passes = [p for main, patch in plans for stage in (main, patch) if stage for p in stage[1]]
+    assert len(passes) == 6
+    assert all(points.flags.f_contiguous for points, _, _ in passes)
+    # the patch's rows c - l are the ones with h2 < 0
+    assert any(np.any(h[:, 1] < 0.0) for h in chunks)
+    assert len(chunks) > 4 and max(len(h) for h in chunks) == 977
+    for h in chunks:
+        assert columns_contiguous(h)
+        assert columns_contiguous(x + h) and columns_contiguous(x - h)
 
 
 _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
