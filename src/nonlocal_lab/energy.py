@@ -288,12 +288,13 @@ def first_variation_residual(
 ) -> float:
     """Quadrature of the first variation int op(x) eta(x) dx.
 
-    The operator is rotation-equivariant, op(x) = (x1/|x|) op(|x| e1), so
-    for eta = phi(|x|) x1 this is m2(d) int op(r e1) phi(r) r^d dr with
-    m2 = sphere_moment2(d), on six radii.  Zero (to quadrature accuracy)
-    exactly when epsilon is the coupling; the closed-form pairing on the
-    same nodes is the guard: the two paths must agree within the accumulated
-    quadrature error bound.
+    The operator is rotation-equivariant and homogeneous of degree
+    gamma = 1 - delta - 2s, op(x) = |x|^gamma (x1/|x|) op(e1), so for
+    eta = phi(|x|) x1 this is m2(d) op(e1) int phi(r) r^(d + gamma) dr with
+    m2 = sphere_moment2(d), on six radii: one oracle call at e1.  Zero (to
+    quadrature accuracy) exactly when epsilon is the coupling; the
+    closed-form pairing on the same radii is the guard: the two paths must
+    agree within the accumulated quadrature error bound.
     """
     d = params.d
     if eta.radius >= 1.0:
@@ -301,12 +302,12 @@ def first_variation_residual(
     r, wr = _radii(eta.radius, 6)
     weights = sphere_moment2(d) * wr * eta.phi(r) * r**d
     kap = kappa(d, params.s)
-    quad = bound = closed = 0.0
-    for x, w in zip(r[:, None] * np.eye(d)[0], weights):
-        res = frac_op_num(params, x, spec)
-        quad += w * kap * res.value
-        bound += abs(w) * kap * res.err_estimate
-        closed += w * operator_value(params, x)
+    e1 = np.eye(d)[0]
+    res = frac_op_num(params, e1, spec)
+    radial = weights * r ** (1.0 - params.delta - 2.0 * params.s)
+    quad = kap * res.value * float(np.sum(radial))
+    bound = kap * res.err_estimate * float(np.sum(np.abs(radial)))
+    closed = sum(w * operator_value(params, radius * e1) for radius, w in zip(r, weights))
     if abs(quad - closed) > 5.0 * bound + 1e-8:
         raise AssertionError(
             f"first-variation paths disagree: quadrature {quad}, closed {closed}, "

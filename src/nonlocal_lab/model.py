@@ -132,6 +132,14 @@ def _point_norm(x) -> float:
     return r
 
 
+def _point_power(r: float, p: float) -> float:
+    """r^p of a point's norm r = _point_norm(x); DomainError where it overflows."""
+    try:
+        return r**p
+    except OverflowError:
+        raise DomainError(f"|x|^{p!r} overflows at |x| = {r!r}") from None
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_i, b_i> for each row pair of two (n, d) arrays, summed column by column.
 
@@ -157,11 +165,9 @@ def _safe_norms(pts: np.ndarray) -> np.ndarray:
 
 
 def _unit(x) -> tuple[np.ndarray, float]:
-    """(x/|x|, |x|) at x != 0."""
+    """(x/|x|, |x|) at a point x that _point_norm accepts."""
     x = np.asarray(x, dtype=float)
-    r = _norm(x)
-    if r < _ORIGIN_GUARD:
-        raise DomainError("evaluation at the singular point x = 0")
+    r = _point_norm(x)
     return x / r, r
 
 
@@ -181,15 +187,21 @@ def homogeneous_field(p: float, x) -> float:
     """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
 
     The one-point case of _field, with the origin decided: 0 for p >= 1,
-    DomainError for p < 1.
+    DomainError for p < 1.  A point _point_norm refuses elsewhere, and one
+    where the value overflows, raise DomainError too.
     """
     x = np.asarray(x, dtype=float)
-    if _norm(x) < _ORIGIN_GUARD:
-        if p < 1.0:
-            raise DomainError("field is singular (or has no value) at x = 0")
-        return 0.0
-    pts = x[None, :]
-    return float(_field(p, pts, _safe_norms(pts))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _norm(x) < _ORIGIN_GUARD:
+            if p < 1.0:
+                raise DomainError("field is singular (or has no value) at x = 0")
+            return 0.0
+        _point_norm(x)
+        pts = x[None, :]
+        value = float(_field(p, pts, _safe_norms(pts))[0])
+    if not math.isfinite(value):
+        raise DomainError(f"|x|^{p!r} xhat_1 overflows at x = {x.tolist()}")
+    return value
 
 
 def _coeffs(flavor: str, d: int, s: float | None, epsilon: float) -> tuple[float, float]:
@@ -251,14 +263,17 @@ def kernel_eval(params: FracParams, x, y) -> float:
     """Jump kernel |x-y|^(-d-2s) <(A(x)+A(y))/2 zhat, zhat>: _kernel at one pair."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    h = y - x
-    if _norm(h) < _ORIGIN_GUARD:
-        raise DomainError("kernel is singular on the diagonal x = y")
     for pt in (x, y):
-        _unit(pt)  # A has no value at the origin
+        _point_norm(pt)  # A has no value at the origin, nor at a non-finite point
     pair = _coeffs("fractional", params.d, params.s, params.epsilon)
-    y = y[None, :]
-    (k,) = _kernel(pair, params.d, params.s, x, h[None, :], (y, _safe_norms(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = y - x
+        if _norm(h) < _ORIGIN_GUARD:
+            raise DomainError("kernel is singular on the diagonal x = y")
+        y = y[None, :]
+        (k,) = _kernel(pair, params.d, params.s, x, h[None, :], (y, _safe_norms(y)))
+    if not math.isfinite(k[0]):
+        raise DomainError("kernel overflows: |x - y|^(-d-2s) or |x - y| is out of range")
     return float(k[0])
 
 

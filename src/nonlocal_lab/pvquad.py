@@ -2,14 +2,14 @@
 
 Every integral here is of the form  p.v. integral g(h) dh  over R^d with a
 non-integrable singularity at the origin, possible kinks or integrable
-singularities at one point c != 0, and slow power decay at infinity.  The
-evaluation strategy:
+singularities at e1, and slow power decay at infinity.  The evaluation
+strategy:
 
   * the integrand gives its even part (g(h) + g(-h))/2, whose antipodal
     symmetry cancels the odd leading parts of g pointwise, which makes both
     the origin and the tail absolutely convergent and realizes the
     principal value at the level of the integrand; it also turns the point
-    c into the antipodal pair +-c.  The oracles' even parts
+    e1 into the antipodal pair +-e1.  The oracles' even parts
     (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
     once per row, with the bits of the average of the two;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
@@ -26,12 +26,12 @@ evaluation strategy:
     x + h and every column h[:, j] in the integrands a numpy loop over rows
     of 2 elements, or a strided read; column-major, each is one contiguous
     loop over the rows, and x + h keeps the layout;
-  * the pair +-c is cut out of the main bands by smooth partition-of-unity
+  * the pair +-e1 is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch in its own polar coordinates with graded bands; the even
-    part gives the patches at c and -c the same bits, so one patch is
-    integrated and taken twice.  c = |c1| e1 for a scalar c1, so the plans
-    depend on c only through |c|, and `_plan` caches them by |c|;
+    part gives the patches at e1 and -e1 the same bits, so one patch is
+    integrated and taken twice.  The pair is fixed, so `_plan` caches one
+    plan per (spec, d) and whether the pair is there;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
@@ -52,11 +52,11 @@ carrying its mirror's weight too, at half the integrand evaluations.
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
 pair (a_iso, b_rad), and the potential p.v. int u(x - h) |h|^(-(d-1+s)) dh
-of I_(1-s).  Both commute with rotations, so their value at x is (x1/|x|)
-times their value at |x| e1, where the integrand is axial.  `_on_axis`
-takes every oracle there, onto the even rule in every d, and applies each
-oracle's constant factor: 2 for `frac_op_num`, the operator with the
-fractional pair, and the potential's constants for the Riesz oracles.
+of I_(1-s).  Both commute with rotations and are homogeneous, of degree
+p - 2s and p + 1 - s, so `_on_axis` takes each at e1, on the one plan of
+(spec, d), and scales it by |x|^degree x1/|x| and the oracle's constant
+factor: 2 for `frac_op_num`, the operator with the fractional pair, and the
+potential's constants for the Riesz oracles.
 The named integrals are the two oracles at e1: f1 and f2 are -1/2 times
 the operator, so -1 times its p.v. integral, on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
@@ -82,6 +82,7 @@ from .model import (
     _kernel,
     _norms,
     _point_norm,
+    _point_power,
     _safe_norms,
     homogeneous_field,
 )
@@ -89,12 +90,10 @@ from .specfun import sphere_area
 
 __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_op_num"]
 
-# Largest radius of a partition-of-unity patch around a singular point, the
-# inner end of the patch's radial bands, and the radius at or below which a
-# patch is refused: its singular point is too close to the origin.
+# Radius of the partition-of-unity patches at the singular pair +-e1, and
+# the inner end of their radial bands.
 _PATCH_RADIUS = 0.3
 _PATCH_RHO_MIN = 1e-10
-_PATCH_GUARD = 1e-10
 
 # Most points per integrand call: a pass's points are taken in chunks of at
 # most this many, which bound the integrand's temporaries (about 64 kB per
@@ -103,10 +102,11 @@ _PATCH_GUARD = 1e-10
 # this size; the bits do not depend on it.
 _BATCH = 8192
 
-# Most plans kept by _plan.  At the default spec a plan holds about 1 MB
-# (traced: 1.15 MB at d = 2 and 0.66 MB at every d >= 3, whose rows have two
-# columns as at d = 2), so a full cache holds at most about 18 MB;
-# `first_variation_residual` at d = 2 fills 6 entries.
+# Most plans kept by _plan, one per (spec, d, singular_pair): the oracles
+# take one plan per spec and d, whatever their x.  At the default spec a
+# plan holds about 1 MB (traced: 1.15 MB at d = 2 and 0.66 MB at every
+# d >= 3, whose rows have two columns as at d = 2), so a full cache holds at
+# most about 18 MB.
 _PLAN_CACHE = 16
 
 
@@ -144,6 +144,10 @@ class PVResult:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# e1 as a meridian row: the point every oracle is taken at, and the singular pair +-e1
+_E1 = _frozen(np.array([1.0, 0.0]))
 
 
 @lru_cache(maxsize=32)
@@ -227,9 +231,10 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chi(rho: np.ndarray, radius: float) -> np.ndarray:
-    """Smooth cutoff: 1 inside radius/2, 0 outside radius."""
-    return 1.0 - _smoothstep((rho - 0.5 * radius) / (0.5 * radius))
+def _chi(pts: np.ndarray) -> np.ndarray:
+    """Smooth patch cutoff at the rows l of pts: 1 inside |l| = R/2, 0 outside |l| = R."""
+    half = 0.5 * _PATCH_RADIUS
+    return 1.0 - _smoothstep((_norms(pts) - half) / half)
 
 
 def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +255,7 @@ def _pass(bands, d: int, radial_nodes: int) -> tuple:
     point where the band has one.  starts holds each band's first row.
     The points are column-major (Fortran order), so that each column, and
     each column of a chunk of rows, is contiguous: the integrands' x + h,
-    x - h and the patch's c +- l keep that layout, and their loops run over
+    x - h and the patch's e1 +- l keep that layout, and their loops run over
     the rows rather than over rows of two.  Every array is read-only, so a
     cached pass stays intact.
     """
@@ -381,44 +386,42 @@ def _split(edges, lo: float, hi: float, width: float) -> list:
     return out
 
 
-def _main_bands(spec: QuadratureSpec, d: int, patch) -> list:
+def _main_bands(spec: QuadratureSpec, d: int, singular_pair: bool) -> list:
     """(a, b, grade, cut) bands of [r_min, r_max]; grade multiplies the angular nodes.
 
-    Bands meeting the annulus [|c| - R, |c| + R] are split to about R/4 and
-    cut: they carry the pair cutoff 1 - chi(|h - c|) - chi(|h + c|), which
-    is exactly 1 off the annulus.  They and a factor-2 halo, which still has
-    patch-scale angular features, take the fine rule: 7 times the angular
-    nodes at d = 2 and 2 times above.  On the d = 2 meridian rule +-c sit at
-    a mirror-symmetric phase of the fine bands' equispaced nodes, the phase
-    where their aliasing error is largest; 6 times lost about 0.1 digits
-    there.  The bands depend on c through |c| alone.
+    With the singular pair, bands meeting the annulus [1 - R, 1 + R] are
+    split to about R/4 and cut: they carry the pair cutoff
+    1 - chi(|h - e1|) - chi(|h + e1|), which is exactly 1 off the annulus.
+    They and a factor-2 halo, which still has patch-scale angular features,
+    take the fine rule: 7 times the angular nodes at d = 2 and 2 times
+    above.  On the d = 2 meridian rule +-e1 sit at a mirror-symmetric phase
+    of the fine bands' equispaced nodes, the phase where their aliasing
+    error is largest; 6 times lost about 0.1 digits there.
     """
     edges = _band_edges(spec.r_min, spec.r_max, spec.bands_per_decade)
-    if patch is None:
+    if not singular_pair:
         return [(a, b, 1, False) for a, b in zip(edges[:-1], edges[1:])]
-    norm, radius = patch
-    lo, hi = norm - radius, norm + radius
+    lo, hi = 1.0 - _PATCH_RADIUS, 1.0 + _PATCH_RADIUS
     fine_mult = 7 if d == 2 else 2
     bands = []
-    for a, b, split in _split(edges, lo, hi, radius / 4.0):
+    for a, b, split in _split(edges, lo, hi, _PATCH_RADIUS / 4.0):
         fine = split or (b > 0.5 * lo and a < 2.0 * hi)
         bands.append((a, b, fine_mult if fine else 1, b > lo and a < hi))
     return bands
 
 
-def _patch_bands(spec: QuadratureSpec, radius: float) -> list:
+def _patch_bands(spec: QuadratureSpec) -> list:
     """The patch's (a, b, 1, cut) bands of [_PATCH_RHO_MIN, R], split to about
-    R/8; those reaching past R/2 are cut: they carry chi(|l|, R), which is
-    exactly 1 inside R/2."""
-    edges = _band_edges(_PATCH_RHO_MIN, radius, spec.bands_per_decade)
-    bands = _split(edges, 0.0, radius, radius / 8.0)
-    return [(a, b, 1, b > 0.5 * radius) for a, b, _ in bands]
+    R/8; those reaching past R/2 are cut: they carry chi, which is exactly 1
+    inside R/2."""
+    edges = _band_edges(_PATCH_RHO_MIN, _PATCH_RADIUS, spec.bands_per_decade)
+    bands = _split(edges, 0.0, _PATCH_RADIUS, _PATCH_RADIUS / 8.0)
+    return [(a, b, 1, b > 0.5 * _PATCH_RADIUS) for a, b, _ in bands]
 
 
-def _pair_cutoff(pts: np.ndarray, c1: float, radius: float) -> np.ndarray:
-    """1 - chi(|h - c|) - chi(|h + c|) at the rows h of pts, c = (c1, 0), chi = chi(., R)."""
-    center = np.array([c1, 0.0])
-    return 1.0 - _chi(_norms(pts - center), radius) - _chi(_norms(pts + center), radius)
+def _pair_cutoff(pts: np.ndarray) -> np.ndarray:
+    """1 - chi(h - e1) - chi(h + e1) at the rows h of pts."""
+    return 1.0 - _chi(pts - _E1) - _chi(pts + _E1)
 
 
 def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff):
@@ -458,65 +461,44 @@ def _stage(fn, plan):
     return total, scale, _shell_sums(shells, values), jack, sum(len(p[0]) for p in passes)
 
 
-def _patch(norm: float) -> float:
-    """Radius of the patch pair at +-c, from |c|: at most |c|/2, so the two stay apart."""
-    radius = min(_PATCH_RADIUS, 0.5 * norm)
-    if radius <= _PATCH_GUARD:
-        raise DomainError("singular point too close to 0 to patch")
-    return radius
-
-
 @lru_cache(maxsize=_PLAN_CACHE)
-def _plan(spec: QuadratureSpec, d: int, norm: float | None):
-    """(main stage plan, patch stage plan or None) of pv_integral at the singular pair +-|c| e1.
+def _plan(spec: QuadratureSpec, d: int, singular_pair: bool):
+    """(main stage plan, patch stage plan or None) of pv_integral, with or without the pair +-e1.
 
-    norm is |c|, or None for no singular point; the plans hold the pair's
-    cutoff values.
+    The plans of the pair hold its cutoff values.
     """
-    if norm is None:
-        return _stage_plan(_main_bands(spec, d, None), d, spec, None), None
-    radius = _patch(norm)
-
-    def main_cutoff(pts):
-        return _pair_cutoff(pts, norm, radius)
-
-    def chi(local_pts):
-        return _chi(_norms(local_pts), radius)
-
-    main = _stage_plan(_main_bands(spec, d, (norm, radius)), d, spec, main_cutoff)
-    return main, _stage_plan(_patch_bands(spec, radius), d, spec, chi)
+    if not singular_pair:
+        return _stage_plan(_main_bands(spec, d, False), d, spec, None), None
+    main = _stage_plan(_main_bands(spec, d, True), d, spec, _pair_cutoff)
+    return main, _stage_plan(_patch_bands(spec), d, spec, _chi)
 
 
-def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) -> PVResult:
+def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = False) -> PVResult:
     """Symmetric-window principal value of a vectorized even axial integrand.
 
     `integrand` maps an (n, 2) array of meridian rows (h1, h2), each
     standing for h = h1 e1 + h2 e_perp in R^d, to the (n,) float values of
     the even part (g(h) + g(-h))/2 of the integrand g, without writing into
     its argument.  g depends on h only through h1 and |h|: h2 is negative
-    in the patch's rows c - l.  d enters only through the rule weights and
-    r^d.  The integrand is only ever evaluated away from the origin and
-    from the pair +-c, c = |c1| e1, of the declared `singular_point`, the
-    finite scalar c1.  Integrating the even part realizes the principal
-    value, and it makes +-c one patch, taken twice: the patch at -c has the
-    bits of the one at c.  The returned value extrapolates the window to
-    (0, infinity) by shell completion at both ends.  `nodes_used` counts
-    the samples of g: two per main-band row, at h and -h, and four per
-    patch row, whose pair average takes the even part at c + l and c - l.
+    in the patch's rows e1 - l.  d enters only through the rule weights and
+    r^d.  With `singular_pair`, g may be singular at the pair +-e1 besides
+    the origin, and the integrand is only ever evaluated away from both.
+    Integrating the even part realizes the principal value, and it makes
+    +-e1 one patch, taken twice: the patch at -e1 has the bits of the one
+    at e1.  The returned value extrapolates the window to (0, infinity) by
+    shell completion at both ends.  `nodes_used` counts the samples of g:
+    two per main-band row, at h and -h, and four per patch row, whose pair
+    average takes the even part at e1 + l and e1 - l.
 
     The sphere rule is the even rule: the meridian rule's nodes +-mu are
     mirror images, where the even part takes one value, so it is evaluated
     on one of each pair, which carries both weights.  Each pass is a flat
-    plan of points, weights and band starts, cached by (spec, d, |c|)
-    (`_plan`), and its band values are one weighted reduction.
+    plan of points, weights and band starts, cached by
+    (spec, d, singular_pair) (`_plan`), and its band values are one
+    weighted reduction.
     """
     _check_range(d)
-    norm = None
-    if singular_point is not None:
-        if np.shape(singular_point) != () or not math.isfinite(singular_point):
-            raise DomainError(f"singular_point must be a finite scalar c1, got {singular_point!r}")
-        norm = abs(float(singular_point))
-    main_plan, patch_plan = _plan(spec, d, norm)
+    main_plan, patch_plan = _plan(spec, d, singular_pair)
     main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
@@ -524,16 +506,15 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
     patch_sum = patch_err = patch_jack = 0.0
     patch_rows = 0
     if patch_plan is not None:
-        center = np.array([norm, 0.0])
 
         def pair(local_pts):
             # antipodal averaging inside the ball kills the odd leading
             # part of the local singularity at evaluation level
-            return 0.5 * (integrand(center + local_pts) + integrand(center - local_pts))
+            return 0.5 * (integrand(_E1 + local_pts) + integrand(_E1 - local_pts))
 
         p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(pair, patch_plan)
         p_tail, p_tail_err = _completion(p_shells, p_scale)
-        # the patch at -c has these bits: double the sum, tail error and jackknife
+        # the patch at -e1 has these bits: double the sum, tail error and jackknife
         patch_sum = 2.0 * (p_sum + p_tail)
         patch_err = 2.0 * (p_tail_err + 1e-13 * p_scale)
 
@@ -546,25 +527,27 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_point=None) ->
     return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
 
 
-def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float = 1.0) -> PVResult:
-    """factor times p.v. int of an operator's integrand on the field phi(|z|) z1, at x != 0.
+def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float, degree: float) -> PVResult:
+    """factor times p.v. int of an oracle's integrand at x != 0, from its value at e1.
 
     even_at(c) is the even part in h of the integrand at the point c, on
-    meridian rows.  The operators here commute with rotations, and
-    phi(|z|) z1 is the e1 component of the vector field phi(|z|) z, which
-    is rotation-equivariant.  So the value at x is (x1/|x|) times the value
-    at c = (|x|, 0), where the integrand depends on h only through
-    (h . e1, |h|) and the even rule applies, in every d.  A point with a
-    nan or inf coordinate, or whose |x| overflows, raises DomainError
-    before any plan is built.
+    meridian rows.  The oracle commutes with rotations, its field
+    |z|^(p-1) z1 is the e1 component of the rotation-equivariant
+    |z|^(p-1) z, and it is homogeneous of the given degree, so its value at
+    x is |x|^degree (x1/|x|) times that at e1, where the integrand is axial:
+    every x takes the one plan of (spec, d).  value and err_estimate are
+    scaled; nodes_used and converged are those at e1.  A non-finite x, and
+    one where |x|, |x|^degree or the value overflows, raise DomainError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise DomainError(f"x must be a point in R^{d}")
     r = _point_norm(x)
-    res = pv_integral(even_at(np.array([r, 0.0])), d, spec, singular_point=r)
-    unit1 = float(x[0]) / r
-    value, err = factor * (unit1 * res.value), abs(factor) * (abs(unit1) * res.err_estimate)
+    scale = _point_power(r, degree) * (float(x[0]) / r)
+    res = pv_integral(even_at(_E1), d, spec, singular_pair=True)
+    value, err = factor * (scale * res.value), abs(factor) * (abs(scale) * res.err_estimate)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the oracle's value overflows at |x| = {r!r}")
     return PVResult(value, err, res.nodes_used, res.converged)
 
 
@@ -612,15 +595,16 @@ def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureS
         # -1/2 of the isotropic and the radial part of the difference model's operator
         _check_range(d, s, delta)
         pair = (1.0, 0.0) if which == "f1" else (0.0, 1.0)
-        even_at, factor = partial(_operator_even, pair, d, s, 1.0 - delta), -1.0
+        p = 1.0 - delta
+        even_at, factor, degree = partial(_operator_even, pair, d, s, p), -1.0, p - 2.0 * s
     elif which in ("f3", "f4"):
         # the potential of the Riesz model's field and of its divergence field
         _check_range(d, s, delta, model="riesz")
         power = s - delta if which == "f3" else -1.0 - delta
-        even_at, factor = partial(_potential_even, d, s, power), 1.0
+        even_at, factor, degree = partial(_potential_even, d, s, power), 1.0, power + 1.0 - s
     else:
         raise DomainError(f"unknown integral {which!r}")
-    return _on_axis(even_at, d, np.eye(d)[0], spec, factor)
+    return _on_axis(even_at, d, np.eye(d)[0], spec, factor, degree)
 
 
 def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
@@ -629,6 +613,6 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    d, s = params.d, params.s
+    d, s, p = params.d, params.s, 1.0 - params.delta
     pair = _coeffs("fractional", d, s, params.epsilon)
-    return _on_axis(partial(_operator_even, pair, d, s, 1.0 - params.delta), d, x, spec, 2.0)
+    return _on_axis(partial(_operator_even, pair, d, s, p), d, x, spec, 2.0, p - 2.0 * s)

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .model import _check_range, _unit
+from .model import _check_range, _point_power, _unit
 from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential_even
 from .specfun import gamma_ratio
 
@@ -63,9 +63,8 @@ def frac_gradient(d: int, s: float, delta: float, x) -> np.ndarray:
     _check_range(d, s, delta, model="riesz")
     xh, r = _unit(x)
     c_star, _ = riesz_constants(d, s, delta)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return c_star * r ** (-delta) * (e1 - delta * xh[0] * xh)
+    e1 = np.eye(d)[0]
+    return c_star * _point_power(r, -delta) * (e1 - delta * xh[0] * xh)
 
 
 def _bracket(d: int, delta: float, epsilon: float) -> float:
@@ -79,13 +78,12 @@ def flux_divergence(
     _check_range(d, s, delta, epsilon, model="riesz")
     xh, r = _unit(x)
     c_star, c_star_star = riesz_constants(d, s, delta)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
+    e1 = np.eye(d)[0]
     sq = (1.0 - epsilon) ** 2
-    flux = c_star * r ** (-delta) * (sq * e1 + (1.0 - delta - sq) * xh[0] * xh)
+    flux = c_star * _point_power(r, -delta) * (sq * e1 + (1.0 - delta - sq) * xh[0] * xh)
     br = _bracket(d, delta, epsilon)
-    div = c_star * r ** (-delta - 1.0) * br * xh[0]
-    riesz_div = c_star_star * br * r ** (-s - delta) * xh[0]
+    div = c_star * _point_power(r, -delta - 1.0) * br * xh[0]
+    riesz_div = c_star_star * br * _point_power(r, -s - delta) * xh[0]
     return flux, div, riesz_div
 
 
@@ -107,7 +105,7 @@ def riesz_potential_num(
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
     _check_range(d, s, delta, model="riesz")
     norm = riesz_kernel_constant(d, 1.0 - s)
-    return _on_axis(partial(_potential_even, d, s, s - delta), d, x, spec, norm)
+    return _on_axis(partial(_potential_even, d, s, s - delta), d, x, spec, norm, 1.0 - delta)
 
 
 def riesz_div_conv_num(
@@ -118,4 +116,4 @@ def riesz_div_conv_num(
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
     factor = norm * c_star * _bracket(d, delta, epsilon)
-    return _on_axis(partial(_potential_even, d, s, -1.0 - delta), d, x, spec, factor)
+    return _on_axis(partial(_potential_even, d, s, -1.0 - delta), d, x, spec, factor, -s - delta)

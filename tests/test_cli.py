@@ -48,6 +48,14 @@ def test_verify_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_far_from_the_unit_sphere(capsys):
+    # at |x| = 1000 the oracle is its e1 value scaled by homogeneity, so the
+    # coupled operator vanishes there as at e1
+    rc = cli.run(["verify", "--d", "2", "--s", "0.5", "--delta", "0.1", "--x", "600,800"])
+    assert "PASS" in capsys.readouterr().out
+    assert rc == 0
+
+
 def test_energy_command(capsys):
     assert cli.run(["energy", "--eps", "0.25"]) == 0
     lines = capsys.readouterr().out.splitlines()

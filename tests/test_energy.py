@@ -167,9 +167,10 @@ def test_convexity_identity_nearly_equal_radii(spec, s, eps, r1, r2):
 def _traced_first_variation(monkeypatch, params, eta, spec):
     """(residual, bound): first_variation_residual and its quadrature error bound.
 
-    The pairing must take six frac_op_num calls, on the e1 axis at the
-    Gauss-Legendre radii of [0, eta.radius]; the bound restates the radial
-    identity on those calls, m2(d) kappa sum_i w_i phi(r_i) r_i^d err_i.
+    The pairing must take one frac_op_num call, at e1; the bound restates
+    the radial identity on it at the Gauss-Legendre radii of
+    [0, eta.radius], m2(d) kappa err sum_i w_i phi(r_i) r_i^(d + gamma)
+    with gamma = 1 - delta - 2s.
     """
     calls = []
 
@@ -180,14 +181,13 @@ def _traced_first_variation(monkeypatch, params, eta, spec):
 
     monkeypatch.setattr(en, "frac_op_num", counted)
     residual = en.first_variation_residual(params, eta, spec)
-    assert len(calls) == 6
+    d = params.d
+    assert len(calls) == 1 and np.array_equal(calls[0][0], np.eye(d)[0])
     t, w = np.polynomial.legendre.leggauss(6)
     r, w = 0.5 * eta.radius * (t + 1.0), 0.5 * eta.radius * w
-    d = params.d
-    np.testing.assert_allclose([x for x, _ in calls], r[:, None] * np.eye(d)[0], rtol=1e-15)
-    errs = np.array([res.err_estimate for _, res in calls])
-    weights = en.sphere_moment2(d) * kappa(d, params.s) * w * eta.phi(r) * r**d
-    return residual, float(weights @ errs)
+    gamma = 1.0 - params.delta - 2.0 * params.s
+    weights = en.sphere_moment2(d) * kappa(d, params.s) * w * eta.phi(r) * r ** (d + gamma)
+    return residual, float(np.sum(np.abs(weights))) * calls[0][1].err_estimate
 
 
 def test_first_variation_zero_at_coupling(spec, monkeypatch):

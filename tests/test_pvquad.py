@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_odd_integrand_is_exactly_zero(spec):
 
 def test_pv_integral_f1_example(spec):
     g = _even(f1_integrand(2, 0.5, 0.25))
-    res = pq.pv_integral(g, 2, spec, singular_point=1.0)
+    res = pq.pv_integral(g, 2, spec, singular_pair=True)
     want = cf.f1_closed(2, 0.5, 0.25)
     assert res.value == pytest.approx(want, rel=1e-4)
     assert res.converged
@@ -228,11 +229,6 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _rule(d):
-    # the rule of a plan's band at n angular nodes times its grade
-    return lambda n: pq._meridian_rule(d, max(8, n // 2))
-
-
 @pytest.fixture()
 def cold_plans():
     # no cached plan before or after the test
@@ -249,15 +245,10 @@ def _bands(plan):
         yield points[lo:hi], weights[lo:hi]
 
 
-def _cutoff_of(patch):
-    # the pair cutoff of the patch (c, R) as the plan evaluates it
-    return lambda pts: pq._pair_cutoff(pts, *patch)
-
-
-def _pair_mask(center, radius):
-    # the pair cutoff as written: 1 - chi(|h - c|) - chi(|h + c|) at every point
+def _pair_mask(center):
+    # the pair cutoff as written: 1 - chi(h - c) - chi(h + c) at every point
     def mask(pts):
-        return 1.0 - pq._chi(norms(pts - center), radius) - pq._chi(norms(pts + center), radius)
+        return 1.0 - pq._chi(pts - center) - pq._chi(pts + center)
 
     return mask
 
@@ -278,14 +269,14 @@ def _same_bits(a, b):
     ids=["d2-axis", "d2-off-axis", "d3", "d4"],
 )
 def test_even_parts_are_bitwise(spec, d, c, cold_plans):
-    # each oracle's even part against (g(h) + g(-h))/2 of its plain
-    # integrand g, row by row to the bit: at the main-band rows of the
-    # cached plan of |c| and at the patch rows c + l and c - l, with c a
-    # meridian row at d >= 3
+    # each oracle's even part at the point c against (g(h) + g(-h))/2 of
+    # its plain integrand g, row by row to the bit: at the main-band rows of
+    # the cached plan of the pair +-e1 and at its patch rows e1 + l and
+    # e1 - l, with c a meridian row at d >= 3
     c = np.array(c)
-    main, patch = pq._plan(spec, d, float(np.linalg.norm(c)))
+    main, patch = pq._plan(spec, d, True)
     local = _stage_rows(patch)
-    points = [_stage_rows(main), c + local, c - local]
+    points = [_stage_rows(main), E1 + local, E1 - local]
     s, delta = 0.4, 0.2
     p = 1.0 - delta
     pairs = [
@@ -306,9 +297,9 @@ def test_meridian_rows_match_full_coordinates(spec, d, cold_plans):
     # a meridian row (h1, h2) stands for h1 e1 + h2 e_perp: each oracle's
     # even part on two-column rows has the bits of the same rows and x
     # zero-padded to d columns, at the main-band rows and the patch rows
-    # c + l and c - l, whose h2 is negative
-    c = 1.3 * E1
-    main, patch = pq._plan(spec, d, 1.3)
+    # e1 + l and e1 - l, whose h2 is negative, at x = e1 and off it
+    c = E1
+    main, patch = pq._plan(spec, d, True)
     local = _stage_rows(patch)
     rows = np.concatenate([_stage_rows(main), c + local, c - local])
     assert np.any(rows[:, 1] < 0.0)
@@ -326,7 +317,8 @@ def test_meridian_rows_match_full_coordinates(spec, d, cold_plans):
         for power in (s - delta, -1.0 - delta)
     ]
     for even_at in kinds:
-        assert _same_bits(even_at(c)(rows), even_at(padded(c))(padded(rows)))
+        for x in (c, 1.3 * c):
+            assert _same_bits(even_at(x)(rows), even_at(padded(x))(padded(rows)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -341,7 +333,7 @@ def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_pl
     def pair(local_pts):
         return 0.5 * (even(c + local_pts) + even(c - local_pts))
 
-    main, patch = pq._plan(spec, d, 1.0)
+    main, patch = pq._plan(spec, d, True)
     for (_, passes), fn in ((main, even), (patch, pair)):
         for plan in passes:
             values = _hex(pq._band_values(fn, plan))
@@ -374,11 +366,10 @@ def test_band_values_grouping_is_bitwise(spec, d, monkeypatch, cold_plans):
     monkeypatch.setattr(pq, "_BATCH", 4096)
     even = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
-    patch = (1.0, pq._patch(1.0))
-    (_, (nominal, _)), _ = pq._plan(window, d, 1.0)
+    (_, (nominal, _)), _ = pq._plan(window, d, True)
     bands = [
         (a, b, pq._even_rule(d, max(8, window.angular_nodes * grade // 2)), cut)
-        for a, b, grade, cut in pq._main_bands(window, d, patch)
+        for a, b, grade, cut in pq._main_bands(window, d, True)
     ]
     assert any(cut for *_, cut in bands)
     sizes = []
@@ -393,35 +384,39 @@ def test_band_values_grouping_is_bitwise(spec, d, monkeypatch, cold_plans):
     assert all(n == pq._BATCH for n in sizes[:-1])
     single = [
         pq._band_values(
-            even, pq._pass([(a, b, rule, _cutoff_of(patch) if cut else None)], d, window.radial_nodes)
+            even, pq._pass([(a, b, rule, pq._pair_cutoff if cut else None)], d, window.radial_nodes)
         )[0]
         for a, b, rule, cut in bands
     ]
     assert _hex(grouped) == _hex(single)
 
 
+def _oracle_plan(spec, d, norm):
+    # the stages of the plan that frac_op_num builds at |x| = norm from a
+    # cold cache: the one plan of (spec, d) and the pair +-e1, whatever |x|
+    pq.frac_op_num(FracParams(d, 0.4, 0.2, 0.15), norm * np.eye(d)[0], spec)
+    assert pq._plan.cache_info().currsize == 1
+    plan = pq._plan(spec, d, True)
+    assert pq._plan.cache_info().hits == 1
+    return plan
+
+
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
-def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
+def test_cutoff_is_one_on_bands_without_one(spec, d, norm, cold_plans):
     # a band without a cutoff would multiply its values by exactly 1.0: the
-    # pair cutoff on the main bands and chi on the patch bands, at the nodes
-    # of the nominal and the jackknife pass
-    radius = pq._patch(norm)
-
-    def chi(pts):
-        return pq._chi(norms(pts), radius)
-
-    rule = _rule(d)
-    main, patch = pq._main_bands(spec, d, (norm, radius)), pq._patch_bands(spec, radius)
-    for bands, full, cutoff in (
-        (main, _pair_mask(norm * E1, radius), _cutoff_of((norm, radius))),
-        (patch, chi, chi),
-    ):
+    # pair cutoff on the main bands and chi on the patch bands, at the points
+    # of the nominal and the jackknife pass of the plan an oracle at
+    # |x| = norm takes; on the cut bands the cutoff is the full expression
+    stages = zip(
+        _oracle_plan(spec, d, norm),
+        (pq._main_bands(spec, d, True), pq._patch_bands(spec)),
+        ((_pair_mask(E1), pq._pair_cutoff), (pq._chi, pq._chi)),
+    )
+    for (_, passes), bands, (full, cutoff) in stages:
         assert any(cut for *_, cut in bands)
-        for radial_nodes, ang_nodes in ((10, 64), (7, 32)):
-            for a, b, grade, cut in bands:
-                r, _ = pq._log_band(a, b, radial_nodes, d)
-                pts = (r[:, None, None] * rule(ang_nodes * grade)[0][None]).reshape(-1, 2)
+        for plan in passes:
+            for (pts, _), (*_, cut) in zip(_bands(plan), bands):
                 if not cut:
                     assert np.all(full(pts) == 1.0)
                 else:
@@ -431,30 +426,26 @@ def test_cutoff_is_one_on_bands_without_one(spec, d, norm):
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize("d", [3, 2], ids=["d3-meridian", "d2-meridian"])
 def test_plan_cutoff_is_bitwise(spec, d, norm, cold_plans):
-    # on every band of both main passes of the cached plan: a cut band's
-    # weights are its uncut weights times the pair cutoff at |c| e1, the
-    # cutoff at c = +-|c| e1 is the full expression to the bit, and a band
+    # on every band of both main passes of the plan an oracle at |x| = norm
+    # takes: a cut band's weights are its uncut weights times the pair
+    # cutoff at +-e1, which is the full expression to the bit, and a band
     # without a cutoff keeps its uncut weights, with the cutoff exactly 1
-    # at either c
-    radius = pq._patch(norm)
-    bands = pq._main_bands(spec, d, (norm, radius))
-    (_, passes), _ = pq._plan(spec, d, norm)
+    # whichever of +-e1 comes first
+    bands = pq._main_bands(spec, d, True)
+    (_, passes), _ = _oracle_plan(spec, d, norm)
     _, uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in bands], d, spec, None)
     n_cut = 0
     for cached, plain in zip(passes, uncut):
         assert _same_bits(cached[0], plain[0]) and len(cached[2]) == len(bands)
         for (pts, w), (_, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
-            for c1 in (norm, -norm):
-                full = _pair_mask(c1 * E1, radius)(pts)
-                if not cut:
-                    assert np.all(full == 1.0)
-                else:
-                    assert _hex(pq._pair_cutoff(pts, c1, radius)) == _hex(full)
-            if cut:
-                n_cut += 1
-                assert _same_bits(w, w0 * _pair_mask(norm * E1, radius)(pts))
-            else:
+            full = _pair_mask(E1)(pts)
+            if not cut:
+                assert np.all(full == 1.0) and np.all(_pair_mask(-E1)(pts) == 1.0)
                 assert _same_bits(w, w0)
+            else:
+                n_cut += 1
+                assert _hex(pq._pair_cutoff(pts)) == _hex(full)
+                assert _same_bits(w, w0 * full)
     assert n_cut > 0
 
 
@@ -483,19 +474,19 @@ def test_smoothstep_only_between_keeps_the_bits():
 @pytest.mark.parametrize("norm", [0.01, 1.0, 40.0])
 @pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
 def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
-    # the cached plan's weights on the cut bands of both passes of both
-    # stages, to the bit: the uncut weights times the pair cutoff, and times
-    # the patch's chi, with the smoothstep evaluated on every row
-    radius = pq._patch(norm)
-    center = np.array([norm, 0.0])
+    # the weights on the cut bands of both passes of both stages of the plan
+    # an oracle at |x| = norm takes, to the bit: the uncut weights times the
+    # pair cutoff at +-e1, and times the patch's chi, with the smoothstep
+    # evaluated on every row
+    radius = pq._PATCH_RADIUS
 
     def pair_full(pts):
-        near, far = norms(pts - center), norms(pts + center)
+        near, far = norms(pts - E1), norms(pts + E1)
         return 1.0 - _chi_everywhere(near, radius) - _chi_everywhere(far, radius)
 
     stages = zip(
-        pq._plan(spec, d, norm),
-        (pq._main_bands(spec, d, (norm, radius)), pq._patch_bands(spec, radius)),
+        _oracle_plan(spec, d, norm),
+        (pq._main_bands(spec, d, True), pq._patch_bands(spec)),
         (pair_full, lambda pts: _chi_everywhere(norms(pts), radius)),
     )
     n_cut = 0
@@ -512,9 +503,8 @@ def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
 def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_plans):
     # every cached plan's points are column-major, and every chunk of rows
     # the integrand sees has contiguous columns, as do x + h and x - h formed
-    # from it: in the main passes and at the patch rows c + l and c - l
-    c1 = 1.3
-    x = np.array([c1, 0.0])
+    # from it: in the main passes and at the patch rows e1 + l and e1 - l
+    x = E1
     even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, x)
     chunks = []
 
@@ -526,9 +516,9 @@ def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_
         return a.shape[1] == 2 and a.strides[0] == a.itemsize
 
     monkeypatch.setattr(pq, "_BATCH", 977)  # chunks that split bands and passes
-    pq.pv_integral(recording, d, spec, singular_point=c1)
+    pq.pv_integral(recording, d, spec, singular_pair=True)
     pq.pv_integral(even, d, spec)
-    plans = [pq._plan(spec, d, c1), pq._plan(spec, d, None)]
+    plans = [pq._plan(spec, d, True), pq._plan(spec, d, False)]
     passes = [p for main, patch in plans for stage in (main, patch) if stage for p in stage[1]]
     assert len(passes) == 6
     assert all(points.flags.f_contiguous for points, _, _ in passes)
@@ -545,30 +535,30 @@ _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
 
 @pytest.mark.parametrize("spec_fields", [{}, _COARSE], ids=["default", "coarse"])
 @pytest.mark.parametrize(
-    "d, c",
-    [(2, 1.3), (3, 1.3), (2, None)],
+    "d, singular_pair",
+    [(2, True), (3, True), (2, False)],
     ids=["d2-meridian", "d3-meridian", "no-patch"],
 )
-def test_nodes_used_counts_integrand_rows(spec_fields, d, c, cold_plans):
+def test_nodes_used_counts_integrand_rows(spec_fields, d, singular_pair, cold_plans):
     # nodes_used, counted from the rule sizes, is every sample of g: the even
     # integrand sees each main-band row once and each patch row twice, at
-    # c + l and c - l, and takes g at h and -h, so nodes_used is twice its
+    # e1 + l and e1 - l, and takes g at h and -h, so nodes_used is twice its
     # rows, 2 per main-band row of the plan and 4 per patch row
     spec = pq.QuadratureSpec(**spec_fields)
-    if c is None:
-        even = _even(lambda h: np.exp(-norms(h)) * norms(h) ** -1.5)
+    if singular_pair:
+        even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
     else:
-        even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c * E1)
+        even = _even(lambda h: np.exp(-norms(h)) * norms(h) ** -1.5)
     rows = []
 
     def counted(h):
         rows.append(len(h))
         return even(h)
 
-    res = pq.pv_integral(counted, d, spec, c)
-    plan = pq._plan(spec, d, c)
+    res = pq.pv_integral(counted, d, spec, singular_pair)
+    plan = pq._plan(spec, d, singular_pair)
     main_rows, patch_rows = (len(_stage_rows(stage)) if stage else 0 for stage in plan)
-    assert (patch_rows > 0) == (c is not None)
+    assert (patch_rows > 0) == singular_pair
     assert sum(rows) == main_rows + 2 * patch_rows
     assert res.nodes_used == 2 * sum(rows) == 2 * main_rows + 4 * patch_rows
 
@@ -585,12 +575,13 @@ def test_determinism_bitwise(spec):
 
 
 # (params, x, value, err_estimate, nodes_used) of frac_op_num; the kernel and
-# field it takes from `model` keep the integrand's operation order
+# field it takes from `model` keep the integrand's operation order, and every
+# x is the value at e1 scaled by |x|^(1 - delta - 2s) x1/|x|
 _FRAC_OP_PINNED = [
     ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.8870806839037515, 2.815115031291827e-07, 113616),
-    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.428381911364636, 9.692909724470322e-06, 101088),
-    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008158878683338, 1.5625127809853158e-06, 113616),
-    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401119118, 3.754558105627898e-05, 72576),
+    ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.4283818561030026, 4.491688161067117e-06, 113616),
+    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008188003346303, 5.2722192331779336e-06, 113616),
+    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.70386540114952, 3.754558327379451e-05, 72576),
 ]
 
 
@@ -645,15 +636,18 @@ def test_meridian_rule_folds_the_circle_rule(n):
 
 
 def test_axial_path_guards(spec, cold_plans):
-    # the singular point is the finite scalar c1 of the pair +-|c1| e1, at
-    # every d: an array, a length-1 one included, or a nan or inf raises
-    # before any plan is built
+    # the oracle path's guards, at every d, raise before any plan is built:
+    # x must be a point of R^d away from the origin, and the value scaled
+    # from e1 must not overflow; riesz_div_conv_num has degree -s - delta,
+    # -2.3 here, so |x|^-2.3 overflows at |x| = 1e-150
     for d in (2, 3, 4):
-        g = _even(f1_integrand(d, 0.5, 0.25))
-        arrays = ([1.0], np.ones(1), E1, np.eye(d)[0], np.eye(d)[:2])
-        for c in arrays + (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="must be a finite scalar"):
-                pq.pv_integral(g, d, spec, singular_point=c)
+        params = FracParams(d, 0.5, 0.25, 0.1)
+        for x in (np.zeros(d), np.ones(d + 1), np.ones((1, d)), [1.0], 1.0):
+            with pytest.raises(DomainError):
+                pq.frac_op_num(params, x, spec)
+        if d > 2:
+            with pytest.raises(DomainError, match="overflows"):
+                riesz_div_conv_num(d, 0.9, 1.4, 0.3, 1e-150 * np.eye(d)[0], spec)
     assert pq._plan.cache_info().currsize == 0
 
 
@@ -695,20 +689,20 @@ def test_cached_plan_is_read_only(spec, cold_plans):
             return g(h)
 
         with pytest.raises(ValueError, match="read-only"):
-            pq.pv_integral(writer, d, spec, singular_point=1.0)
-        arrays = list(_plan_arrays(pq._plan(spec, d, 1.0)))
+            pq.pv_integral(writer, d, spec, singular_pair=True)
+        arrays = list(_plan_arrays(pq._plan(spec, d, True)))
         assert arrays and not any(a.flags.writeable for a in arrays)
-        warm = pq.pv_integral(g, d, spec, singular_point=1.0)
+        warm = pq.pv_integral(g, d, spec, singular_pair=True)
         pq._plan.cache_clear()
-        cold = pq.pv_integral(g, d, spec, singular_point=1.0)
+        cold = pq.pv_integral(g, d, spec, singular_pair=True)
         assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
         assert warm.nodes_used == cold.nodes_used
 
 
 def test_cached_plans_keep_cold_bits(spec, cold_plans):
     # warm oracle calls keep the bits of cold ones: at d = 2 at e1 and at two
-    # off-axis x, which take the plan of their |x|, interleaved with d = 3
-    # and 4 calls at three |x|
+    # off-axis x, interleaved with d = 3 and 4 calls at three |x|; every x
+    # takes the one plan of its d
     d2 = [(2, np.array(x)) for x in ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))]
     nd = [(d, norm * np.eye(d)[0]) for d in (3, 4) for norm in (1.0, 0.5, 1.0 - 2.0**-53)]
     points = [p for pair in zip(d2 + d2, nd) for p in pair]
@@ -728,11 +722,10 @@ def test_cached_plans_keep_cold_bits(spec, cold_plans):
     pq._plan.cache_clear()
     for i in list(range(len(cases))) + list(range(len(cases)))[::-1]:
         assert run(*cases[i]) == cold[i]
-    # one plan per dimension and |c|: the off-axis d = 2 calls add none;
-    # |(0.6, 0.8)| is 1, and |(cos 0.3, sin 0.3)| is 1 - 2^-53
-    keys = {(d, float(np.linalg.norm(x))) for d, x in points}
-    assert np.linalg.norm(d2[1][1]) == 1.0 and len(keys) == 2 + 2 * 3
-    assert pq._plan.cache_info().currsize == len(keys)
+    # one plan per dimension, whatever |x|: |(0.6, 0.8)| is 1, and
+    # |(cos 0.3, sin 0.3)| is 1 - 2^-53
+    assert np.linalg.norm(d2[2][1]) == 1.0 - 2.0**-53
+    assert pq._plan.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("n", [8, 9, 32, 224])
@@ -762,22 +755,21 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     # own mirror.  At d = 2 the rule is the half circle, whose mirrors are
     # exact too
     spec = pq.QuadratureSpec(**spec_fields)
-    c = 1.3
+    pair = kind != "no-patch"
     if kind == "operator":
-        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c * E1)
+        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
     elif kind == "potential":
-        g = pq._potential_even(d, 0.4, 0.2, c * E1)
+        g = pq._potential_even(d, 0.4, 0.2, E1)
     else:
         g = _even(lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5)
-        c = None
-    folded = pq.pv_integral(g, d, spec, singular_point=c)
-    folded_plan = pq._plan(spec, d, c)
+    folded = pq.pv_integral(g, d, spec, singular_pair=pair)
+    folded_plan = pq._plan(spec, d, pair)
     monkeypatch.setattr(pq, "_even_rule", pq._meridian_rule)
     pq._plan.cache_clear()
-    full = pq.pv_integral(g, d, spec, singular_point=c)
+    full = pq.pv_integral(g, d, spec, singular_pair=pair)
     # the radial nodes of the nominal and of the jackknife pass
     radial = (spec.radial_nodes, max(4, spec.radial_nodes - 3))
-    for half_stage, full_stage in zip(folded_plan, pq._plan(spec, d, c)):
+    for half_stage, full_stage in zip(folded_plan, pq._plan(spec, d, pair)):
         if half_stage is None:
             continue
         for half_pass, full_pass, n_r in zip(half_stage[1], full_stage[1], radial):
@@ -859,37 +851,43 @@ def test_oracles_reject_non_finite_points(spec, x, cold_plans):
     assert pq._plan.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_substituted_integral_matches_the_scaled_e1_value(spec, d):
+    # the unscaled path: with h = lam h', the integral of an oracle's even
+    # part at lam e1 is that of lam^d even_at(lam e1)(lam h'), singular at
+    # h' = +-e1, and homogeneity makes it lam^degree times the integral at
+    # e1; the two agree within both estimates, about 1e-6 of the value,
+    # where a wrong degree would miss by percent
+    s, delta = 0.4, 0.2
+    p = 1.0 - delta
+    kinds = [
+        (partial(pq._operator_even, (0.8, 0.3), d, s, p), p - 2.0 * s),
+        (partial(pq._potential_even, d, s, s - delta), 1.0 - delta),
+        (partial(pq._potential_even, d, s, -1.0 - delta), -s - delta),
+    ]
+    for even_at, degree in kinds:
+        at_e1 = pq.pv_integral(even_at(E1), d, spec, singular_pair=True)
+        for lam in (0.3, 1.7, 3.0):
+            even = even_at(lam * E1)
+            sub = pq.pv_integral(lambda h: lam**d * even(lam * h), d, spec, singular_pair=True)
+            scale = lam**degree
+            assert sub.converged
+            assert abs(sub.value - scale * at_e1.value) <= sub.err_estimate + scale * at_e1.err_estimate
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.3, 1.3, 40.0, 1e3, 1e154])
+@pytest.mark.parametrize("d", [2, 3])
+def test_frac_op_on_the_norm_grid(spec, d, norm):
+    # at x = |x| (0.6, 0.8, 0, ...) from 1e-3 to 1e154 the oracle is its e1
+    # value scaled by |x|^(1 - delta - 2s) x1/|x|: converged, and within its
+    # estimate of the closed form
+    params = FracParams(d, 0.5, 0.25, 0.1)
+    x = norm * np.array([0.6, 0.8] + [0.0] * (d - 2))
+    res = pq.frac_op_num(params, x, spec)
+    assert res.converged
+    assert abs(res.value - cf.operator_value(params, x) / kappa(d, 0.5)) <= res.err_estimate
+
+
 def test_not_converged_on_divergent_integrand(spec):
     with pytest.raises(NotConverged):
         pq.pv_integral(lambda h: np.ones(len(h)), 2, spec)
-
-
-def test_patch_geometry_guard(spec):
-    with pytest.raises(DomainError):
-        pq._patch(0.0)
-
-
-@pytest.mark.parametrize(
-    "d, x", [(2, (0.78, -1.04)), (3, (0.6, 0.48, 0.64))], ids=["d2-meridian", "d3-meridian"]
-)
-def test_singular_point_sign_does_not_matter(spec, d, x):
-    # the even part makes +c and -c one patch pair, so declaring either
-    # gives the same bits, on the d = 2 and d = 3 meridian rule at c = |x| e1
-    c1 = float(np.linalg.norm(x))
-    s, delta = 0.4, 0.2
-    for g in (
-        pq._operator_even((0.8, 0.3), d, s, 1.0 - delta, c1 * E1),
-        pq._potential_even(d, s, s - delta, c1 * E1),
-    ):
-        plus = pq.pv_integral(g, d, spec, singular_point=c1)
-        minus = pq.pv_integral(g, d, spec, singular_point=-c1)
-        assert _hex([plus.value, plus.err_estimate]) == _hex([minus.value, minus.err_estimate])
-        assert plus.nodes_used == minus.nodes_used
-
-
-def test_singular_point_too_close_to_origin(spec):
-    g = _even(f1_integrand(2, 0.5, 0.25))
-    for c in (2e-10, -1e-12, 0.0):
-        with pytest.raises(DomainError, match="too close"):
-            pq.pv_integral(g, 2, spec, singular_point=c)
-    assert pq._patch(4e-10) == 2e-10
