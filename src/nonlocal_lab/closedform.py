@@ -78,13 +78,15 @@ def f21_sum_form(d: int, s: float, delta: float) -> float:
 
 
 def f21_closed(d: int, s: float, delta: float) -> float:
-    """Rational factor f21; the sum form is evaluated alongside as a guard."""
+    """Rational factor f21; the sum form is evaluated alongside as a guard.
+
+    The numerator is written as (d - delta) [delta (delta - d - 2) + s P],
+    the O(1) parts that cancel as s -> 0 taken out by hand, so that it
+    keeps its digits at small s.
+    """
     _check_range(d, s, delta, s_one=True)
-    half = 0.5 * (d - 2.0 * s + 2.0)
-    num = (d - delta) * (
-        (2.0 * s + 1.0) * (delta - half) ** 2
-        + 0.25 * (d - 2.0 * s + 2.0) * (2.0 * d * s - d + 4.0 * s * s - 6.0 * s - 2.0)
-    )
+    p = (d - 1.0) * (d + 2.0) - 2.0 * delta * (d + 1.0 - delta) + 2.0 * s * (1.0 - d + 2.0 * delta)
+    num = (d - delta) * (delta * (delta - d - 2.0) + s * p)
     den = 2.0 * s * (d + 2.0 * s) * (d - 2.0 * s + 2.0 - delta)
     value = num / den
     other = f21_sum_form(d, s, delta)
