@@ -35,6 +35,8 @@ __all__ = [
 
 # |x| below this is treated as the singular point rather than normalized.
 _ORIGIN_GUARD = 1e-300
+# The least normal float: a point's x . x must reach it to keep |x|'s digits.
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _check_range(
@@ -119,17 +121,17 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _point_norm(x) -> float:
-    """|x| of a point x with 0 < |x| < inf.
+    """|x| of a point x whose x . x is a normal float: about 1.5e-154 < |x| < 1.3e154.
 
-    DomainError at the origin, at a nan or inf coordinate, and where |x|
-    overflows.
+    DomainError at the origin, at a nan or inf coordinate, and where x . x
+    overflows or is subnormal, which would cost |x| its value or its digits.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        r = _norm(x)
-    if not _ORIGIN_GUARD <= r < math.inf:
-        raise DomainError(f"x must be a finite point with 0 < |x| < inf, got {x.tolist()}")
-    return r
+        square = float(np.dot(x, x))
+    if not _NORMAL_MIN <= square < math.inf:
+        raise DomainError(f"x must be a finite point with x . x a normal float, got {x.tolist()}")
+    return math.sqrt(square)
 
 
 def _point_power(r: float, p: float) -> float:
@@ -186,18 +188,16 @@ def _field(p: float, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
 def homogeneous_field(p: float, x) -> float:
     """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
 
-    The one-point case of _field, with the origin decided: 0 for p >= 1,
-    DomainError for p < 1.  A point _point_norm refuses elsewhere, and one
-    where the value overflows, raise DomainError too.
+    The one-point case of _field, with the origin decided: 0 for p >= 1.
+    DomainError at every other point _point_norm refuses, and where the
+    value overflows.
     """
     x = np.asarray(x, dtype=float)
+    if p >= 1.0 and not x.any():
+        return 0.0
+    _point_norm(x)
+    pts = x[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        if _norm(x) < _ORIGIN_GUARD:
-            if p < 1.0:
-                raise DomainError("field is singular (or has no value) at x = 0")
-            return 0.0
-        _point_norm(x)
-        pts = x[None, :]
         value = float(_field(p, pts, _safe_norms(pts))[0])
     if not math.isfinite(value):
         raise DomainError(f"|x|^{p!r} xhat_1 overflows at x = {x.tolist()}")

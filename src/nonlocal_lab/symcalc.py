@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleEncountered, Unsupported
-from .model import _check_range
+from .model import _check_range, _point_norm, _point_power
 from .specfun import EULER_GAMMA, digamma, lgamma_signed
 
 __all__ = [
@@ -128,18 +128,14 @@ def mul(a: TermSum, b: TermSum) -> TermSum:
 
 
 def evaluate(ts: TermSum, x) -> complex:
-    """Numeric value of the represented function at x != 0."""
-    r2 = 0.0
-    for xi in x:
-        r2 += float(xi) * float(xi)
-    if r2 < 1e-300:
-        raise DomainError("evaluation at the singular point x = 0")
-    r = math.sqrt(r2)
+    """Numeric value of the represented function at x != 0, checked as `_point_norm` checks it."""
+    r = _point_norm(x)
     logr = math.log(r)
-    x1 = float(x[0])
+    xhat1 = float(x[0]) / r
     total = 0j
     for t in ts:
-        val = t.coeff * r**t.p * x1**t.m
+        # |x|^p x1^m = |x|^(p+m) xhat_1^m: the one power of |x| is guarded
+        val = t.coeff * _point_power(r, t.p + t.m) * xhat1**t.m
         if t.logp:
             val *= logr
         total += val

@@ -1,0 +1,201 @@
+"""Edge inputs: a finite value or DomainError, never nan, inf or another error.
+
+Every public closed form runs on a grid of edge parameters (s next to 0 and
+1, delta and epsilon at the ends of their ranges) and, where it takes a
+point, at non-finite, overflowing, tiny and huge x; the quadrature oracles
+run over the |x| grid from 1e-3 to 1e154 and at the same edge points.  An
+AssertionError (a failed internal guard) or an OverflowError fails the test.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from nonlocal_lab import closedform as cf
+from nonlocal_lab import model as md
+from nonlocal_lab import riesz as rz
+from nonlocal_lab import specfun
+from nonlocal_lab import symcalc as sc
+from nonlocal_lab.errors import DomainError
+from nonlocal_lab.pvquad import frac_op_num
+
+_S = (1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
+_DELTA = (0.0, 1e-12, 0.25, 0.5)
+_EPS = (0.0, 0.25, 0.5)
+# the Riesz model's delta lies in (0, d/2) and its epsilon in (0, 1)
+_RIESZ_DELTA = (1e-12, 0.25, 0.5, 0.999)
+_RIESZ_EPS = (1e-12, 0.5, 1.0 - 1e-12)
+# |x| of the points x = |x| (0.6, 0.8, 0, ...), from below the origin guard
+# of |x|^2 up to where |x|^2 overflows
+_NORMS = (5e-324, 1e-300, 1e-150, 1e-3, 0.3, 1.3, 40.0, 1e3, 1e154, 1e300)
+_ORACLE_NORMS = (1e-150, 1e-3, 0.3, 1.3, 40.0, 1e3, 1e154)
+# A known defect, pinned so that a mend shows: at small s and delta the
+# d = 2 coupling and the general formula each lose about log10(1/s) digits
+# to the cancellation in their denominators, s(2 - s) against a Gamma ratio
+# near it, and their 1e-12 cross-check raises.
+_KNOWN_D2_ASSERTIONS = {(1e-6, 1e-12)}
+
+
+def _points(d, norms=_NORMS):
+    direction = np.array([0.6, 0.8] + [0.0] * (d - 2))
+    bad = [np.full(d, math.nan), np.full(d, math.inf), np.full(d, -math.inf), np.full(d, 1e200)]
+    return [norm * direction for norm in norms] + bad + [np.zeros(d), np.eye(d)[0]]
+
+
+def _values(value):
+    if isinstance(value, md.SymMatrix):
+        return value.entries.ravel()
+    if isinstance(value, tuple):
+        return np.concatenate([_values(v) for v in value if v is not None])
+    if hasattr(value, "err_estimate"):
+        return np.array([value.value, value.err_estimate])
+    return np.atleast_1d(np.asarray(value, dtype=float)).ravel()
+
+
+def _finite_or_domain_error(fn, *args):
+    """fn(*args) returns finite values or raises DomainError; True if it returned."""
+    try:
+        value = fn(*args)
+    except DomainError:
+        return False
+    assert np.all(np.isfinite(_values(value))), (fn.__name__, args, value)
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_closed_forms_on_the_parameter_grid(d):
+    returned = 0
+    for s, delta in itertools.product(_S + (1.0,), _DELTA):
+        for fn in (cf.f21_closed, cf.f21_sum_form):
+            returned += _finite_or_domain_error(fn, d, s, delta)
+    for s in _S:
+        returned += _finite_or_domain_error(specfun.kappa, d, s)
+        returned += _finite_or_domain_error(cf.delta0, d, s)
+        returned += _finite_or_domain_error(cf.empirical_coupling_ratio, d, s, 5)
+        for delta in _DELTA:
+            for fn in (cf.f1_closed, cf.f2_closed, cf.b_denominator, cf.b_of_delta, cf.coupling_L):
+                returned += _finite_or_domain_error(fn, d, s, delta)
+            if d == 2 and (s, delta) in _KNOWN_D2_ASSERTIONS:
+                with pytest.raises(AssertionError, match="coupling disagrees"):
+                    cf.d2_epsilon_and_bounds(s, delta)
+            elif d == 2:
+                returned += _finite_or_domain_error(cf.d2_epsilon_and_bounds, s, delta)
+            if d == 2:
+                returned += _finite_or_domain_error(cf.d2_G, s, delta)
+            for eps in _EPS:
+                returned += _finite_or_domain_error(cf.operator_bracket, d, s, delta, eps)
+        for eps in _EPS:
+            returned += _finite_or_domain_error(cf.delta_of_epsilon, d, s, eps)
+        for delta in _RIESZ_DELTA:
+            returned += _finite_or_domain_error(rz.riesz_constants, d, s, delta)
+        returned += _finite_or_domain_error(rz.riesz_kernel_constant, d, 1.0 - s)
+    for delta in _DELTA:
+        returned += _finite_or_domain_error(cf.classical_epsilon, d, delta)
+    for delta in _RIESZ_DELTA:
+        returned += _finite_or_domain_error(rz.riesz_coupling, d, delta)
+    assert returned > 0
+
+
+def _params(d, s, delta, eps, **kw):
+    try:
+        return md.FracParams(d, s, delta, eps, **kw)
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_closed_forms_at_edge_points(d):
+    points = _points(d)
+    returned = 0
+    for s, delta, eps in itertools.product(_S, _DELTA, _EPS):
+        params = _params(d, s, delta, eps)
+        if params is None:
+            continue
+        returned += _finite_or_domain_error(md.log_coeff_norm, params)
+        returned += _finite_or_domain_error(md.coeff_eigen, "fractional", params)
+        for x in points:
+            returned += _finite_or_domain_error(cf.operator_value, params, x)
+            returned += _finite_or_domain_error(md.homogeneous_field, 1.0 - delta, x)
+            for flavor in ("classical", "fractional"):
+                returned += _finite_or_domain_error(md.coeff_matrix, flavor, params, x)
+            # the kernel between the point and e1, and across a tiny gap
+            returned += _finite_or_domain_error(md.kernel_eval, params, x, np.eye(d)[0])
+            returned += _finite_or_domain_error(md.kernel_eval, params, x, x * (1.0 + 1e-15))
+    for s, delta, eps in itertools.product(_S, _RIESZ_DELTA, _RIESZ_EPS):
+        for x in points:
+            returned += _finite_or_domain_error(md.homogeneous_field, s - delta, x)
+            returned += _finite_or_domain_error(md.homogeneous_field, -1.0 - delta, x)
+            returned += _finite_or_domain_error(rz.frac_gradient, d, s, delta, x)
+            returned += _finite_or_domain_error(rz.flux_divergence, d, s, delta, eps, x)
+    assert returned > 0
+
+
+def test_subnormal_squares_raise_domain_error(spec):
+    # at |x| = 1e-160, x . x is subnormal and sqrt(x . x) keeps only five
+    # digits of |x|, which the oracle's scaled value would carry silently
+    for x in ([1e-160, 0.0], [3e-155, 4e-155]):
+        with pytest.raises(DomainError, match="normal float"):
+            frac_op_num(md.FracParams(2, 0.5, 0.25, 0.1), x, spec)
+        with pytest.raises(DomainError, match="normal float"):
+            md.homogeneous_field(0.75, x)
+    assert md._point_norm([2e-154, 0.0]) == 2e-154
+
+
+def test_overflowing_powers_raise_domain_error(spec):
+    # |x|^-delta at |x| = 1e-150 and delta = 2.4 is 1e360
+    with pytest.raises(DomainError, match="overflows"):
+        rz.frac_gradient(5, 0.9, 2.4, 1e-150 * np.eye(5)[0])
+    with pytest.raises(DomainError, match="overflows"):
+        rz.flux_divergence(5, 0.9, 2.4, 0.5, 1e-150 * np.eye(5)[0])
+    with pytest.raises(DomainError, match="overflows"):
+        md.homogeneous_field(-2.0, [1e-150, 0.0])
+    with pytest.raises(DomainError, match="overflows"):
+        sc.evaluate(sc.term_sum([sc.HomTerm(1.0, -3.0, 0)]), [1e-150, 0.0])
+    with pytest.raises(DomainError, match="overflows"):
+        sc.evaluate(sc.term_sum([sc.HomTerm(1.0, 0.0, 3)]), [1e154, 0.0])
+    with pytest.raises(DomainError, match="overflows"):
+        md.kernel_eval(md.FracParams(2, 0.5, 0.0, 0.1), [1e-120, 0.0], [2e-120, 0.0])
+    # |x|^(-s - delta) = 1.7e308 is finite here, the oracle's value, -1.15
+    # times it at e1, is not
+    x = 10.0 ** (math.log10(1.7e308) / -2.3) * np.eye(3)[0]
+    with pytest.raises(DomainError, match="value overflows"):
+        rz.riesz_div_conv_num(3, 0.9, 1.4, 0.3, x, spec)
+
+
+@pytest.mark.parametrize(
+    "point", [(math.nan, 0.0), (1e200, 1e200), (0.0, 0.0)], ids=["nan", "overflow", "origin"]
+)
+def test_point_guard_is_shared(point):
+    # the Riesz closed forms, coeff_matrix, kernel_eval and the symbol
+    # calculus reject what the quadrature oracles reject, through one point
+    # guard
+    params = md.FracParams(2, 0.5, 0.2, 0.3)
+    field = sc.term_sum([sc.HomTerm(1.0, -0.5, 1, 0)])
+    calls = [
+        lambda: rz.frac_gradient(2, 0.5, 0.2, point),
+        lambda: rz.flux_divergence(2, 0.5, 0.2, 0.3, point),
+        lambda: md.coeff_matrix("fractional", params, point),
+        lambda: md.kernel_eval(params, point, [1.0, 0.0]),
+        lambda: sc.evaluate(field, point),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite point"):
+            call()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_oracles_at_edge_points(spec, d):
+    # the oracles are their e1 values scaled by homogeneity, so every |x|
+    # takes the same integral; one finite, converged e1 value per oracle
+    oracles = [
+        lambda x: frac_op_num(md.FracParams(d, 0.5, 0.25, 0.1), x, spec),
+        lambda x: frac_op_num(md.FracParams(d, 0.9, 0.5, 0.5), x, spec),
+        lambda x: rz.riesz_potential_num(d, 0.5, 0.25, x, spec),
+        lambda x: rz.riesz_div_conv_num(d, 0.5, 0.25, 0.3, x, spec),
+        lambda x: rz.riesz_div_conv_num(d, 0.9, 0.999, 0.3, x, spec),
+    ]
+    for oracle in oracles:
+        returned = [_finite_or_domain_error(oracle, x) for x in _points(d, _ORACLE_NORMS)]
+        assert sum(returned) >= len(_ORACLE_NORMS) - 1

@@ -9,6 +9,7 @@ from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
 from nonlocal_lab.model import FracParams, _field, _kernel, _safe_norms
 from nonlocal_lab.riesz import (
+    flux_divergence,
     riesz_constants,
     riesz_div_conv_num,
     riesz_kernel_constant,
@@ -816,9 +817,10 @@ def test_three_dimensional_values_pinned(spec, which, s, delta, want):
 
 
 def test_axis_reduction_matches_closed_forms_off_axis(spec):
-    # the value at an off-axis x, reduced to |x| e1, against the closed forms
-    # within its own estimate: the operator against operator_value / kappa
-    # and the Riesz potential against c* |x|^-delta x1
+    # the value at an off-axis x, scaled from e1, against the closed forms
+    # within its own estimate: the operator against operator_value / kappa,
+    # the Riesz potential against c* |x|^-delta x1 and the convolved
+    # divergence against flux_divergence's
     s, delta, eps = 0.4, 0.2, 0.15
     for x in ((0.78, -1.04), (0.6, 0.48, 0.64), (0.6, 0.48, 0.64, -0.3)):
         x = np.array(x)
@@ -829,6 +831,9 @@ def test_axis_reduction_matches_closed_forms_off_axis(spec):
         c_star, _ = riesz_constants(d, s, delta)
         res = riesz_potential_num(d, s, delta, x, spec)
         want = c_star * float(np.linalg.norm(x)) ** -delta * x[0]
+        assert abs(res.value - want) <= res.err_estimate
+        res = riesz_div_conv_num(d, s, delta, eps, x, spec)
+        _, _, want = flux_divergence(d, s, delta, eps, x)
         assert abs(res.value - want) <= res.err_estimate
 
 
