@@ -391,7 +391,7 @@ def _main_bands(spec: QuadratureSpec, d: int, singular_pair: bool) -> list:
 
     With the singular pair, bands meeting the annulus [1 - R, 1 + R] are
     split to about R/4 and cut: they carry the pair cutoff
-    1 - chi(|h - e1|) - chi(|h + e1|), which is exactly 1 off the annulus.
+    1 - chi(h - e1) - chi(h + e1), which is exactly 1 off the annulus.
     They and a factor-2 halo, which still has patch-scale angular features,
     take the fine rule: 7 times the angular nodes at d = 2 and 2 times
     above.  On the d = 2 meridian rule +-e1 sit at a mirror-symmetric phase

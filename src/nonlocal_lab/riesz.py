@@ -63,7 +63,8 @@ def frac_gradient(d: int, s: float, delta: float, x) -> np.ndarray:
     _check_range(d, s, delta, model="riesz")
     xh, r = _unit(x)
     c_star, _ = riesz_constants(d, s, delta)
-    e1 = np.eye(d)[0]
+    e1 = np.zeros(d)
+    e1[0] = 1.0
     return c_star * _point_power(r, -delta) * (e1 - delta * xh[0] * xh)
 
 
@@ -78,7 +79,8 @@ def flux_divergence(
     _check_range(d, s, delta, epsilon, model="riesz")
     xh, r = _unit(x)
     c_star, c_star_star = riesz_constants(d, s, delta)
-    e1 = np.eye(d)[0]
+    e1 = np.zeros(d)
+    e1[0] = 1.0
     sq = (1.0 - epsilon) ** 2
     flux = c_star * _point_power(r, -delta) * (sq * e1 + (1.0 - delta - sq) * xh[0] * xh)
     br = _bracket(d, delta, epsilon)
