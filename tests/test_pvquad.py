@@ -523,7 +523,7 @@ def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_
     passes = [p for main, patch in plans for stage in (main, patch) if stage for p in stage[1]]
     assert len(passes) == 6
     assert all(points.flags.f_contiguous for points, _, _ in passes)
-    # the patch's rows c - l are the ones with h2 < 0
+    # the patch's rows e1 - l are the ones with h2 < 0
     assert any(np.any(h[:, 1] < 0.0) for h in chunks)
     assert len(chunks) > 4 and max(len(h) for h in chunks) == 977
     for h in chunks:
