@@ -40,61 +40,54 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _check_range(
-    d, s=None, delta=None, epsilon=None, *, model="meyers", extended=False, s_one=False
+    d, s=None, delta=None, epsilon=None, *, riesz=False, extended=False, s_one=False
 ) -> None:
     """Raise DomainError unless the parameters lie in the range of the model.
 
     d is an integer >= 2 and s lies in (0, 1); s_one admits s = 1, where the
-    rational factor f21 stays finite.  model="meyers": delta in [0, 1/2] and
-    epsilon in [0, 1/2], or in [0, inf) with extended.  model="riesz": delta
-    in (0, d/2) and epsilon in (0, 1).  A parameter given as None is not
-    checked.
+    rational factor f21 stays finite.  The difference model takes delta in
+    [0, 1/2] and epsilon in [0, 1/2], or in [0, inf) with extended; the
+    Riesz model (riesz=True) takes delta in (0, d/2), delta = 0 being a pole
+    of its constants, and epsilon in (0, 1).  A parameter given as None is
+    not checked.
     """
     if int(d) != d or d < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
     if s is not None and not (0.0 < s < 1.0 or (s_one and s == 1.0)):
         raise DomainError(f"order s must lie in (0, {'1]' if s_one else '1)'}, got {s!r}")
-    if model == "meyers":
-        if delta is not None and not 0.0 <= delta <= 0.5:
-            raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
-        if epsilon is not None and not 0.0 <= epsilon <= (math.inf if extended else 0.5):
-            hi = "inf)" if extended else "1/2]"
-            raise DomainError(f"epsilon must lie in [0, {hi}, got {epsilon!r}")
-    elif model == "riesz":
+    if riesz:
         if delta is not None and not 0.0 < delta < 0.5 * d:
             raise DomainError(f"delta must lie in (0, d/2), got {delta!r}")
         if epsilon is not None and not 0.0 < epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    else:
-        raise DomainError(f"unknown model flavor {model!r}")
+        return
+    if delta is not None and not 0.0 <= delta <= 0.5:
+        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+    if epsilon is not None and not 0.0 <= epsilon <= (math.inf if extended else 0.5):
+        hi = "inf)" if extended else "1/2]"
+        raise DomainError(f"epsilon must lie in [0, {hi}, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
 class FracParams:
-    """Parameter tuple (d, s, delta, epsilon), validated per model flavor.
+    """Parameter tuple (d, s, delta, epsilon) of the difference model.
 
-    model="meyers": delta, epsilon in [0, 1/2] (difference-quotient model).
-    model="riesz":  delta in (0, d/2), epsilon in (0, 1) (fractional-gradient
-    model; delta = 0 is a genuine pole of its constants).
-
-    extended=True lifts the upper epsilon bound of the meyers flavor.  The
-    coupling b(delta) exceeds 1/2 for small s, and the solution identity
-    extends to any epsilon >= 0 because the kernel is affine in epsilon; the
-    comparability constants and positive-definiteness guarantees then no
-    longer apply and are not asserted.
+    delta and epsilon lie in [0, 1/2].  extended=True lifts the upper
+    epsilon bound.  The coupling b(delta) exceeds 1/2 for small s, and the
+    solution identity extends to any epsilon >= 0 because the kernel is
+    affine in epsilon; the comparability constants and positive-definiteness
+    guarantees then no longer apply and are not asserted.  The Riesz model's
+    entry points take their parameters as scalars.
     """
 
     d: int
     s: float
     delta: float = 0.0
     epsilon: float = 0.0
-    model: str = "meyers"
     extended: bool = False
 
     def __post_init__(self):
-        _check_range(
-            self.d, self.s, self.delta, self.epsilon, model=self.model, extended=self.extended
-        )
+        _check_range(self.d, self.s, self.delta, self.epsilon, extended=self.extended)
 
 
 @dataclass(frozen=True)

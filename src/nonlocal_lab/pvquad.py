@@ -599,7 +599,7 @@ def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureS
         even_at, factor, degree = partial(_operator_even, pair, d, s, p), -1.0, p - 2.0 * s
     elif which in ("f3", "f4"):
         # the potential of the Riesz model's field and of its divergence field
-        _check_range(d, s, delta, model="riesz")
+        _check_range(d, s, delta, riesz=True)
         power = s - delta if which == "f3" else -1.0 - delta
         even_at, factor, degree = partial(_potential_even, d, s, power), 1.0, power + 1.0 - s
     else:

@@ -46,7 +46,7 @@ def riesz_kernel_constant(d: int, alpha: float) -> float:
 
 def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:
     """(c*, c**): potential and double-potential constants of the chain."""
-    _check_range(d, s, delta, model="riesz")
+    _check_range(d, s, delta, riesz=True)
     c_star = 2.0 ** (s - 1.0) * gamma_ratio(
         (0.5 * (d + s - delta + 1.0), 0.5 * delta),
         (0.5 * (d - delta + 2.0), 0.5 * (-s + delta + 1.0)),
@@ -60,7 +60,7 @@ def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:
 
 def frac_gradient(d: int, s: float, delta: float, x) -> np.ndarray:
     """grad^s of the homogeneous field: c* |x|^(-delta) (e1 - delta xhat xhat_1)."""
-    _check_range(d, s, delta, model="riesz")
+    _check_range(d, s, delta, riesz=True)
     xh, r = _unit(x)
     c_star, _ = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
@@ -76,7 +76,7 @@ def flux_divergence(
     d: int, s: float, delta: float, epsilon: float, x
 ) -> tuple[np.ndarray, float, float]:
     """(flux, div, potential-smoothed div) of the model chain at x != 0."""
-    _check_range(d, s, delta, epsilon, model="riesz")
+    _check_range(d, s, delta, epsilon, riesz=True)
     xh, r = _unit(x)
     c_star, c_star_star = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
@@ -91,7 +91,7 @@ def flux_divergence(
 
 def riesz_coupling(d: int, delta: float) -> float:
     """epsilon killing the divergence bracket: 1 - sqrt(1 - delta - delta(1-delta)/(d-1))."""
-    _check_range(d, delta=delta, model="riesz")
+    _check_range(d, delta=delta, riesz=True)
     if d == 2:
         # the radicand completes to (1 - delta)^2, so the value is delta
         return delta
@@ -105,7 +105,7 @@ def riesz_potential_num(
     d: int, s: float, delta: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
-    _check_range(d, s, delta, model="riesz")
+    _check_range(d, s, delta, riesz=True)
     norm = riesz_kernel_constant(d, 1.0 - s)
     return _on_axis(partial(_potential_even, d, s, s - delta), d, x, spec, norm, 1.0 - delta)
 
@@ -114,7 +114,7 @@ def riesz_div_conv_num(
     d: int, s: float, delta: float, epsilon: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * div(M^2 grad^s u))(x) from the analytic div field."""
-    _check_range(d, s, delta, model="riesz")
+    _check_range(d, s, delta, riesz=True)
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
     factor = norm * c_star * _bracket(d, delta, epsilon)

@@ -227,7 +227,7 @@ def _pipeline_pair(which: str, d: int, s: float, delta: float) -> tuple[TermSum,
         # the transform of the outer field acquires a point-supported part at
         # delta = 0; the calculus refuses rather than model it
         raise PoleEncountered(f"pipeline {which!r} requires delta > 0")
-    _check_range(d, delta=delta, model="meyers" if which in ("f1", "f2") else "riesz")
+    _check_range(d, delta=delta, riesz=which not in ("f1", "f2"))
     if which == "f1":
         g_outer = term_sum([HomTerm(1.0, -delta, 1, 0)])
         g_inner = term_sum([HomTerm(1.0, -d - 2.0 * s, 0, 0)])

@@ -36,10 +36,9 @@ def test_params_validation():
         FracParams(2, 0.5, 0.7)
     with pytest.raises(DomainError):
         FracParams(2, 0.5, 0.2, 0.7)
-    with pytest.raises(DomainError):
-        FracParams(2, 0.5, 0.0, 0.2, model="riesz")  # riesz needs delta > 0
     FracParams(2, 0.5, 0.2, 0.7, extended=True)
-    FracParams(2, 0.5, 0.9, 0.9, model="riesz")
+    with pytest.raises(TypeError):
+        FracParams(2, 0.5, 0.9, 0.9, model="riesz")  # the Riesz model takes scalars
     with pytest.raises(DomainError, match=r"epsilon must lie in \[0, inf\)"):
         FracParams(2, 0.5, 0.1, -0.1, extended=True)
     with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 1/2\]"):
@@ -63,7 +62,6 @@ _MEYERS_ENTRIES = {
     "pipeline f2": lambda d, s, delta: sc.pipeline("f2", d, s, delta),
 }
 _RIESZ_ENTRIES = {
-    "FracParams riesz": lambda d, s, delta: FracParams(d, s, delta, 0.5, model="riesz"),
     "riesz_constants": rz.riesz_constants,
     "frac_gradient": lambda d, s, delta: rz.frac_gradient(d, s, delta, _X),
     "flux_divergence": lambda d, s, delta: rz.flux_divergence(d, s, delta, 0.5, _X),
