@@ -111,7 +111,7 @@ def operator_bracket(d: int, s: float, delta: float, epsilon: float) -> float:
     (a_iso, b_rad) is the fractional pair at epsilon, and X, the radial
     term's factor, does not depend on epsilon, so the bracket is affine in it.
     """
-    _check_range(d, s, delta)
+    _check_range(d, s, delta, epsilon, extended=True)
     a_iso, b_rad = _coeffs("fractional", d, s, epsilon)
     ct_ratio = _ctilde(d, s, 0.0) / _ctilde(d, s, delta)
     radial = 2.0 * s * f21_closed(d, s, delta) - (

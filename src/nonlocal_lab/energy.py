@@ -83,6 +83,10 @@ class TestFunction:
     dphi: callable
     radius: float
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError(f"support radius must be finite and > 0, got {self.radius!r}")
+
     def value(self, pts) -> np.ndarray:
         """v at each row of an (n, d) array of points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

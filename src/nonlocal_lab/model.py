@@ -63,7 +63,7 @@ def _check_range(
         return
     if delta is not None and not 0.0 <= delta <= 0.5:
         raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
-    if epsilon is not None and not 0.0 <= epsilon <= (math.inf if extended else 0.5):
+    if epsilon is not None and not (0.0 <= epsilon < math.inf and (extended or epsilon <= 0.5)):
         hi = "inf)" if extended else "1/2]"
         raise DomainError(f"epsilon must lie in [0, {hi}, got {epsilon!r}")
 
@@ -72,12 +72,13 @@ def _check_range(
 class FracParams:
     """Parameter tuple (d, s, delta, epsilon) of the difference model.
 
-    delta and epsilon lie in [0, 1/2].  extended=True lifts the upper
-    epsilon bound.  The coupling b(delta) exceeds 1/2 for small s, and the
-    solution identity extends to any epsilon >= 0 because the kernel is
-    affine in epsilon; the comparability constants and positive-definiteness
-    guarantees then no longer apply and are not asserted.  The Riesz model's
-    entry points take their parameters as scalars.
+    delta and epsilon lie in [0, 1/2].  extended=True widens epsilon's
+    range to [0, inf): the coupling b(delta) exceeds 1/2 for small s, and
+    the solution identity extends to every finite epsilon >= 0 because the
+    kernel is affine in epsilon; the comparability constants and
+    positive-definiteness guarantees then no longer apply and are not
+    asserted.  The Riesz model's entry points take their parameters as
+    scalars.
     """
 
     d: int

@@ -129,6 +129,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0.0 < self.r_min < 1.0 < self.r_max:
             raise DomainError("window must satisfy r_min < 1 < r_max")
+        if not math.isfinite(self.r_max / self.r_min):
+            raise DomainError("window ratio r_max / r_min must be finite")
+        if not 0.0 < self.target_rel_err < math.inf:
+            raise DomainError("target_rel_err must be finite and > 0")
         if self.bands_per_decade < 1 or self.radial_nodes < 2 or self.angular_nodes < 4:
             raise DomainError("degenerate quadrature resolution")
 

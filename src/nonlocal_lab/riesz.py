@@ -38,6 +38,7 @@ __all__ = [
 
 def riesz_kernel_constant(d: int, alpha: float) -> float:
     """Normalization of I_alpha: 2^(-alpha) G((d-alpha)/2) / (pi^(d/2) G(alpha/2))."""
+    _check_range(d)
     if not 0.0 < alpha < d:
         raise DomainError(f"potential order must lie in (0, d), got {alpha!r}")
     ratio = gamma_ratio((0.5 * (d - alpha),), (0.5 * alpha,))
@@ -114,7 +115,7 @@ def riesz_div_conv_num(
     d: int, s: float, delta: float, epsilon: float, x, spec: QuadratureSpec
 ) -> PVResult:
     """Quadrature of (I_(1-s) * div(M^2 grad^s u))(x) from the analytic div field."""
-    _check_range(d, s, delta, riesz=True)
+    _check_range(d, s, delta, epsilon, riesz=True)
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
     factor = norm * c_star * _bracket(d, delta, epsilon)

@@ -89,6 +89,12 @@ def test_exit_code_one_on_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_one_on_infinite_window(capsys):
+    rc = cli.run(["verify", "--d", "2", "--s", "0.5", "--delta", "0.1", "--r-max", "inf"])
+    assert rc == 1
+    assert "error: window ratio" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_pole_or_unsupported(capsys, monkeypatch):
     # delta = 0 is a Gamma pole of the f1 pipeline: an error line, not a traceback
     argv = ["fourier", "--which", "f1", "--d", "2", "--s", "0.5", "--delta", "0"]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nonlocal_lab import closedform as cf
+from nonlocal_lab import energy as en
 from nonlocal_lab import model as md
 from nonlocal_lab import riesz as rz
 from nonlocal_lab import specfun
@@ -24,6 +25,8 @@ from nonlocal_lab.pvquad import frac_op_num
 _S = (1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
 _DELTA = (0.0, 1e-12, 0.25, 0.5)
 _EPS = (0.0, 0.25, 0.5)
+# the bracket is affine in epsilon on [0, inf), which the coupling can leave 1/2 for
+_EXTENDED_EPS = (0.75, 7.0, 1e300, math.inf, math.nan)
 # the Riesz model's delta lies in (0, d/2) and its epsilon in (0, 1)
 _RIESZ_DELTA = (1e-12, 0.25, 0.5, 0.999)
 _RIESZ_EPS = (1e-12, 0.5, 1.0 - 1e-12)
@@ -84,7 +87,7 @@ def test_closed_forms_on_the_parameter_grid(d):
                 returned += _finite_or_domain_error(cf.d2_epsilon_and_bounds, s, delta)
             if d == 2:
                 returned += _finite_or_domain_error(cf.d2_G, s, delta)
-            for eps in _EPS:
+            for eps in _EPS + _EXTENDED_EPS:
                 returned += _finite_or_domain_error(cf.operator_bracket, d, s, delta, eps)
         for eps in _EPS:
             returned += _finite_or_domain_error(cf.delta_of_epsilon, d, s, eps)
@@ -162,6 +165,16 @@ def test_overflowing_powers_raise_domain_error(spec):
     x = 10.0 ** (math.log10(1.7e308) / -2.3) * np.eye(3)[0]
     with pytest.raises(DomainError, match="value overflows"):
         rz.riesz_div_conv_num(3, 0.9, 1.4, 0.3, x, spec)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_test_function_radius_is_finite_and_positive(radius):
+    # a radius that is not finite and > 0 refuses at construction, where
+    # energy_eval on bump_x1(-1.0) used to return nan
+    with pytest.raises(DomainError, match="support radius"):
+        en.bump_x1(radius)
+    with pytest.raises(DomainError, match="support radius"):
+        en.TestFunction(np.exp, np.exp, radius)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -80,6 +81,12 @@ _D_DELTA_ENTRIES = {
     "local_energy": lambda d, eps: en.local_energy(d, eps, en.bump_x1(1.0)),
 }
 _BAD_D_S = [(1, 0.5), (2.5, 0.5), (2, 0.0), (2, -0.1), (2, 1.2)]
+
+
+def _riesz_div(d, s, delta, eps):
+    return rz.riesz_div_conv_num(d, s, delta, eps, _X, _SPEC)
+
+
 _BAD = (
     [(name, fn, (d, s, 0.2)) for name, fn in _MEYERS_ENTRIES.items() for d, s in _BAD_D_S]
     + [(name, fn, (2, 0.5, delta)) for name, fn in _MEYERS_ENTRIES.items() for delta in (-0.1, 0.6)]
@@ -96,6 +103,14 @@ _BAD = (
     + [("riesz_coupling", rz.riesz_coupling, (d, 0.2)) for d in (1, 2.5)]
     + [("riesz_coupling", rz.riesz_coupling, (2, delta)) for delta in (-0.3, 0.0, 1.0, 1.5)]
     + [("riesz_coupling", rz.riesz_coupling, (3, 0.0))]
+    # epsilon outside the extended range [0, inf)
+    + [
+        ("operator_bracket", cf.operator_bracket, (2, 0.5, 0.2, eps))
+        for eps in (math.nan, -3.0, math.inf)
+    ]
+    + [("FracParams extended", partial(FracParams, extended=True), (2, 0.5, 0.2, math.inf))]
+    + [("riesz_div_conv_num", _riesz_div, (2, 0.5, 0.3, eps)) for eps in (1.5, -0.3, 0.0)]
+    + [("riesz_kernel_constant", rz.riesz_kernel_constant, (d, 0.5)) for d in (1, 2.5)]
     + [("kappa", kappa, (d, s)) for d, s in _BAD_D_S + [(2, 1.0)]]
     # delta <= 0 is a pole of the Riesz pipelines (PoleEncountered), not a range error
     + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", d, s, 0.3)) for d, s in _BAD_D_S]

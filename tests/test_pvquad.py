@@ -67,6 +67,13 @@ def test_spec_validation():
         pq.QuadratureSpec(r_min=2.0)
     with pytest.raises(DomainError):
         pq.QuadratureSpec(radial_nodes=1)
+    # a window whose ratio r_max / r_min overflows has no band edges
+    for window in ({"r_max": math.inf}, {"r_min": 1e-320}):
+        with pytest.raises(DomainError, match="ratio"):
+            pq.QuadratureSpec(**window)
+    for target in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DomainError, match="target_rel_err"):
+            pq.QuadratureSpec(target_rel_err=target)
 
 
 def test_odd_integrand_is_exactly_zero(spec):
