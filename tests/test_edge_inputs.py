@@ -25,7 +25,7 @@ from nonlocal_lab.pvquad import frac_op_num
 _S = (1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
 _DELTA = (0.0, 1e-12, 0.25, 0.5)
 _EPS = (0.0, 0.25, 0.5)
-# the bracket is affine in epsilon on [0, inf), which the coupling can leave 1/2 for
+# operator_bracket takes every finite epsilon >= 0: the coupling b(delta) exceeds 1/2 at small s
 _EXTENDED_EPS = (0.75, 7.0, 1e300, math.inf, math.nan)
 # the Riesz model's delta lies in (0, d/2) and its epsilon in (0, 1)
 _RIESZ_DELTA = (1e-12, 0.25, 0.5, 0.999)
@@ -169,8 +169,7 @@ def test_overflowing_powers_raise_domain_error(spec):
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
 def test_test_function_radius_is_finite_and_positive(radius):
-    # a radius that is not finite and > 0 refuses at construction, where
-    # energy_eval on bump_x1(-1.0) used to return nan
+    # refused at construction: energy_eval on a negative radius would give nan
     with pytest.raises(DomainError, match="support radius"):
         en.bump_x1(radius)
     with pytest.raises(DomainError, match="support radius"):
