@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .model import FracParams, _check_range, _coeffs, _point_norm, homogeneous_field
+from .model import FracParams, _check_range, _coeffs, _point, homogeneous_field
 from .specfun import gamma_ratio, lgamma_signed
 
 __all__ = [
@@ -126,9 +126,9 @@ def operator_value(params: FracParams, x) -> float:
     Equals (2^(2s) ctilde / 4) * bracket * |x|^(1-2s-delta) * xhat_1; zero for
     every x exactly when epsilon = b_of_delta(d, s, delta).  x = 0, a point
     holding nan or inf, and one whose |x| overflows raise DomainError, as in
-    the quadrature oracles.
+    the quadrature oracles, as does a point that is not in R^d.
     """
-    _point_norm(x)
+    _point(x, params.d)
     d, s, delta = params.d, params.s, params.delta
     bracket = operator_bracket(d, s, delta, params.epsilon)
     prefactor = 0.25 * 2.0 ** (2.0 * s) * _ctilde(d, s, delta)

@@ -114,22 +114,28 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(x, x)))
 
 
-def _point_norm(x) -> float:
-    """|x| of a point x whose x . x is a normal float: about 1.5e-154 < |x| < 1.3e154.
+def _point(x, d: int, *, origin: bool = False) -> tuple[np.ndarray, float]:
+    """(x as a float array, |x|) of a point x of R^d: the one point guard.
 
-    DomainError at the origin, at a nan or inf coordinate, and where x . x
-    overflows or is subnormal, which would cost |x| its value or its digits.
+    DomainError for any shape but (d,), at a nan or inf coordinate, and where
+    x . x is not a normal float: at the origin, and where an overflowing or
+    subnormal x . x would cost |x| its value or its digits, so that about
+    1.5e-154 < |x| < 1.3e154.  origin=True admits x = 0, with |x| = 0.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise DomainError(f"x must be a point in R^{d}, got shape {x.shape}")
+    if origin and not x.any():
+        return x, 0.0
     with np.errstate(over="ignore"):
         square = float(np.dot(x, x))
     if not _NORMAL_MIN <= square < math.inf:
         raise DomainError(f"x must be a finite point with x . x a normal float, got {x.tolist()}")
-    return math.sqrt(square)
+    return x, math.sqrt(square)
 
 
 def _point_power(r: float, p: float) -> float:
-    """r^p of a point's norm r = _point_norm(x); DomainError where it overflows."""
+    """r^p of a point's norm r from _point; DomainError where it overflows."""
     try:
         return r**p
     except OverflowError:
@@ -160,13 +166,6 @@ def _safe_norms(pts: np.ndarray) -> np.ndarray:
     return np.maximum(_norms(pts), _ORIGIN_GUARD)
 
 
-def _unit(x) -> tuple[np.ndarray, float]:
-    """(x/|x|, |x|) at a point x that _point_norm accepts."""
-    x = np.asarray(x, dtype=float)
-    r = _point_norm(x)
-    return x / r, r
-
-
 def _field(p: float, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
     """|z|^(p-1) z1 for each row z of an (n, d) array, given r = _safe_norms(pts).
 
@@ -183,13 +182,12 @@ def homogeneous_field(p: float, x) -> float:
     """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
 
     The one-point case of _field, with the origin decided: 0 for p >= 1.
-    DomainError at every other point _point_norm refuses, and where the
-    value overflows.
+    x is a point of R^n for its own n; DomainError at every other point
+    _point refuses, and where the value overflows.
     """
-    x = np.asarray(x, dtype=float)
-    if p >= 1.0 and not x.any():
+    x, r = _point(x, np.size(x), origin=p >= 1.0)
+    if r == 0.0:
         return 0.0
-    _point_norm(x)
     pts = x[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(_field(p, pts, _safe_norms(pts))[0])
@@ -213,7 +211,8 @@ def _coeffs(flavor: str, d: int, s: float | None, epsilon: float) -> tuple[float
 def coeff_matrix(flavor: str, params: FracParams, x) -> SymMatrix:
     """Coefficient matrix a I + b xhat (x) xhat at x != 0."""
     a, b = _coeffs(flavor, params.d, params.s, params.epsilon)
-    xh, _ = _unit(x)
+    x, r = _point(x, params.d)
+    xh = x / r
     m = a * np.eye(params.d) + b * np.outer(xh, xh)
     return SymMatrix(params.d, m)
 
@@ -255,10 +254,8 @@ def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, *ys: tuple) ->
 
 def kernel_eval(params: FracParams, x, y) -> float:
     """Jump kernel |x-y|^(-d-2s) <(A(x)+A(y))/2 zhat, zhat>: _kernel at one pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for pt in (x, y):
-        _point_norm(pt)  # A has no value at the origin, nor at a non-finite point
+    x, _ = _point(x, params.d)  # A has no value at the origin, nor at a non-finite point
+    y, _ = _point(y, params.d)
     pair = _coeffs("fractional", params.d, params.s, params.epsilon)
     with np.errstate(over="ignore", invalid="ignore"):
         h = y - x

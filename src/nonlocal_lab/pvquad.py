@@ -81,7 +81,7 @@ from .model import (
     _field,
     _kernel,
     _norms,
-    _point_norm,
+    _point,
     _point_power,
     _safe_norms,
     homogeneous_field,
@@ -540,13 +540,10 @@ def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float, degree: fl
     |z|^(p-1) z, and it is homogeneous of the given degree, so its value at
     x is |x|^degree (x1/|x|) times that at e1, where the integrand is axial:
     every x takes the one plan of (spec, d).  value and err_estimate are
-    scaled; nodes_used and converged are those at e1.  A non-finite x, and
-    one where |x|, |x|^degree or the value overflows, raise DomainError.
+    scaled; nodes_used and converged are those at e1.  A point _point refuses,
+    and one where |x|^degree or the value overflows, raise DomainError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise DomainError(f"x must be a point in R^{d}")
-    r = _point_norm(x)
+    x, r = _point(x, d)
     scale = _point_power(r, degree) * (float(x[0]) / r)
     res = pv_integral(even_at(_E1), d, spec, singular_pair=True)
     value, err = factor * (scale * res.value), abs(factor) * (abs(scale) * res.err_estimate)

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .model import _check_range, _point_power, _unit
+from .model import _check_range, _point, _point_power
 from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential_even
 from .specfun import gamma_ratio
 
@@ -62,7 +62,8 @@ def riesz_constants(d: int, s: float, delta: float) -> tuple[float, float]:
 def frac_gradient(d: int, s: float, delta: float, x) -> np.ndarray:
     """grad^s of the homogeneous field: c* |x|^(-delta) (e1 - delta xhat xhat_1)."""
     _check_range(d, s, delta, riesz=True)
-    xh, r = _unit(x)
+    x, r = _point(x, d)
+    xh = x / r
     c_star, _ = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
     e1[0] = 1.0
@@ -78,7 +79,8 @@ def flux_divergence(
 ) -> tuple[np.ndarray, float, float]:
     """(flux, div, potential-smoothed div) of the model chain at x != 0."""
     _check_range(d, s, delta, epsilon, riesz=True)
-    xh, r = _unit(x)
+    x, r = _point(x, d)
+    xh = x / r
     c_star, c_star_star = riesz_constants(d, s, delta)
     e1 = np.zeros(d)
     e1[0] = 1.0

@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleEncountered, Unsupported
-from .model import _check_range, _point_norm, _point_power
+from .model import _check_range, _point, _point_power
 from .specfun import EULER_GAMMA, digamma, lgamma_signed
 
 __all__ = [
@@ -128,8 +130,8 @@ def mul(a: TermSum, b: TermSum) -> TermSum:
 
 
 def evaluate(ts: TermSum, x) -> complex:
-    """Numeric value of the represented function at x != 0, checked as `_point_norm` checks it."""
-    r = _point_norm(x)
+    """Numeric value of the represented function at x != 0, a point of R^n for its own n."""
+    x, r = _point(x, np.size(x))
     logr = math.log(r)
     xhat1 = float(x[0]) / r
     total = 0j
