@@ -128,6 +128,7 @@ def _cmd_couple(args) -> int:
         eps = args.epsilon
     else:
         delta = args.delta
+        FracParams(d, args.s, delta)  # checks (d, s, delta) at delta = 0 too, where b = 0
         eps = closedform.b_of_delta(d, args.s, delta) if delta > 0 else 0.0
         print(f"epsilon = b(delta={_fmt(delta)}) = {_fmt(eps)}")
     print(f"classical epsilon = {_fmt(closedform.classical_epsilon(d, delta))}")

@@ -201,6 +201,7 @@ def delta_of_epsilon(d: int, s: float, epsilon: float) -> float:
 
 def d2_G(s: float, delta: float) -> float:
     """Gamma-ratio helper of the two-dimensional coupling; lies in (0, 1/2]."""
+    _check_range(2, s, delta)
     return gamma_ratio(
         (s + 1.0, 3.0 - s - 0.5 * delta, 1.0 + 0.5 * delta),
         (3.0 - s, 3.0 - 0.5 * delta, s + 1.0 + 0.5 * delta),
@@ -209,6 +210,7 @@ def d2_G(s: float, delta: float) -> float:
 
 def coupling_L(d: int, s: float, delta: float) -> float:
     """Gamma-ratio factor of the coupling denominator; strictly increasing."""
+    _check_range(d, s, delta)
     return gamma_ratio(
         (2.0 + 0.5 * d - s - 0.5 * delta, 1.0 + 0.5 * delta),
         (1.0 + 0.5 * d - 0.5 * delta, s + 0.5 * delta),

@@ -336,7 +336,9 @@ def local_energy(d: int, epsilon: float, v: TestFunction) -> float:
 
     The integrand is quadratic in x1/|x|, which two meridian nodes integrate
     exactly.  The profile is not polynomial in r: 100 radii take the bump
-    to rounding, where the energy grid's 18 leave about 1e-4.
+    to rounding, where the energy grid's angular_nodes // 2 = 32 at the
+    default spec leave about 2e-7 (1.4e-4 at 18 radii; d = 2, eps = 0.2,
+    bump_x1(1.0)).
     """
     _check_range(d, epsilon=epsilon)
     a_iso, b_rad = _coeffs("classical", d, None, epsilon)

@@ -182,9 +182,11 @@ def homogeneous_field(p: float, x) -> float:
     """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
 
     The one-point case of _field, with the origin decided: 0 for p >= 1.
-    x is a point of R^n for its own n; DomainError at every other point
-    _point refuses, and where the value overflows.
+    x is a point of R^n for its own n; DomainError at a non-finite p, at
+    every other point _point refuses, and where the value overflows.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"exponent p must be finite, got {p!r}")
     x, r = _point(x, np.size(x), origin=p >= 1.0)
     if r == 0.0:
         return 0.0

@@ -68,6 +68,7 @@ meridian rule too.  Every path is deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -133,6 +134,8 @@ class QuadratureSpec:
             raise DomainError("window ratio r_max / r_min must be finite")
         if not 0.0 < self.target_rel_err < math.inf:
             raise DomainError("target_rel_err must be finite and > 0")
+        if not all(isinstance(n, numbers.Integral) for n in (self.radial_nodes, self.angular_nodes)):
+            raise DomainError("radial_nodes and angular_nodes must be integers")
         if self.bands_per_decade < 1 or self.radial_nodes < 2 or self.angular_nodes < 4:
             raise DomainError("degenerate quadrature resolution")
 

@@ -10,6 +10,7 @@ geometric sequence whose ratio crosses 1 precisely at the threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ def _check(d: int, delta: float, t: float, q: float) -> None:
     _check_range(d, delta=delta)
     if not 0.0 < t < 1.0:
         raise DomainError(f"smoothness t must lie in (0, 1), got {t!r}")
-    if not q > 1.0:
+    if not 1.0 < q < math.inf:
         raise DomainError(f"integrability q must lie in (1, inf), got {q!r}")
 
 
@@ -60,6 +61,10 @@ def reference_band(
     _check(d, delta, t, q)
     if d != 2:
         raise DomainError("the Monte-Carlo reference is implemented for d = 2")
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be finite and > 0, got {scale!r}")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     lo, hi = 0.5 * scale, scale
     y_lo = 0.25 * scale
@@ -124,8 +129,8 @@ def dyadic_seminorm(
     Band k carries reference * ratio^k by homogeneity; the verdict
     "converging" (ratio < 1) coincides with the membership predicate.
     """
-    if bands < 4:
-        raise DomainError("need at least 4 dyadic bands")
+    if not isinstance(bands, numbers.Integral) or bands < 4:
+        raise DomainError(f"need an integer number of dyadic bands >= 4, got {bands!r}")
     ref, se = reference_band(d, delta, t, q, samples=samples, seed=seed)
     if ref > 0 and se > 0.2 * ref:
         raise NotConverged(f"reference-band variance too high: {se} vs {ref}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .model import _check_range
 
 __all__ = [
@@ -32,6 +32,8 @@ _POLE_TOL = 1e-12
 
 
 def _check_pole(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"argument {x!r} is not finite")
     n = round(x)
     if n <= 0 and abs(x - n) <= _POLE_TOL * max(1.0, abs(n)):
         raise PoleError(f"argument {x!r} is (numerically) a non-positive integer")

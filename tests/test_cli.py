@@ -14,6 +14,25 @@ def test_couple_zero_delta(capsys):
     assert "epsilon = b(delta=0) = 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--d", "2", "--s", "5"], ["--d", "2", "--s", "nan"], ["--d", "1", "--s", "0.5"]],
+    ids=["s=5", "s=nan", "d=1"],
+)
+def test_couple_zero_delta_checks_the_parameters(capsys, argv):
+    # b(0) = 0 is not computed, but (d, s) is still checked
+    assert cli.run(["couple", *argv, "--delta", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert "error:" in err
+    assert "epsilon" not in out
+
+
+def test_regularity_infinite_q_exits_one(capsys):
+    rc = cli.run(["regularity", "--d", "2", "--delta", "0.2", "--t", "0.5", "--q", "inf"])
+    assert rc == 1
+    assert "error: integrability q" in capsys.readouterr().err
+
+
 def test_couple_inverse(capsys):
     assert cli.run(["couple", "--d", "2", "--s", "0.5", "--inverse", "--epsilon", "0.3"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ run over the |x| grid from 1e-3 to 1e154 and at the same edge points.  An
 AssertionError (a failed internal guard) or an OverflowError fails the test.
 """
 
+import inspect
 import itertools
 import math
 
@@ -20,6 +21,7 @@ from nonlocal_lab import riesz as rz
 from nonlocal_lab import specfun
 from nonlocal_lab import symcalc as sc
 from nonlocal_lab.errors import DomainError
+from nonlocal_lab import pvquad as pq
 from nonlocal_lab.pvquad import frac_op_num
 
 _S = (1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
@@ -211,3 +213,69 @@ def test_oracles_at_edge_points(spec, d):
     for oracle in oracles:
         returned = [_finite_or_domain_error(oracle, x) for x in _points(d, _ORACLE_NORMS)]
         assert sum(returned) >= len(_ORACLE_NORMS) - 1
+
+
+# The contract below calls every public function of these modules that takes
+# a point, by the convention that a point argument is named x or y, with
+# these arguments by name; an entry point with a new argument name fails it
+# until its value is added here.
+_D = 3
+_POINT_MODULES = (md, cf, rz, pq, sc)
+_VALID_POINTS = {"x": np.array([0.8, 0.6, 0.0]), "y": np.array([0.0, 0.6, 0.8])}
+_VALID_ARGS = {
+    "d": _D,
+    "s": 0.5,
+    "delta": 0.2,
+    "epsilon": 0.3,
+    "p": 0.75,
+    "params": md.FracParams(_D, 0.5, 0.2, 0.1),
+    "flavor": "fractional",
+    "spec": pq.QuadratureSpec(),
+    "ts": sc.term_sum([sc.HomTerm(1.0, -0.5, 1, 0)]),
+}
+_WRONG_POINTS = {
+    "R^(d-1)": np.ones(_D - 1),
+    "R^(d+1)": np.ones(_D + 1),
+    "0-d": 1.0,
+    "(d, 1)": np.ones((_D, 1)),
+}
+
+
+def _point_entry_points():
+    for module in _POINT_MODULES:
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and _VALID_POINTS.keys() & inspect.signature(fn).parameters:
+                yield fn
+
+
+def test_every_point_argument_goes_through_the_guard():
+    # a point of the wrong dimension, a 0-d scalar and a column are refused
+    # at every point-taking entry point; homogeneous_field and evaluate take
+    # the point's own size as its dimension, so there only the 0-d and the
+    # 2-D input are wrong
+    entry_points = list(_point_entry_points())
+    names = {fn.__name__ for fn in entry_points}
+    assert names >= {
+        "homogeneous_field", "coeff_matrix", "kernel_eval", "operator_value", "frac_gradient",
+        "flux_divergence", "riesz_potential_num", "riesz_div_conv_num", "frac_op_num", "evaluate",
+    }
+    accepted = []
+    for fn in entry_points:
+        params = inspect.signature(fn).parameters
+        args = {k: _VALID_POINTS[k] if k in _VALID_POINTS else _VALID_ARGS[k] for k in params}
+        fn(**args)  # the valid call returns, so each refusal below is the point's
+        dimensioned = "d" in params or "params" in params
+        for point in _VALID_POINTS.keys() & params:
+            for label, bad in _WRONG_POINTS.items():
+                if label.startswith("R^") and not dimensioned:
+                    continue
+                try:
+                    fn(**{**args, point: bad})
+                except DomainError as exc:
+                    assert "point" in str(exc), (fn.__name__, point, label, exc)
+                except Exception as exc:  # a raw error in place of DomainError
+                    accepted.append((fn.__name__, point, label, type(exc).__name__))
+                else:
+                    accepted.append((fn.__name__, point, label, "returned"))
+    assert not accepted, accepted

@@ -116,6 +116,22 @@ _BAD = (
     + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", d, s, 0.3)) for d, s in _BAD_D_S]
     + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", 2, 0.5, 1.0))]
     + [("pipeline riesz_f3", sc.pipeline, ("riesz_f3", 3, 0.5, 1.5))]
+    # the coupling's Gamma-ratio helpers; a nan s reaches no pole check
+    + [("d2_G", cf.d2_G, args) for args in ((0.5, -1.0), (math.nan, 0.1))]
+    + [("coupling_L", cf.coupling_L, (2, -1.0, 0.2))]
+    + [("homogeneous_field", homogeneous_field, (p, [1.0, 0.0])) for p in (math.nan, math.inf)]
+    + [("homogeneous_field", homogeneous_field, (-math.inf, [1.0, 0.0]))]
+    # the regularity witness: q = inf, and resolutions that are not integers
+    + [("membership", rg.membership, (2, 0.2, 0.5, math.inf))]
+    + [
+        (f"reference_band samples={n}", partial(rg.reference_band, samples=n), (2, 0.3, 0.6, 2.0))
+        for n in (0, 1, 2.5)
+    ]
+    + [
+        (f"reference_band scale={a}", partial(rg.reference_band, scale=a), (2, 0.3, 0.6, 2.0))
+        for a in (0.0, -1.0, math.inf, math.nan)
+    ]
+    + [("dyadic_seminorm bands=4.5", partial(rg.dyadic_seminorm, bands=4.5), (2, 0.3, 0.6, 2.0))]
 )
 
 

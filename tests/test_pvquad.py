@@ -74,6 +74,10 @@ def test_spec_validation():
     for target in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(DomainError, match="target_rel_err"):
             pq.QuadratureSpec(target_rel_err=target)
+    # a node count that is not an integer fails later in leggauss or in slicing
+    for nodes in ({"radial_nodes": 10.5}, {"angular_nodes": 64.0}):
+        with pytest.raises(DomainError, match="integers"):
+            pq.QuadratureSpec(**nodes)
 
 
 def test_odd_integrand_is_exactly_zero(spec):

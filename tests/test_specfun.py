@@ -16,6 +16,14 @@ from nonlocal_lab.specfun import (
 mp.mp.dps = 40
 
 
+@pytest.mark.parametrize("fn", [gamma, lgamma_signed, digamma])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_is_a_domain_error(fn, x):
+    # the pole check would otherwise round nan or inf, a raw ValueError or OverflowError
+    with pytest.raises(DomainError, match="not finite"):
+        fn(x)
+
+
 def test_gamma_exact_points():
     assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
     assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
