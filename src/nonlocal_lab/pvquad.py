@@ -13,7 +13,7 @@ strategy:
     (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
     once per row, with the bits of the average of the two;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
-    the even rule below on the sphere handle each annulus.  `_stage` runs
+    the rules below on the sphere handle each annulus.  `_stage` runs
     the main bands, and then the patch below, on the nominal and a
     downgraded jackknife rule.  Each pass is a plan and a run: the plan
     (`_pass`) is flat, every band's points one after another, each with
@@ -28,10 +28,10 @@ strategy:
     loop over the rows, and x + h keeps the layout;
   * the pair +-e1 is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
-    by a patch in its own polar coordinates with graded bands; the even
-    part gives the patches at e1 and -e1 the same bits, so one patch is
-    integrated and taken twice.  The pair is fixed, so `_plan` caches one
-    plan per (spec, d) and whether the pair is there;
+    by a patch at the rows e1 + l, in polar coordinates with graded bands;
+    the patch at -e1 is its mirror image, with the same even-part values,
+    so one patch is integrated and taken twice.  The pair is fixed, so
+    `_plan` caches one plan per (spec, d) and whether the pair is there;
   * the truncation at r_min / r_max is removed by geometric completion: the
     per-decade shell sums of a homogeneous-tail integrand form a geometric
     sequence, whose measured ratio extrapolates the missing mass at both
@@ -45,9 +45,10 @@ rule folded by h2 -> -h2, a half circle.  So every point is a row (h1, h2)
 of the meridian half-plane, standing for h = h1 e1 + h2 e_perp, in every
 d: d enters only through the rule weights, the band weight r^d and the
 integrand's exponents.  The rule's nodes +-mu are mirror images to the
-bit, where the even part takes the same bits, so the passes run on the
-even rule (`_even_rule`): the meridian rule's nodes j >= n/2, each
-carrying its mirror's weight too, at half the integrand evaluations.
+bit, where the even part takes the same bits, so the main bands run on
+the even rule (`_even_rule`): the meridian rule's nodes j >= n/2, each
+carrying its mirror's weight too, at half the integrand evaluations.  The
+patch, not even about e1, runs on the full meridian rule.
 
 There are two oracles on fields u = |z|^(p-1) z1: the operator
 2 p.v. int k(x, x+h) (u(x) - u(x+h)) dh, whose kernel takes a coefficient
@@ -253,25 +254,25 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
-def _pass(bands, d: int, radial_nodes: int) -> tuple:
+def _pass(bands, d: int, radial_nodes: int, center=None) -> tuple:
     """(points, weights, starts) of one pass over the bands (a, b, (omegas, oweights), cutoff).
 
-    A band's points are its radii times its angular nodes, meridian rows
-    (h1, h2) one radius after another, and each point's weight is its
-    radial weight times its angular weight, times the band's cutoff at the
-    point where the band has one.  starts holds each band's first row.
-    The points are column-major (Fortran order), so that each column, and
-    each column of a chunk of rows, is contiguous: the integrands' x + h,
-    x - h and the patch's e1 +- l keep that layout, and their loops run over
-    the rows rather than over rows of two.  Every array is read-only, so a
-    cached pass stays intact.
+    A band's points are `center` (if given) plus its radii times its angular
+    nodes, meridian rows (h1, h2) one radius after another, and each point's
+    weight is its radial weight times its angular weight, times the band's
+    cutoff where it has one, taken before the offset.  starts holds each
+    band's first row.  The points are column-major (Fortran order), so
+    that each column, and each column of a chunk of rows, is contiguous:
+    the integrands' x + h and x - h keep that layout, and their loops run
+    over the rows rather than over rows of two.  Every array is read-only,
+    so a cached pass stays intact.
     """
     points, weights = [], []
     for a, b, (omegas, oweights), cutoff in bands:
         r, wr = _log_band(a, b, radial_nodes, d)
         pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, 2)
         w = (wr[:, None] * oweights[None, :]).ravel()
-        points.append(pts)
+        points.append(pts if center is None else center + pts)
         weights.append(w if cutoff is None else w * cutoff(pts))
     starts = np.cumsum([0] + [len(p) for p in points[:-1]])
     points = np.asfortranarray(np.concatenate(points))
@@ -431,23 +432,25 @@ def _pair_cutoff(pts: np.ndarray) -> np.ndarray:
     return 1.0 - _chi(pts - _E1) - _chi(pts + _E1)
 
 
-def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff):
+def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
     """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
     Each pass is a flat plan (points, weights, starts) (`_pass`).  A band
-    of grade g takes the even rule of max(8, m g / 2) meridian nodes, m the
-    pass's angular nodes, and the weights of the cut bands carry the values
-    of `cutoff` at their points.  shells holds each band's log10 shell, by
-    its midpoint.  The jackknife pass runs a downgraded rule, whose
-    difference from the nominal one bounds the nominal discretization error.
+    of grade g takes max(8, m g / 2) meridian nodes, m the pass's angular
+    nodes: the even rule, or about a `center` the full meridian rule, as the
+    integrand is even in h but not in h - center.  The weights of the cut
+    bands carry `cutoff`.  shells holds each band's log10 shell, by its
+    midpoint.  The jackknife pass runs a downgraded rule, whose difference
+    from the nominal one bounds the nominal discretization error.
     """
+    fold = _even_rule if center is None else _meridian_rule
 
     def rule(ang_nodes):
-        return _even_rule(d, max(8, ang_nodes // 2))
+        return fold(d, max(8, ang_nodes // 2))
 
     low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
     passes = tuple(
-        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n)
+        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, center)
         for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
@@ -472,12 +475,12 @@ def _stage(fn, plan):
 def _plan(spec: QuadratureSpec, d: int, singular_pair: bool):
     """(main stage plan, patch stage plan or None) of pv_integral, with or without the pair +-e1.
 
-    The plans of the pair hold its cutoff values.
+    The plans of the pair hold its cutoff values.  Every row has h2 >= 0.
     """
     if not singular_pair:
         return _stage_plan(_main_bands(spec, d, False), d, spec, None), None
     main = _stage_plan(_main_bands(spec, d, True), d, spec, _pair_cutoff)
-    return main, _stage_plan(_patch_bands(spec), d, spec, _chi)
+    return main, _stage_plan(_patch_bands(spec), d, spec, _chi, _E1)
 
 
 def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = False) -> PVResult:
@@ -486,52 +489,45 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = F
     `integrand` maps an (n, 2) array of meridian rows (h1, h2), each
     standing for h = h1 e1 + h2 e_perp in R^d, to the (n,) float values of
     the even part (g(h) + g(-h))/2 of the integrand g, without writing into
-    its argument.  g depends on h only through h1 and |h|: h2 is negative
-    in the patch's rows e1 - l.  d enters only through the rule weights and
-    r^d.  With `singular_pair`, g may be singular at the pair +-e1 besides
-    the origin, and the integrand is only ever evaluated away from both.
-    Integrating the even part realizes the principal value, and it makes
-    +-e1 one patch, taken twice: the patch at -e1 has the bits of the one
-    at e1.  The returned value extrapolates the window to (0, infinity) by
-    shell completion at both ends.  `nodes_used` counts the samples of g:
-    two per main-band row, at h and -h, and four per patch row, whose pair
-    average takes the even part at e1 + l and e1 - l.
+    its argument.  g depends on h only through h1 and |h|, and every row
+    has h2 >= 0.  d enters only through the rule weights and r^d.  With
+    `singular_pair`, g may be singular at the pair +-e1 besides the origin,
+    and the integrand is only ever evaluated away from both.  Integrating
+    the even part realizes the principal value, and it makes +-e1 one
+    patch, taken twice: the patch at -e1 is the mirror image of the one at
+    e1, with its values.  The returned value extrapolates the window to
+    (0, infinity) by shell completion at both ends.  `nodes_used` counts
+    the samples of g: two per row, at h and -h.
 
-    The sphere rule is the even rule: the meridian rule's nodes +-mu are
+    The main bands take the even rule: the meridian rule's nodes +-mu are
     mirror images, where the even part takes one value, so it is evaluated
-    on one of each pair, which carries both weights.  Each pass is a flat
-    plan of points, weights and band starts, cached by
-    (spec, d, singular_pair) (`_plan`), and its band values are one
-    weighted reduction.
+    on one of each pair, which carries both weights.  The patch, whose
+    integrand is not even about e1, takes the full meridian rule at the
+    rows e1 + l.  Each pass is a flat plan of points, weights and band
+    starts, cached by (spec, d, singular_pair) (`_plan`), and its band
+    values are one weighted reduction.
     """
     _check_range(d)
     main_plan, patch_plan = _plan(spec, d, singular_pair)
-    main_sum, scale, shells, main_jack, main_rows = _stage(integrand, main_plan)
+    main_sum, scale, shells, main_jack, rows = _stage(integrand, main_plan)
     inner_tail, inner_err = _completion(shells, scale)
     outer_tail, outer_err = _completion(shells[::-1], scale)
 
     patch_sum = patch_err = patch_jack = 0.0
-    patch_rows = 0
     if patch_plan is not None:
-
-        def pair(local_pts):
-            # antipodal averaging inside the ball kills the odd leading
-            # part of the local singularity at evaluation level
-            return 0.5 * (integrand(_E1 + local_pts) + integrand(_E1 - local_pts))
-
-        p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(pair, patch_plan)
+        p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(integrand, patch_plan)
         p_tail, p_tail_err = _completion(p_shells, p_scale)
-        # the patch at -e1 has these bits: double the sum, tail error and jackknife
+        # the patch at -e1 has these values: double the sum, tail error and jackknife
         patch_sum = 2.0 * (p_sum + p_tail)
         patch_err = 2.0 * (p_tail_err + 1e-13 * p_scale)
+        rows += patch_rows
 
     disc_err = 0.5 * abs(main_jack) + abs(patch_jack)
     value = main_sum + inner_tail + outer_tail + patch_sum
     err = inner_err + outer_err + patch_err + disc_err + 1e-13 * scale
     converged = err <= spec.target_rel_err * abs(value) + 1e-10
-    # the even part samples g at h and -h, and the patch's pair takes it twice
-    nodes = 2 * main_rows + 4 * patch_rows
-    return PVResult(value=value, err_estimate=err, nodes_used=nodes, converged=converged)
+    # the even part samples g at h and -h
+    return PVResult(value=value, err_estimate=err, nodes_used=2 * rows, converged=converged)
 
 
 def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float, degree: float) -> PVResult:

@@ -270,6 +270,17 @@ def _stage_rows(stage):
     return np.concatenate([points for points, _, _ in stage[1]])
 
 
+def _patch_local(spec, d):
+    # the nominal and the jackknife pass of the patch at its local rows
+    # l = rho omega, on the full meridian rule, with uncut weights
+    bands = pq._patch_bands(spec)
+    low = (max(4, spec.radial_nodes - 3), spec.angular_nodes // 2)
+    return [
+        pq._pass([(a, b, pq._meridian_rule(d, max(8, m // 2)), None) for a, b, *_ in bands], d, n)
+        for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
+    ]
+
+
 def _same_bits(a, b):
     # float-hex equality of two float arrays, row by row
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -283,12 +294,11 @@ def _same_bits(a, b):
 def test_even_parts_are_bitwise(spec, d, c, cold_plans):
     # each oracle's even part at the point c against (g(h) + g(-h))/2 of
     # its plain integrand g, row by row to the bit: at the main-band rows of
-    # the cached plan of the pair +-e1 and at its patch rows e1 + l and
-    # e1 - l, with c a meridian row at d >= 3
+    # the cached plan of the pair +-e1 and at its patch rows e1 + l, with c
+    # a meridian row at d >= 3
     c = np.array(c)
     main, patch = pq._plan(spec, d, True)
-    local = _stage_rows(patch)
-    points = [_stage_rows(main), E1 + local, E1 - local]
+    points = [_stage_rows(main), _stage_rows(patch)]
     s, delta = 0.4, 0.2
     p = 1.0 - delta
     pairs = [
@@ -309,12 +319,10 @@ def test_meridian_rows_match_full_coordinates(spec, d, cold_plans):
     # a meridian row (h1, h2) stands for h1 e1 + h2 e_perp: each oracle's
     # even part on two-column rows has the bits of the same rows and x
     # zero-padded to d columns, at the main-band rows and the patch rows
-    # e1 + l and e1 - l, whose h2 is negative, at x = e1 and off it
+    # e1 + l, at x = e1 and off it
     c = E1
     main, patch = pq._plan(spec, d, True)
-    local = _stage_rows(patch)
-    rows = np.concatenate([_stage_rows(main), c + local, c - local])
-    assert np.any(rows[:, 1] < 0.0)
+    rows = np.concatenate([_stage_rows(main), _stage_rows(patch)])
 
     def padded(a):
         return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, d - 2)])
@@ -339,14 +347,8 @@ def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_pl
     # bit: against a one-band pass over the band's slice of the plan, and
     # against the pass with fn called on chunks of at most 977 rows, which
     # split bands, and on one chunk of every row
-    c = E1
-    even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, c)
-
-    def pair(local_pts):
-        return 0.5 * (even(c + local_pts) + even(c - local_pts))
-
-    main, patch = pq._plan(spec, d, True)
-    for (_, passes), fn in ((main, even), (patch, pair)):
+    fn = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
+    for _, passes in pq._plan(spec, d, True):
         for plan in passes:
             values = _hex(pq._band_values(fn, plan))
             one_band = [
@@ -417,15 +419,16 @@ def _oracle_plan(spec, d, norm):
 @pytest.mark.parametrize("d", [2, 3], ids=["d2-meridian", "d3-meridian"])
 def test_cutoff_is_one_on_bands_without_one(spec, d, norm, cold_plans):
     # a band without a cutoff would multiply its values by exactly 1.0: the
-    # pair cutoff on the main bands and chi on the patch bands, at the points
-    # of the nominal and the jackknife pass of the plan an oracle at
-    # |x| = norm takes; on the cut bands the cutoff is the full expression
-    stages = zip(
-        _oracle_plan(spec, d, norm),
-        (pq._main_bands(spec, d, True), pq._patch_bands(spec)),
-        ((_pair_mask(E1), pq._pair_cutoff), (pq._chi, pq._chi)),
-    )
-    for (_, passes), bands, (full, cutoff) in stages:
+    # pair cutoff on the main bands, at the points of the nominal and the
+    # jackknife pass of the plan an oracle at |x| = norm takes, and chi on
+    # the patch bands, at their local rows l; on the cut bands the cutoff is
+    # the full expression
+    (_, main), _ = _oracle_plan(spec, d, norm)
+    stages = [
+        (main, pq._main_bands(spec, d, True), (_pair_mask(E1), pq._pair_cutoff)),
+        (_patch_local(spec, d), pq._patch_bands(spec), (pq._chi, pq._chi)),
+    ]
+    for passes, bands, (full, cutoff) in stages:
         assert any(cut for *_, cut in bands)
         for plan in passes:
             for (pts, _), (*_, cut) in zip(_bands(plan), bands):
@@ -488,24 +491,25 @@ def test_smoothstep_only_between_keeps_the_bits():
 def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
     # the weights on the cut bands of both passes of both stages of the plan
     # an oracle at |x| = norm takes, to the bit: the uncut weights times the
-    # pair cutoff at +-e1, and times the patch's chi, with the smoothstep
-    # evaluated on every row
+    # pair cutoff at +-e1, and times the patch's chi at the local rows l of
+    # its rows e1 + l, with the smoothstep evaluated on every row
     radius = pq._PATCH_RADIUS
 
     def pair_full(pts):
         near, far = norms(pts - E1), norms(pts + E1)
         return 1.0 - _chi_everywhere(near, radius) - _chi_everywhere(far, radius)
 
-    stages = zip(
-        _oracle_plan(spec, d, norm),
-        (pq._main_bands(spec, d, True), pq._patch_bands(spec)),
-        (pair_full, lambda pts: _chi_everywhere(norms(pts), radius)),
-    )
+    (_, main), (_, patch) = _oracle_plan(spec, d, norm)
+    main_bands = pq._main_bands(spec, d, True)
+    _, main_uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in main_bands], d, spec, None)
+    stages = [
+        (main, main_uncut, main_bands, pair_full),
+        (patch, _patch_local(spec, d), pq._patch_bands(spec), lambda l: _chi_everywhere(norms(l), radius)),
+    ]
     n_cut = 0
-    for (_, passes), bands, full in stages:
-        _, uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in bands], d, spec, None)
+    for passes, uncut, bands, full in stages:
         for cached, plain in zip(passes, uncut):
-            for (pts, w), (_, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
+            for (_, w), (pts, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
                 n_cut += cut
                 assert _same_bits(w, w0 * full(pts) if cut else w0)
     assert n_cut > 0
@@ -515,7 +519,7 @@ def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
 def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_plans):
     # every cached plan's points are column-major, and every chunk of rows
     # the integrand sees has contiguous columns, as do x + h and x - h formed
-    # from it: in the main passes and at the patch rows e1 + l and e1 - l
+    # from it: in the main passes and at the patch rows e1 + l
     x = E1
     even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, x)
     chunks = []
@@ -534,8 +538,8 @@ def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_
     passes = [p for main, patch in plans for stage in (main, patch) if stage for p in stage[1]]
     assert len(passes) == 6
     assert all(points.flags.f_contiguous for points, _, _ in passes)
-    # the patch's rows e1 - l are the ones with h2 < 0
-    assert any(np.any(h[:, 1] < 0.0) for h in chunks)
+    # the patch's rows, the ones near e1, are among the chunks
+    assert any(np.any(norms(h - x) < 1e-3 * pq._PATCH_RADIUS) for h in chunks)
     assert len(chunks) > 4 and max(len(h) for h in chunks) == 977
     for h in chunks:
         assert columns_contiguous(h)
@@ -553,9 +557,8 @@ _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
 )
 def test_nodes_used_counts_integrand_rows(spec_fields, d, singular_pair, cold_plans):
     # nodes_used, counted from the rule sizes, is every sample of g: the even
-    # integrand sees each main-band row once and each patch row twice, at
-    # e1 + l and e1 - l, and takes g at h and -h, so nodes_used is twice its
-    # rows, 2 per main-band row of the plan and 4 per patch row
+    # integrand sees each row of the plan once, in the main bands and in the
+    # patch, and takes g at h and -h, so nodes_used is twice its rows
     spec = pq.QuadratureSpec(**spec_fields)
     if singular_pair:
         even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
@@ -571,8 +574,25 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, singular_pair, cold_pl
     plan = pq._plan(spec, d, singular_pair)
     main_rows, patch_rows = (len(_stage_rows(stage)) if stage else 0 for stage in plan)
     assert (patch_rows > 0) == singular_pair
-    assert sum(rows) == main_rows + 2 * patch_rows
-    assert res.nodes_used == 2 * sum(rows) == 2 * main_rows + 4 * patch_rows
+    assert sum(rows) == main_rows + patch_rows
+    assert res.nodes_used == 2 * sum(rows)
+
+
+@pytest.mark.parametrize("spec_fields", [{}, _COARSE, {"angular_nodes": 18}], ids=["default", "coarse", "odd-n"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plan_rows_lie_in_the_meridian_half_plane(spec_fields, d, cold_plans):
+    # every row of every cached plan, with and without the pair, has
+    # h2 >= 0, and the patch rows are e1 + rho omega over the full meridian
+    # rule, to the bit
+    spec = pq.QuadratureSpec(**spec_fields)
+    for singular_pair in (True, False):
+        for stage in pq._plan(spec, d, singular_pair):
+            if stage is not None:
+                assert np.all(_stage_rows(stage)[:, 1] >= 0.0)
+    _, (_, patch) = pq._plan(spec, d, True)
+    for cached, local in zip(patch, _patch_local(spec, d)):
+        assert _same_bits(cached[0], E1 + local[0]) and cached[0].flags.f_contiguous
+        assert np.array_equal(cached[2], local[2])
 
 
 def test_determinism_bitwise(spec):
@@ -760,12 +780,13 @@ def test_even_rule_folds_the_meridian_rule(d, n):
 @pytest.mark.parametrize("spec_fields", [{}, {"angular_nodes": 18}], ids=["default", "odd-n"])
 @pytest.mark.parametrize("d", [3, 4, 5, 2])
 def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans):
-    # the passes on the even rule against those on the full meridian rule:
-    # each band's points are the full band's at the nodes j >= n//2, to the
-    # bit, and the values, summed in another order, agree within a tenth of
-    # the estimate; at 18 angular nodes the 9-node rule holds mu = 0, its
-    # own mirror.  At d = 2 the rule is the half circle, whose mirrors are
-    # exact too
+    # the main passes on the even rule against those on the full meridian
+    # rule: each band's points are the full band's at the nodes j >= n//2,
+    # to the bit, and the values, summed in another order, agree within a
+    # tenth of the estimate; at 18 angular nodes the 9-node rule holds
+    # mu = 0, its own mirror.  At d = 2 the rule is the half circle, whose
+    # mirrors are exact too.  The patch, not even about e1, takes the full
+    # rule either way
     spec = pq.QuadratureSpec(**spec_fields)
     pair = kind != "no-patch"
     if kind == "operator":
@@ -781,20 +802,22 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     full = pq.pv_integral(g, d, spec, singular_pair=pair)
     # the radial nodes of the nominal and of the jackknife pass
     radial = (spec.radial_nodes, max(4, spec.radial_nodes - 3))
-    for half_stage, full_stage in zip(folded_plan, pq._plan(spec, d, pair)):
-        if half_stage is None:
-            continue
-        for half_pass, full_pass, n_r in zip(half_stage[1], full_stage[1], radial):
-            for (half_pts, _), (full_pts, _) in zip(_bands(half_pass), _bands(full_pass)):
-                full_pts = full_pts.reshape(n_r, -1, 2)
-                kept = full_pts[:, full_pts.shape[1] // 2 :]
-                assert _same_bits(half_pts, np.ascontiguousarray(kept).reshape(-1, 2))
+    (half_main, half_patch), (full_main, full_patch) = folded_plan, pq._plan(spec, d, pair)
+    for half_pass, full_pass, n_r in zip(half_main[1], full_main[1], radial):
+        for (half_pts, _), (full_pts, _) in zip(_bands(half_pass), _bands(full_pass)):
+            full_pts = full_pts.reshape(n_r, -1, 2)
+            kept = full_pts[:, full_pts.shape[1] // 2 :]
+            assert _same_bits(half_pts, np.ascontiguousarray(kept).reshape(-1, 2))
+    if pair:
+        assert _same_bits(_stage_rows(half_patch), _stage_rows(full_patch))
     assert abs(folded.value - full.value) <= 0.1 * folded.err_estimate
     assert folded.converged == full.converged
+    half_rows, full_rows = len(_stage_rows(half_main)), len(_stage_rows(full_main))
+    assert full.nodes_used - folded.nodes_used == 2 * (full_rows - half_rows)
     if spec_fields:
-        assert full.nodes_used // 2 < folded.nodes_used < full.nodes_used
+        assert full_rows // 2 < half_rows < full_rows
     else:
-        assert 2 * folded.nodes_used == full.nodes_used
+        assert 2 * half_rows == full_rows
 
 
 # f1-f4 at d = 3 on the full product rule (14,053,376 nodes each); the
