@@ -104,11 +104,21 @@ _PATCH_RHO_MIN = 1e-10
 # this size; the bits do not depend on it.
 _BATCH = 8192
 
+# The floors of a band's rules: at least _ANGULAR_FLOOR meridian nodes, and
+# at least _RADIAL_FLOOR radii in the jackknife pass.  QuadratureSpec refuses
+# a resolution where a floor makes the jackknife pass no coarser than the
+# nominal one (`_jackknife_resolution`).
+_ANGULAR_FLOOR = 8
+_RADIAL_FLOOR = 4
+
+# Largest edge ratio |q| of shell sums that a completion extrapolates.
+_MAX_RATIO = 0.98
+
 # Most plans kept by _plan, one per (spec, d, singular_pair): the oracles
 # take one plan per spec and d, whatever their x.  At the default spec a
-# plan holds about 1 MB (traced: 1.15 MB at d = 2 and 0.66 MB at every
-# d >= 3, whose rows have two columns as at d = 2), so a full cache holds at
-# most about 18 MB.
+# plan's arrays hold 1.37 MB at d = 2 and 0.87 MB at every d >= 3, whose
+# rows have two columns as at d = 2, so a full cache holds at most about
+# 22 MB.
 _PLAN_CACHE = 16
 
 
@@ -137,8 +147,26 @@ class QuadratureSpec:
             raise DomainError("target_rel_err must be finite and > 0")
         if not all(isinstance(n, numbers.Integral) for n in (self.radial_nodes, self.angular_nodes)):
             raise DomainError("radial_nodes and angular_nodes must be integers")
-        if self.bands_per_decade < 1 or self.radial_nodes < 2 or self.angular_nodes < 4:
+        if self.bands_per_decade < 1:
             raise DomainError("degenerate quadrature resolution")
+        # a jackknife rule no coarser than its nominal rule hides that rule's error
+        radial, angular = _jackknife_resolution(self)
+        if radial >= self.radial_nodes or _band_nodes(angular, 1) >= _band_nodes(self.angular_nodes, 1):
+            raise DomainError(
+                f"the jackknife pass is no coarser than the nominal one at radial_nodes = {self.radial_nodes}"
+                f" and angular_nodes = {self.angular_nodes}: its rules keep at least {_RADIAL_FLOOR} radii"
+                f" and {_ANGULAR_FLOOR} meridian nodes"
+            )
+
+
+def _band_nodes(angular_nodes: int, grade: int) -> int:
+    """Meridian nodes of a band of the grade, in a pass of angular_nodes."""
+    return max(_ANGULAR_FLOOR, angular_nodes * grade // 2)
+
+
+def _jackknife_resolution(spec: QuadratureSpec) -> tuple[int, int]:
+    """(radial nodes, angular nodes) of the downgraded jackknife pass."""
+    return max(_RADIAL_FLOOR, spec.radial_nodes - 3), spec.angular_nodes // 2
 
 
 @dataclass(frozen=True)
@@ -296,7 +324,7 @@ def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | 
     if len(shells) < 2 or shells[1] == 0.0:
         return None
     q = shells[0] / shells[1]
-    if not abs(q) < 0.98:
+    if not abs(q) < _MAX_RATIO:
         return None
     tail = shells[0] * q / (1.0 - q)
     if len(shells) >= 3 and shells[2] != 0.0:
@@ -327,7 +355,7 @@ def _prony_tail(shells: list[float], scale: float) -> float | None:
         root = max(abs(alpha + math.sqrt(disc)), abs(alpha - math.sqrt(disc))) / 2.0
     else:
         root = math.hypot(alpha, math.sqrt(-disc)) / 2.0
-    if not root < 0.98:
+    if not root < _MAX_RATIO:
         return None
     prev, cur = s2, s3
     tail = 0.0
@@ -339,13 +367,14 @@ def _prony_tail(shells: list[float], scale: float) -> float | None:
     return tail
 
 
-def _completion(shells: list[float], scale: float) -> tuple[float, float]:
+def _completion(shells: list[float], scale: float, stage: str) -> tuple[float, float]:
     """(missing mass beyond the edge, error bound) from edge-ordered shells.
 
     shells[0] is the decade adjacent to the window edge, shells[1] the next
     one inward.  Power-law tails make consecutive shells geometric; a
     two-power recurrence fit extrapolates the rest, with a one-shell-deeper
-    refit as the jackknife error.  Raises NotConverged on a growth signal.
+    refit as the jackknife error.  Raises NotConverged on a growth signal,
+    naming the stage and end (`stage`) and the edge ratio it saw.
     """
     floor = 1e-13 * scale
     if len(shells) < 2 or abs(shells[0]) <= floor:
@@ -357,7 +386,13 @@ def _completion(shells: list[float], scale: float) -> tuple[float, float]:
         # signal; it is charged to the error estimate instead
         if abs(shells[0]) <= max(1e-7 * scale, 1e-9):
             return 0.0, abs(shells[0])
-        raise NotConverged("shell sums do not contract towards the window edge")
+        if not all(map(math.isfinite, shells)):
+            raise NotConverged(f"{stage} completion: non-finite shell sums")
+        q = shells[0] / shells[1] if shells[1] else math.inf
+        raise NotConverged(
+            f"{stage} completion: shell sums do not contract towards the window edge "
+            f"(edge ratio q = {q:.6g}, |q| must be < {_MAX_RATIO})"
+        )
     tail, err = geo
     two = _prony_tail(shells, scale)
     if two is not None:
@@ -436,22 +471,19 @@ def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
     """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
     Each pass is a flat plan (points, weights, starts) (`_pass`).  A band
-    of grade g takes max(8, m g / 2) meridian nodes, m the pass's angular
-    nodes: the even rule, or about a `center` the full meridian rule, as the
-    integrand is even in h but not in h - center.  The weights of the cut
-    bands carry `cutoff`.  shells holds each band's log10 shell, by its
-    midpoint.  The jackknife pass runs a downgraded rule, whose difference
-    from the nominal one bounds the nominal discretization error.
+    of grade g takes `_band_nodes(m, g)` meridian nodes, m the pass's
+    angular nodes: the even rule, or about a `center` the full meridian
+    rule, as the integrand is even in h but not in h - center.  The weights
+    of the cut bands carry `cutoff`.  shells holds each band's log10 shell,
+    by its midpoint.  The jackknife pass runs the downgraded rules of
+    `_jackknife_resolution`, whose difference from the nominal ones bounds
+    the nominal discretization error.
     """
     fold = _even_rule if center is None else _meridian_rule
-
-    def rule(ang_nodes):
-        return fold(d, max(8, ang_nodes // 2))
-
-    low = (max(4, spec.radial_nodes - 3), max(8, spec.angular_nodes // 2))
+    resolutions = (spec.radial_nodes, spec.angular_nodes), _jackknife_resolution(spec)
     passes = tuple(
-        _pass([(a, b, rule(m * g), cutoff if cut else None) for a, b, g, cut in bands], d, n, center)
-        for n, m in ((spec.radial_nodes, spec.angular_nodes), low)
+        _pass([(a, b, fold(d, _band_nodes(m, g)), cutoff if cut else None) for a, b, g, cut in bands], d, n, center)
+        for n, m in resolutions
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
     return shells, passes
@@ -510,13 +542,13 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = F
     _check_range(d)
     main_plan, patch_plan = _plan(spec, d, singular_pair)
     main_sum, scale, shells, main_jack, rows = _stage(integrand, main_plan)
-    inner_tail, inner_err = _completion(shells, scale)
-    outer_tail, outer_err = _completion(shells[::-1], scale)
+    inner_tail, inner_err = _completion(shells, scale, "main inner")
+    outer_tail, outer_err = _completion(shells[::-1], scale, "main outer")
 
     patch_sum = patch_err = patch_jack = 0.0
     if patch_plan is not None:
         p_sum, p_scale, p_shells, patch_jack, patch_rows = _stage(integrand, patch_plan)
-        p_tail, p_tail_err = _completion(p_shells, p_scale)
+        p_tail, p_tail_err = _completion(p_shells, p_scale, "patch inner")
         # the patch at -e1 has these values: double the sum, tail error and jackknife
         patch_sum = 2.0 * (p_sum + p_tail)
         patch_err = 2.0 * (p_tail_err + 1e-13 * p_scale)
