@@ -65,6 +65,8 @@ def reference_band(
         raise DomainError(f"scale must be finite and > 0, got {scale!r}")
     if not isinstance(samples, numbers.Integral) or samples < 2:
         raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     lo, hi = 0.5 * scale, scale
     y_lo = 0.25 * scale

@@ -33,6 +33,19 @@ def test_regularity_infinite_q_exits_one(capsys):
     assert "error: integrability q" in capsys.readouterr().err
 
 
+def test_regularity_negative_seed_exits_one(capsys):
+    rc = cli.run(["--seed", "-1", "regularity", "--d", "2", "--delta", "0.2", "--t", "0.5", "--q", "2"])
+    assert rc == 1
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--angular-nodes", "16"), ("--radial-nodes", "4")])
+def test_quadrature_blind_jackknife_exits_one(capsys, flag, value):
+    argv = ["quadrature", "--which", "f1", "--d", "2", "--s", "0.5", "--delta", "0.25", flag, value]
+    assert cli.run(argv) == 1
+    assert "error: the jackknife pass is no coarser" in capsys.readouterr().err
+
+
 def test_couple_inverse(capsys):
     assert cli.run(["couple", "--d", "2", "--s", "0.5", "--inverse", "--epsilon", "0.3"]) == 0
     out = capsys.readouterr().out

@@ -132,6 +132,10 @@ _BAD = (
         for a in (0.0, -1.0, math.inf, math.nan)
     ]
     + [("dyadic_seminorm bands=4.5", partial(rg.dyadic_seminorm, bands=4.5), (2, 0.3, 0.6, 2.0))]
+    + [
+        (f"reference_band seed={seed}", partial(rg.reference_band, seed=seed), (2, 0.3, 0.6, 2.0))
+        for seed in (-1, 2.5)
+    ]
 )
 
 
