@@ -248,15 +248,16 @@ class _Grid:
         inside = (self.wr[:, None] * ang)[..., None] * self.t_in * self.rho_in ** (-2.0 * s)
 
         # Outside, V(x+h) = 0: one weight 2 int_out k(x, x+h) dh per radius,
-        # the factor 2 for the pairs counted from their point outside
-        x_out = np.empty(len(self.r))
-        for i, (r, rho, t) in enumerate(zip(self.r, self.rho_out, self.t_out)):
-            h = (rho[..., None] * self.om[:, None, :]).reshape(-1, 2)
-            x = np.array([r, 0.0])
-            dh = (self.ow[:, None] * t * rho**d).ravel()
-            y = x + h
-            (k,) = _kernel(pair, d, s, x, h, (y, _safe_norms(y)))
-            x_out[i] = 2.0 * k @ dh
+        # the factor 2 for the pairs counted from their point outside.  x
+        # enters the kernel through y = x + h and xhat = e1 alone, so one
+        # call takes the rows of every radius
+        n_r = len(self.r)
+        h = self.rho_out[..., None] * self.om[:, None, :]
+        x = np.stack([self.r, np.zeros(n_r)], axis=1)[:, None, None, :]
+        y = (x + h).reshape(-1, 2)
+        (k,) = _kernel(pair, d, s, np.array([1.0, 0.0]), h.reshape(-1, 2), (y, _safe_norms(y)))
+        dh = (self.ow[:, None] * self.t_out * self.rho_out**d).reshape(n_r, -1)
+        x_out = np.array([2.0 * kr @ dr for kr, dr in zip(k.reshape(n_r, -1), dh)])
         # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled
         tail_a = a_iso + 0.5 * b_rad * (1.0 + 1.0 / d)
         tail = 2.0 * self.h_max ** (-2.0 * s) / (2.0 * s) * sphere_area(d) * tail_a
