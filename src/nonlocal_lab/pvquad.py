@@ -151,11 +151,12 @@ class QuadratureSpec:
             raise DomainError("degenerate quadrature resolution")
         # a jackknife rule no coarser than its nominal rule hides that rule's error
         radial, angular = _jackknife_resolution(self)
-        if radial >= self.radial_nodes or _band_nodes(angular, 1) >= _band_nodes(self.angular_nodes, 1):
+        nominal = self.radial_nodes, self.angular_nodes
+        if radial >= nominal[0] or _band_nodes(angular, 1) >= _band_nodes(nominal[1], 1):
             raise DomainError(
-                f"the jackknife pass is no coarser than the nominal one at radial_nodes = {self.radial_nodes}"
-                f" and angular_nodes = {self.angular_nodes}: its rules keep at least {_RADIAL_FLOOR} radii"
-                f" and {_ANGULAR_FLOOR} meridian nodes"
+                "the jackknife pass is no coarser than the nominal one at (radial_nodes, "
+                f"angular_nodes) = {nominal}: its rules keep at least {_RADIAL_FLOOR} radii "
+                f"and {_ANGULAR_FLOOR} meridian nodes"
             )
 
 
@@ -482,7 +483,8 @@ def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
     fold = _even_rule if center is None else _meridian_rule
     resolutions = (spec.radial_nodes, spec.angular_nodes), _jackknife_resolution(spec)
     passes = tuple(
-        _pass([(a, b, fold(d, _band_nodes(m, g)), cutoff if cut else None) for a, b, g, cut in bands], d, n, center)
+        _pass([(a, b, fold(d, _band_nodes(m, g)), cutoff if cut else None) for a, b, g, cut in bands],
+              d, n, center)
         for n, m in resolutions
     )
     shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)

@@ -34,8 +34,8 @@ def test_regularity_infinite_q_exits_one(capsys):
 
 
 def test_regularity_negative_seed_exits_one(capsys):
-    rc = cli.run(["--seed", "-1", "regularity", "--d", "2", "--delta", "0.2", "--t", "0.5", "--q", "2"])
-    assert rc == 1
+    argv = ["--seed", "-1", "regularity", "--d", "2", "--delta", "0.2", "--t", "0.5", "--q", "2"]
+    assert cli.run(argv) == 1
     assert "error: seed must be a non-negative integer" in capsys.readouterr().err
 
 

@@ -81,7 +81,8 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "field, refused, accepted", [("angular_nodes", range(4, 18), 18), ("radial_nodes", range(2, 5), 5)]
+    "field, refused, accepted",
+    [("angular_nodes", range(4, 18), 18), ("radial_nodes", range(2, 5), 5)],
 )
 def test_spec_refuses_a_blind_jackknife(field, refused, accepted):
     # below 18 angular nodes a coarse band's nominal and jackknife rules are
@@ -293,7 +294,8 @@ def _patch_local(spec, d):
     bands = pq._patch_bands(spec)
     resolutions = ((spec.radial_nodes, spec.angular_nodes), pq._jackknife_resolution(spec))
     return [
-        pq._pass([(a, b, pq._meridian_rule(d, pq._band_nodes(m, 1)), None) for a, b, *_ in bands], d, n)
+        pq._pass([(a, b, pq._meridian_rule(d, pq._band_nodes(m, 1)), None) for a, b, *_ in bands],
+                 d, n)
         for n, m in resolutions
     ]
 
@@ -516,12 +518,15 @@ def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
         near, far = norms(pts - E1), norms(pts + E1)
         return 1.0 - _chi_everywhere(near, radius) - _chi_everywhere(far, radius)
 
+    def chi_full(local):
+        return _chi_everywhere(norms(local), radius)
+
     (_, main), (_, patch) = _oracle_plan(spec, d, norm)
     main_bands = pq._main_bands(spec, d, True)
     _, main_uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in main_bands], d, spec, None)
     stages = [
         (main, main_uncut, main_bands, pair_full),
-        (patch, _patch_local(spec, d), pq._patch_bands(spec), lambda l: _chi_everywhere(norms(l), radius)),
+        (patch, _patch_local(spec, d), pq._patch_bands(spec), chi_full),
     ]
     n_cut = 0
     for passes, uncut, bands, full in stages:
@@ -595,7 +600,9 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, singular_pair, cold_pl
     assert res.nodes_used == 2 * sum(rows)
 
 
-@pytest.mark.parametrize("spec_fields", [{}, _COARSE, {"angular_nodes": 18}], ids=["default", "coarse", "odd-n"])
+@pytest.mark.parametrize(
+    "spec_fields", [{}, _COARSE, {"angular_nodes": 18}], ids=["default", "coarse", "odd-n"]
+)
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_plan_rows_lie_in_the_meridian_half_plane(spec_fields, d, cold_plans):
     # every row of every cached plan, with and without the pair, has
@@ -1016,7 +1023,8 @@ def test_completion_on_short_windows(window):
     # A single shell has no ratio.
     shells, true = _two_power(window)
     _completion_within_err(shells, true)
-    assert (pq._prony_tail(shells[1:], 1.0) is None) and (pq._geometric_tail(shells[:1], 1.0) is None)
+    assert pq._prony_tail(shells[1:], 1.0) is None
+    assert pq._geometric_tail(shells[:1], 1.0) is None
 
 
 def test_completion_refuses_growing_shells():
