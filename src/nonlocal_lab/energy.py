@@ -47,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _kernel, _norms, _rowdot
-from .model import _safe_norms
-from .pvquad import QuadratureSpec, _gl, _meridian_rule
+from .model import _ORIGIN_GUARD, FracParams, _check_range, _coeffs, _geometry, _kernel, _norms
+from .model import _rowdot
+from .pvquad import QuadratureSpec, _band_nodes, _gl, _meridian_rule
 from .pvquad import frac_op_num
 from .closedform import operator_value
 from .specfun import gamma, kappa, sphere_area
@@ -204,7 +204,7 @@ class _Grid:
 
     def __init__(self, d: int, radius: float, spec: QuadratureSpec):
         self.d = d
-        n_mu = max(8, spec.angular_nodes // 2)
+        n_mu = _band_nodes(spec.angular_nodes, 1)
         self.r, wr = _radii(radius, n_mu)
         # J(phi x1) = J_vec(phi(|x|) x) / d, whose x integrand is radial
         self.wr = wr * self.r ** (d - 1) * sphere_area(d) / d
@@ -255,7 +255,8 @@ class _Grid:
         h = self.rho_out[..., None] * self.om[:, None, :]
         x = np.stack([self.r, np.zeros(n_r)], axis=1)[:, None, None, :]
         y = (x + h).reshape(-1, 2)
-        (k,) = _kernel(pair, d, s, np.array([1.0, 0.0]), h.reshape(-1, 2), (y, _safe_norms(y)))
+        r, _, c = _geometry(np.array([1.0, 0.0]), h.reshape(-1, 2), y)
+        k = _kernel(pair, d, s, r, c)
         dh = (self.ow[:, None] * self.t_out * self.rho_out**d).reshape(n_r, -1)
         x_out = np.array([2.0 * kr @ dr for kr, dr in zip(k.reshape(n_r, -1), dh)])
         # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled

@@ -166,8 +166,8 @@ def _safe_norms(pts: np.ndarray) -> np.ndarray:
     return np.maximum(_norms(pts), _ORIGIN_GUARD)
 
 
-def _field(p: float, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|z|^(p-1) z1 for each row z of an (n, d) array, given r = _safe_norms(pts).
+def _field(p: float, z1: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|z|^(p-1) z1 for each point z, given its first coordinates z1 and r = _safe_norms(z).
 
     The caller passes r because it often needs r as well (the kernel does),
     and so takes it once.  Quadrature never samples z = 0, because its
@@ -175,7 +175,7 @@ def _field(p: float, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
     homogeneous_field does; for p < 1 the field has no value there, and the
     row holds 0 or nan depending on p.
     """
-    return r ** (p - 1.0) * pts[:, 0]
+    return r ** (p - 1.0) * z1
 
 
 def homogeneous_field(p: float, x) -> float:
@@ -190,9 +190,8 @@ def homogeneous_field(p: float, x) -> float:
     x, r = _point(x, np.size(x), origin=p >= 1.0)
     if r == 0.0:
         return 0.0
-    pts = x[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_field(p, pts, _safe_norms(pts))[0])
+        value = float(_field(p, x[:1], _safe_norms(x[None, :]))[0])
     if not math.isfinite(value):
         raise DomainError(f"|x|^{p!r} xhat_1 overflows at x = {x.tolist()}")
     return value
@@ -225,33 +224,32 @@ def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
     return a + b, a
 
 
-def _kernel(pair, d: int, s: float, x: np.ndarray, h: np.ndarray, *ys: tuple) -> tuple:
-    """Jump kernel k(x, y) for one point x != 0, the rows of h and each y given.
+def _geometry(x: np.ndarray, h: np.ndarray, y: np.ndarray) -> tuple:
+    """(|h|, |y|, <hhat, xhat>^2 + <hhat, yhat>^2) for one point x != 0 and the rows of h and y.
 
-    k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
-    b_rad xhat (x) xhat and pair = (a_iso, b_rad).  Each y is a pair
-    (y, _safe_norms(y)) with y = x + h or x - h, and one array per y is
-    returned; y and its norms come with h because the callers need them for
-    the field as well, and take them once.  |h|, its power and
-    <hhat, xhat>^2 are the same at h and -h, so they are taken once for all
-    ys; at y = x - h, the <hhat, yhat> of h is minus that of
-    -h, to the bit, so its square is that of -h.  With b_rad = 0 the angular
-    factor is skipped: the general formula would only add
-    0.5 * 0.0 * (...), so the bits are the same.
+    The kernel's geometry at the pairs (x, y), with y = x + h or x - h: its
+    |h| and its angular terms, and |y| for the field at y.  Each norm is
+    _safe_norms'.  At y = x - h the <hhat, yhat> of h is minus that of -h,
+    to the bit, so its square is that of -h.
     """
-    a_iso, b_rad = pair
-    r = _safe_norms(h)
-    rpow = r ** (-d - 2.0 * s)
-    if b_rad == 0.0:
-        return (a_iso * rpow,) * len(ys)
+    r, ry = _safe_norms(h), _safe_norms(y)
     cos_x2 = ((h @ x) / (r * _norm(x))) ** 2
     hhat = [h[:, j] / r for j in range(len(x))]
-    out = []
-    for y, ry in ys:
-        # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
-        cos_y = sum(hhat[j] * (y[:, j] / ry) for j in range(len(x)))
-        out.append(rpow * (a_iso + 0.5 * b_rad * (cos_x2 + cos_y**2)))
-    return tuple(out)
+    # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
+    cos_y = sum(hhat[j] * (y[:, j] / ry) for j in range(len(x)))
+    return r, ry, cos_x2 + cos_y**2
+
+
+def _kernel(pair, d: int, s: float, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Jump kernel k(x, y) from the geometry (|h|, c) of _geometry, h = y - x.
+
+    k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
+    b_rad xhat (x) xhat and pair = (a_iso, b_rad), which is
+    |h|^(-d-2s) (a_iso + b_rad c / 2) with c = <hhat, xhat>^2 + <hhat, yhat>^2.
+    r and c broadcast, so one |h| serves the c of several ys.
+    """
+    a_iso, b_rad = pair
+    return r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * c)
 
 
 def kernel_eval(params: FracParams, x, y) -> float:
@@ -263,8 +261,8 @@ def kernel_eval(params: FracParams, x, y) -> float:
         h = y - x
         if _norm(h) < _ORIGIN_GUARD:
             raise DomainError("kernel is singular on the diagonal x = y")
-        y = y[None, :]
-        (k,) = _kernel(pair, params.d, params.s, x, h[None, :], (y, _safe_norms(y)))
+        r, _, c = _geometry(x, h[None, :], y[None, :])
+        k = _kernel(pair, params.d, params.s, r, c)
     if not math.isfinite(k[0]):
         raise DomainError("kernel overflows: |x - y|^(-d-2s) or |x - y| is out of range")
     return float(k[0])

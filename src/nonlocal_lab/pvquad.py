@@ -9,23 +9,19 @@ strategy:
     symmetry cancels the odd leading parts of g pointwise, which makes both
     the origin and the tail absolutely convergent and realizes the
     principal value at the level of the integrand; it also turns the point
-    e1 into the antipodal pair +-e1.  The oracles' even parts
-    (`_operator_even`, `_potential_even`) take what g(h) and g(-h) share
-    once per row, with the bits of the average of the two;
+    e1 into the antipodal pair +-e1;
   * log-graded geometric radial bands with Gauss-Legendre nodes in log r and
     the rules below on the sphere handle each annulus.  `_stage` runs
     the main bands, and then the patch below, on the nominal and a
     downgraded jackknife rule.  Each pass is a plan and a run: the plan
-    (`_pass`) is flat, every band's points one after another, each with
-    its weight (radial times angular weight, times the cutoff where the
-    band has one), and each band's first row; the run (`_band_values`)
-    calls the integrand on chunks of at most _BATCH rows and sums the
-    weighted values band by band in one `np.add.reduceat`, so no band value
-    depends on the chunking or on the other bands.  The points are stored
-    column-major: a C-ordered (n, 2) array would make every broadcast
-    x + h and every column h[:, j] in the integrands a numpy loop over rows
-    of 2 elements, or a strided read; column-major, each is one contiguous
-    loop over the rows, and x + h keeps the layout;
+    (`_pass`) is flat, a row record (`_Rows`) of every band's points one
+    after another with their geometry about e1, each point's weight
+    (radial times angular weight, times the cutoff where the band has one),
+    and each band's first row; the run (`_band_values`) calls the integrand
+    once, on the whole record, and sums the weighted values band by band in
+    one `np.add.reduceat`; each row's value is its own.  The points are
+    column-major, so each column h[:, j] and each e1 + h is one contiguous
+    loop over the rows, not a loop over rows of 2 elements;
   * the pair +-e1 is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch at the rows e1 + l, in polar coordinates with graded bands;
@@ -57,7 +53,10 @@ of I_(1-s).  Both commute with rotations and are homogeneous, of degree
 p - 2s and p + 1 - s, so `_on_axis` takes each at e1, on the one plan of
 (spec, d), and scales it by |x|^degree x1/|x| and the oracle's constant
 factor: 2 for `frac_op_num`, the operator with the fractional pair, and the
-potential's constants for the Riesz oracles.
+potential's constants for the Riesz oracles; `_integral` declares each
+oracle's even part and degree.  At e1, |h|, |e1 +- h| and the kernel's
+angular terms are fixed per row, so the plan caches them, and each even
+part is a formula over them; no integrand takes x.
 The named integrals are the two oracles at e1: f1 and f2 are -1/2 times
 the operator, so -1 times its p.v. integral, on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
@@ -70,8 +69,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,12 +81,11 @@ from .model import (
     _check_range,
     _coeffs,
     _field,
+    _geometry,
     _kernel,
     _norms,
     _point,
     _point_power,
-    _safe_norms,
-    homogeneous_field,
 )
 from .specfun import sphere_area
 
@@ -96,13 +95,6 @@ __all__ = ["QuadratureSpec", "PVResult", "pv_integral", "f_integral_num", "frac_
 # the inner end of their radial bands.
 _PATCH_RADIUS = 0.3
 _PATCH_RHO_MIN = 1e-10
-
-# Most points per integrand call: a pass's points are taken in chunks of at
-# most this many, which bound the integrand's temporaries (about 64 kB per
-# column).  The chunks of the column-major points have contiguous columns,
-# so the integrand's cost per row falls with the chunk length up to about
-# this size; the bits do not depend on it.
-_BATCH = 8192
 
 # The floors of a band's rules: at least _ANGULAR_FLOOR meridian nodes, and
 # at least _RADIAL_FLOOR radii in the jackknife pass.  QuadratureSpec refuses
@@ -116,9 +108,10 @@ _MAX_RATIO = 0.98
 
 # Most plans kept by _plan, one per (spec, d, singular_pair): the oracles
 # take one plan per spec and d, whatever their x.  At the default spec a
-# plan's arrays hold 1.37 MB at d = 2 and 0.87 MB at every d >= 3, whose
+# plan's arrays hold 3.64 MB at d = 2 and 2.33 MB at every d >= 3, whose
 # rows have two columns as at d = 2, so a full cache holds at most about
-# 22 MB.
+# 58 MB.  Of a row's 10 floats, 5 are its geometry about e1 (`_Rows`);
+# tests/test_pvquad.py's _PLAN_MB holds these sizes too.
 _PLAN_CACHE = 16
 
 
@@ -185,6 +178,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 # e1 as a meridian row: the point every oracle is taken at, and the singular pair +-e1
 _E1 = _frozen(np.array([1.0, 0.0]))
+# the signs of e1 + h and e1 - h, one per row of a (2, n) column
+_SIGNS = _frozen(np.array([[1.0], [-1.0]]))
 
 
 @lru_cache(maxsize=32)
@@ -283,18 +278,21 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
+# A pass's row record, which the integrand receives: the (n, 2) meridian rows
+# h, r = |h|, and the (2, n) columns ry = |e1 +- h| and c, the kernel's
+# angular terms at y = e1 +- h (`model._geometry`)
+_Rows = namedtuple("_Rows", "h r ry c")
+
+
 def _pass(bands, d: int, radial_nodes: int, center=None) -> tuple:
-    """(points, weights, starts) of one pass over the bands (a, b, (omegas, oweights), cutoff).
+    """(rows, weights, starts) of one pass over the bands (a, b, (omegas, oweights), cutoff).
 
     A band's points are `center` (if given) plus its radii times its angular
     nodes, meridian rows (h1, h2) one radius after another, and each point's
     weight is its radial weight times its angular weight, times the band's
-    cutoff where it has one, taken before the offset.  starts holds each
-    band's first row.  The points are column-major (Fortran order), so
-    that each column, and each column of a chunk of rows, is contiguous:
-    the integrands' x + h and x - h keep that layout, and their loops run
-    over the rows rather than over rows of two.  Every array is read-only,
-    so a cached pass stays intact.
+    cutoff where it has one, taken before the offset.  rows is the _Rows of
+    every point, column-major, and starts holds each band's first row.
+    Every array is read-only, so a cached pass stays intact.
     """
     points, weights = [], []
     for a, b, (omegas, oweights), cutoff in bands:
@@ -304,20 +302,17 @@ def _pass(bands, d: int, radial_nodes: int, center=None) -> tuple:
         points.append(pts if center is None else center + pts)
         weights.append(w if cutoff is None else w * cutoff(pts))
     starts = np.cumsum([0] + [len(p) for p in points[:-1]])
-    points = np.asfortranarray(np.concatenate(points))
-    return tuple(_frozen(a) for a in (points, np.concatenate(weights), starts))
+    h = np.asfortranarray(np.concatenate(points))
+    r, ry_plus, c_plus = _geometry(_E1, h, _E1 + h)
+    _, ry_minus, c_minus = _geometry(_E1, h, _E1 - h)
+    rows = h, r, np.stack([ry_plus, ry_minus]), np.stack([c_plus, c_minus])
+    return _Rows(*map(_frozen, rows)), _frozen(np.concatenate(weights)), _frozen(starts)
 
 
 def _band_values(fn, plan) -> np.ndarray:
-    """Values of one pass's bands, in order: the weighted sum of fn over each band's rows.
-
-    fn is called on consecutive chunks of at most _BATCH rows, which bound
-    its temporaries; a row's value does not depend on its chunk, so no band
-    value depends on the chunking.
-    """
-    points, weights, starts = plan
-    vals = np.concatenate([fn(points[i : i + _BATCH]) for i in range(0, len(points), _BATCH)])
-    return np.add.reduceat(vals * weights, starts)
+    """Values of one pass's bands, in order: the weighted sum of fn over each band's rows."""
+    rows, weights, starts = plan
+    return np.add.reduceat(fn(rows) * weights, starts)
 
 
 def _geometric_tail(shells: list[float], scale: float) -> tuple[float, float] | None:
@@ -471,7 +466,7 @@ def _pair_cutoff(pts: np.ndarray) -> np.ndarray:
 def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
     """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
-    Each pass is a flat plan (points, weights, starts) (`_pass`).  A band
+    Each pass is a flat plan (rows, weights, starts) (`_pass`).  A band
     of grade g takes `_band_nodes(m, g)` meridian nodes, m the pass's
     angular nodes: the even rule, or about a `center` the full meridian
     rule, as the integrand is even in h but not in h - center.  The weights
@@ -502,7 +497,7 @@ def _stage(fn, plan):
     total = sum(values)
     scale = sum(map(abs, values)) + 1e-300
     jack = total - sum(low_values)
-    return total, scale, _shell_sums(shells, values), jack, sum(len(p[0]) for p in passes)
+    return total, scale, _shell_sums(shells, values), jack, sum(len(p[1]) for p in passes)
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
@@ -520,11 +515,12 @@ def _plan(spec: QuadratureSpec, d: int, singular_pair: bool):
 def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = False) -> PVResult:
     """Symmetric-window principal value of a vectorized even axial integrand.
 
-    `integrand` maps an (n, 2) array of meridian rows (h1, h2), each
-    standing for h = h1 e1 + h2 e_perp in R^d, to the (n,) float values of
-    the even part (g(h) + g(-h))/2 of the integrand g, without writing into
-    its argument.  g depends on h only through h1 and |h|, and every row
-    has h2 >= 0.  d enters only through the rule weights and r^d.  With
+    `integrand` maps a pass's row record (`_Rows`), whose `.h` is the (n, 2)
+    array of meridian rows (h1, h2), each standing for h = h1 e1 + h2 e_perp
+    in R^d, to the (n,) float values of the even part (g(h) + g(-h))/2 of
+    the integrand g, without writing into its argument; it is called once
+    per pass.  g depends on h only through h1 and |h|, and every row has
+    h2 >= 0.  d enters only through the rule weights and r^d.  With
     `singular_pair`, g may be singular at the pair +-e1 besides the origin,
     and the integrand is only ever evaluated away from both.  Integrating
     the even part realizes the principal value, and it makes +-e1 one
@@ -537,9 +533,9 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = F
     mirror images, where the even part takes one value, so it is evaluated
     on one of each pair, which carries both weights.  The patch, whose
     integrand is not even about e1, takes the full meridian rule at the
-    rows e1 + l.  Each pass is a flat plan of points, weights and band
+    rows e1 + l.  Each pass is a flat plan of a row record, weights and band
     starts, cached by (spec, d, singular_pair) (`_plan`), and its band
-    values are one weighted reduction.
+    values are one integrand call and one weighted reduction.
     """
     _check_range(d)
     main_plan, patch_plan = _plan(spec, d, singular_pair)
@@ -564,81 +560,85 @@ def pv_integral(integrand, d: int, spec: QuadratureSpec, singular_pair: bool = F
     return PVResult(value=value, err_estimate=err, nodes_used=2 * rows, converged=converged)
 
 
-def _on_axis(even_at, d: int, x, spec: QuadratureSpec, factor: float, degree: float) -> PVResult:
-    """factor times p.v. int of an oracle's integrand at x != 0, from its value at e1.
+def _operator_even(pair, d: int, s: float, p: float):
+    """Even part in h of the operator's integrand k_pair(e1, e1+h) (u(e1) - u(e1+h)).
 
-    even_at(c) is the even part in h of the integrand at the point c, on
-    meridian rows.  The oracle commutes with rotations, its field
-    |z|^(p-1) z1 is the e1 component of the rotation-equivariant
-    |z|^(p-1) z, and it is homogeneous of the given degree, so its value at
-    x is |x|^degree (x1/|x|) times that at e1, where the integrand is axial:
-    every x takes the one plan of (spec, d).  value and err_estimate are
-    scaled; nodes_used and converged are those at e1.  A point _point refuses,
-    and one where |x|^degree or the value overflows, raise DomainError.
+    u = |z|^(p-1) z1, so u(e1) = 1.  The kernel and the field at e1 + h and
+    e1 - h are formulas over the row record's geometry, and each row has
+    the bits of (g(h) + g(-h))/2: e1 - h has the bits of e1 + (-h).
     """
+
+    def even(rows):
+        k = _kernel(pair, d, s, rows.r, rows.c)
+        u = _field(p, 1.0 + _SIGNS * rows.h[:, 0], rows.ry)
+        return 0.5 * (k[0] * (1.0 - u[0]) + k[1] * (1.0 - u[1]))
+
+    return even
+
+
+def _potential_even(d: int, s: float, power: float):
+    """Even part in h of the potential's integrand u(e1 - h) |h|^(-(d-1+s)).
+
+    u = |z|^(power-1) z1.  |h| is the same at h and -h, so each row has the
+    bits of (g(h) + g(-h))/2.
+    """
+
+    def even(rows):
+        w = rows.r ** (-(d - 1.0 + s))
+        u = _field(power, 1.0 + _SIGNS * rows.h[:, 0], rows.ry)
+        return 0.5 * (u[0] * w + u[1] * w)
+
+    return even
+
+
+def _integral(field: str, d: int, s: float, delta: float, pair=None):
+    """(even part at e1, degree) of an oracle's p.v. integral, by the field it takes.
+
+    The "operator" with the pair on the difference model's field, or the
+    potential of the "riesz" model's field or of its "divergence" field.
+    """
+    if field == "operator":
+        p = 1.0 - delta
+        return _operator_even(pair, d, s, p), p - 2.0 * s
+    if field == "riesz":
+        return _potential_even(d, s, s - delta), 1.0 - delta
+    return _potential_even(d, s, -1.0 - delta), -s - delta
+
+
+def _on_axis(field: str, d: int, s, delta, x, spec, factor: float, pair=None) -> PVResult:
+    """factor times the p.v. integral of an oracle (`_integral`) at x != 0, from its value at e1.
+
+    The oracle commutes with rotations, its field |z|^(p-1) z1 is the e1
+    component of the rotation-equivariant |z|^(p-1) z, and it is homogeneous
+    of its degree, so its value at x is |x|^degree (x1/|x|) times that at
+    e1, where the integrand is axial: every x takes the one plan of
+    (spec, d).  value and err_estimate are scaled; nodes_used and converged
+    are those at e1.  A point _point refuses, and one where |x|^degree or
+    the value overflows, raise DomainError.
+    """
+    even, degree = _integral(field, d, s, delta, pair)
     x, r = _point(x, d)
     scale = _point_power(r, degree) * (float(x[0]) / r)
-    res = pv_integral(even_at(_E1), d, spec, singular_pair=True)
+    res = pv_integral(even, d, spec, singular_pair=True)
     value, err = factor * (scale * res.value), abs(factor) * (abs(scale) * res.err_estimate)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"the oracle's value overflows at |x| = {r!r}")
     return PVResult(value, err, res.nodes_used, res.converged)
 
 
-def _operator_even(pair, d: int, s: float, p: float, x: np.ndarray):
-    """Even part in h of the operator's integrand k_pair(x, x+h) (u(x) - u(x+h)).
-
-    u = |z|^(p-1) z1.  The kernel at x + h and x - h shares |h|, its power
-    and <hhat, xhat>^2, and the field is taken at both points; |x + h| and
-    |x - h| are taken once per row, for the kernel and the field.  x - h has
-    the bits of x + (-h), so each row has the bits of (g(h) + g(-h))/2.
-    """
-    ux = homogeneous_field(p, x)
-
-    def even(h):
-        y_plus, y_minus = x + h, x - h
-        r_plus, r_minus = _safe_norms(y_plus), _safe_norms(y_minus)
-        k_plus, k_minus = _kernel(pair, d, s, x, h, (y_plus, r_plus), (y_minus, r_minus))
-        u_plus, u_minus = _field(p, y_plus, r_plus), _field(p, y_minus, r_minus)
-        return 0.5 * (k_plus * (ux - u_plus) + k_minus * (ux - u_minus))
-
-    return even
-
-
-def _potential_even(d: int, s: float, power: float, x: np.ndarray):
-    """Even part in h of the potential's integrand u(x - h) |h|^(-(d-1+s)).
-
-    u = |z|^(power-1) z1.  |h| and its power are taken once per row for
-    x - h and x + h, with the bits of (g(h) + g(-h))/2: |-h| has the bits
-    of |h|, and x - (-h) those of x + h.
-    """
-
-    def even(h):
-        w = _norms(h) ** (-(d - 1.0 + s))
-        y_minus, y_plus = x - h, x + h
-        u_minus = _field(power, y_minus, _safe_norms(y_minus))
-        u_plus = _field(power, y_plus, _safe_norms(y_plus))
-        return 0.5 * (u_minus * w + u_plus * w)
-
-    return even
+# The named integrals by (field, factor, pair): f1 and f2 are -1/2 of the
+# isotropic and the radial part of the difference model's operator
+_NAMED = {"f1": ("operator", -1.0, (1.0, 0.0)), "f2": ("operator", -1.0, (0.0, 1.0)),
+          "f3": ("riesz", 1.0, None), "f4": ("divergence", 1.0, None)}
 
 
 def f_integral_num(which: str, d: int, s: float, delta: float, spec: QuadratureSpec) -> PVResult:
-    """Direct quadrature of one of the named singular integrals, at e1."""
-    if which in ("f1", "f2"):
-        # -1/2 of the isotropic and the radial part of the difference model's operator
-        _check_range(d, s, delta)
-        pair = (1.0, 0.0) if which == "f1" else (0.0, 1.0)
-        p = 1.0 - delta
-        even_at, factor, degree = partial(_operator_even, pair, d, s, p), -1.0, p - 2.0 * s
-    elif which in ("f3", "f4"):
-        # the potential of the Riesz model's field and of its divergence field
-        _check_range(d, s, delta, riesz=True)
-        power = s - delta if which == "f3" else -1.0 - delta
-        even_at, factor, degree = partial(_potential_even, d, s, power), 1.0, power + 1.0 - s
-    else:
+    """Direct quadrature of one of the named integrals, at e1."""
+    if which not in _NAMED:
         raise DomainError(f"unknown integral {which!r}")
-    return _on_axis(even_at, d, np.eye(d)[0], spec, factor, degree)
+    field, factor, pair = _NAMED[which]
+    _check_range(d, s, delta, riesz=field != "operator")
+    return _on_axis(field, d, s, delta, np.eye(d)[0], spec, factor, pair)
 
 
 def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
@@ -647,6 +647,6 @@ def frac_op_num(params: FracParams, x, spec: QuadratureSpec) -> PVResult:
     This is the kappa-free strong form; multiply by kappa(d, s) to compare
     with the closed-form operator value.
     """
-    d, s, p = params.d, params.s, 1.0 - params.delta
+    d, s = params.d, params.s
     pair = _coeffs("fractional", d, s, params.epsilon)
-    return _on_axis(partial(_operator_even, pair, d, s, p), d, x, spec, 2.0, p - 2.0 * s)
+    return _on_axis("operator", d, s, params.delta, x, spec, 2.0, pair)

@@ -16,13 +16,12 @@ bracket vanish; both constants tend to 1 as s -> 1.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .model import _check_range, _point, _point_power
-from .pvquad import PVResult, QuadratureSpec, _on_axis, _potential_even
+from .pvquad import PVResult, QuadratureSpec, _on_axis
 from .specfun import gamma_ratio
 
 __all__ = [
@@ -110,7 +109,7 @@ def riesz_potential_num(
     """Quadrature of (I_(1-s) * u_(s,delta))(x); oracle for the c* chain."""
     _check_range(d, s, delta, riesz=True)
     norm = riesz_kernel_constant(d, 1.0 - s)
-    return _on_axis(partial(_potential_even, d, s, s - delta), d, x, spec, norm, 1.0 - delta)
+    return _on_axis("riesz", d, s, delta, x, spec, norm)
 
 
 def riesz_div_conv_num(
@@ -121,4 +120,4 @@ def riesz_div_conv_num(
     norm = riesz_kernel_constant(d, 1.0 - s)
     c_star, _ = riesz_constants(d, s, delta)
     factor = norm * c_star * _bracket(d, delta, epsilon)
-    return _on_axis(partial(_potential_even, d, s, -1.0 - delta), d, x, spec, factor, -s - delta)
+    return _on_axis("divergence", d, s, delta, x, spec, factor)

@@ -162,6 +162,10 @@ def test_overflowing_powers_raise_domain_error(spec):
         sc.evaluate(sc.term_sum([sc.HomTerm(1.0, 0.0, 3)]), [1e154, 0.0])
     with pytest.raises(DomainError, match="overflows"):
         md.kernel_eval(md.FracParams(2, 0.5, 0.0, 0.1), [1e-120, 0.0], [2e-120, 0.0])
+    # |x - y|^2 overflows: the kernel's angular terms are nan, at every epsilon
+    for eps in (0.0, 0.1):
+        with pytest.raises(DomainError, match="overflows"):
+            md.kernel_eval(md.FracParams(2, 0.5, 0.0, eps), [1.2e154, 0.0], [-1.2e154, 0.0])
     # |x|^(-s - delta) = 1.7e308 is finite here, the oracle's value, -1.15
     # times it at e1, is not
     x = 10.0 ** (math.log10(1.7e308) / -2.3) * np.eye(3)[0]

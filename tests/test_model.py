@@ -15,6 +15,7 @@ from nonlocal_lab.model import (
     FracParams,
     SymMatrix,
     _field,
+    _geometry,
     _kernel,
     _rowdot,
     _safe_norms,
@@ -181,11 +182,12 @@ def test_field_rows_match_one_point_field(rng):
     pts = rng.normal(size=(20, 3))
     for p in (-1.25, 0.3, 1.0, 1.7):
         want = [homogeneous_field(p, z) for z in pts]
-        assert _field(p, pts, _safe_norms(pts)) == pytest.approx(want, rel=1e-14)
+        assert _field(p, pts[:, 0], _safe_norms(pts)) == pytest.approx(want, rel=1e-14)
     # z = 0 has the value 0 for p >= 1, as the one-point field says
     origin = np.zeros((1, 3))
     for p in (1.0, 1.5, 3.0):
-        assert _field(p, origin, _safe_norms(origin))[0] == 0.0 == homogeneous_field(p, origin[0])
+        at_origin = _field(p, origin[:, 0], _safe_norms(origin))[0]
+        assert at_origin == 0.0 == homogeneous_field(p, origin[0])
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -255,6 +257,19 @@ def test_kernel_identity_at_eps_zero(rng):
         assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_kernel_without_radial_part_is_the_isotropic_power(rng):
+    # with b_rad = 0 the kernel's one formula adds 0.5 * 0.0 * c = 0.0 to
+    # a_iso, so it has the bits of a_iso |h|^(-d-2s) at every geometry
+    for d in (2, 3, 5):
+        x = rng.normal(size=d)
+        h = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(200, 1))
+        r, _, c = _geometry(x, h, x + h)
+        for a_iso, s in ((1.0, 0.35), (0.6, 0.8)):
+            got = _kernel((a_iso, 0.0), d, s, r, c)
+            want = a_iso * r ** (-d - 2.0 * s)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_kernel_symmetry_and_bounds(rng):
     for _ in range(30):
         d = int(rng.integers(2, 5))
@@ -301,7 +316,8 @@ def test_radial_kernel_at_e1_is_the_f2_polynomial(rng):
         h = np.concatenate([far, near])
         h = h[np.linalg.norm(h + e1, axis=1) > 1e-2]
         y = e1 + h
-        (got,) = _kernel((0.0, 1.0), d, s, e1, h, (y, _safe_norms(y)))
+        r, _, c = _geometry(e1, h, y)
+        got = _kernel((0.0, 1.0), d, s, r, c)
         g = -h
         r2 = np.sum(g * g, axis=1)
         g1 = g[:, 0]

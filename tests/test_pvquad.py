@@ -7,7 +7,7 @@ import pytest
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
-from nonlocal_lab.model import FracParams, _field, _kernel, _safe_norms
+from nonlocal_lab.model import FracParams, _field, _geometry, _kernel, _safe_norms
 from nonlocal_lab.riesz import (
     flux_divergence,
     riesz_constants,
@@ -27,31 +27,31 @@ def norms(h):
 
 def _operator_integrand(pair, d, s, p, x):
     # the operator's plain integrand k_pair(x, x+h) (u(x) - u(x+h)), whose
-    # even part pq._operator_even gives
-    ux = float(_field(p, x[None, :], _safe_norms(x[None, :]))[0])
+    # even part at x = e1 pq._operator_even gives
+    ux = float(_field(p, x[:1], _safe_norms(x[None, :]))[0])
 
     def g(h):
         y = x[None, :] + h
-        ry = _safe_norms(y)
-        (k,) = _kernel(pair, d, s, x, h, (y, ry))
-        return k * (ux - _field(p, y, ry))
+        r, ry, c = _geometry(x, h, y)
+        return _kernel(pair, d, s, r, c) * (ux - _field(p, y[:, 0], ry))
 
     return g
 
 
 def _potential_integrand(d, s, power, x):
     # the potential's plain integrand u(x - h) |h|^(-(d-1+s)), whose even
-    # part pq._potential_even gives
+    # part at x = e1 pq._potential_even gives
     def g(h):
         y = x[None, :] - h
-        return _field(power, y, _safe_norms(y)) * norms(h) ** (-(d - 1.0 + s))
+        return _field(power, y[:, 0], _safe_norms(y)) * norms(h) ** (-(d - 1.0 + s))
 
     return g
 
 
 def _even(g):
-    # the even part (g(h) + g(-h))/2 that pv_integral integrates
-    return lambda h: 0.5 * (g(h) + g(-h))
+    # the even part (g(h) + g(-h))/2 that pv_integral integrates, taken at
+    # the rows h of the row record
+    return lambda rows: 0.5 * (g(rows.h) + g(-rows.h))
 
 
 def f1_integrand(d, s, delta):
@@ -267,12 +267,19 @@ def cold_plans():
     pq._plan.cache_clear()
 
 
-def _bands(plan):
-    # (points, weights) of each band of a pass (points, weights, starts):
+def _band_records(plan):
+    # (row record, weights) of each band of a pass (rows, weights, starts):
     # band i holds the rows starts[i] up to the next band's first row
-    points, weights, starts = plan
-    for lo, hi in zip(starts, [*starts[1:], len(points)]):
-        yield points[lo:hi], weights[lo:hi]
+    rows, weights, starts = plan
+    for lo, hi in zip(starts, [*starts[1:], len(weights)]):
+        band = pq._Rows(rows.h[lo:hi], rows.r[lo:hi], rows.ry[:, lo:hi], rows.c[:, lo:hi])
+        yield band, weights[lo:hi]
+
+
+def _bands(plan):
+    # (points, weights) of each band of a pass
+    for rows, weights in _band_records(plan):
+        yield rows.h, weights
 
 
 def _pair_mask(center):
@@ -285,7 +292,7 @@ def _pair_mask(center):
 
 def _stage_rows(stage):
     # every point of both passes of a stage plan
-    return np.concatenate([points for points, _, _ in stage[1]])
+    return np.concatenate([rows.h for rows, _, _ in stage[1]])
 
 
 def _patch_local(spec, d):
@@ -305,98 +312,77 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize(
-    "d, c",
-    [(2, (1.0, 0.0)), (2, (0.78, -1.04)), (3, (1.3, 0.0)), (4, (1.0, 0.0))],
-    ids=["d2-axis", "d2-off-axis", "d3", "d4"],
-)
-def test_even_parts_are_bitwise(spec, d, c, cold_plans):
-    # each oracle's even part at the point c against (g(h) + g(-h))/2 of
-    # its plain integrand g, row by row to the bit: at the main-band rows of
-    # the cached plan of the pair +-e1 and at its patch rows e1 + l, with c
-    # a meridian row at d >= 3
-    c = np.array(c)
-    main, patch = pq._plan(spec, d, True)
-    points = [_stage_rows(main), _stage_rows(patch)]
+@pytest.mark.parametrize("d", [2, 3, 4], ids=["d2-axis", "d3", "d4"])
+def test_even_parts_are_bitwise(spec, d, cold_plans):
+    # each oracle's even part, a formula over the row record's cached
+    # geometry, against (g(h) + g(-h))/2 of its plain integrand g at e1,
+    # built from the rows h alone, row by row to the bit: at every pass of
+    # the main bands of the cached plan of the pair +-e1 and at its patch
+    # rows e1 + l; the pair (1, 0) takes the kernel's general formula
+    passes = [rows for stage in pq._plan(spec, d, True) for rows, _, _ in stage[1]]
     s, delta = 0.4, 0.2
     p = 1.0 - delta
     pairs = [
-        (pq._operator_even(pair, d, s, p, c), _operator_integrand(pair, d, s, p, c))
+        (pq._operator_even(pair, d, s, p), _operator_integrand(pair, d, s, p, E1))
         for pair in ((1.0, 0.0), (0.0, 1.0), (0.8, 0.3))
     ]
     pairs += [
-        (pq._potential_even(d, s, power, c), _potential_integrand(d, s, power, c))
+        (pq._potential_even(d, s, power), _potential_integrand(d, s, power, E1))
         for power in (s - delta, -1.0 - delta)
     ]
     for even, plain in pairs:
-        for pts in points:
-            assert _same_bits(even(pts), _even(plain)(pts))
+        for rows in passes:
+            assert _same_bits(even(rows), _even(plain)(rows))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_meridian_rows_match_full_coordinates(spec, d, cold_plans):
-    # a meridian row (h1, h2) stands for h1 e1 + h2 e_perp: each oracle's
-    # even part on two-column rows has the bits of the same rows and x
-    # zero-padded to d columns, at the main-band rows and the patch rows
-    # e1 + l, at x = e1 and off it
-    c = E1
+    # a meridian row (h1, h2) stands for h1 e1 + h2 e_perp: the kernel's
+    # geometry (|h|, |y|, c) on two-column rows has the bits of the same
+    # rows, x and y zero-padded to d columns, at the main-band rows and the
+    # patch rows e1 + l, at y = x + h and x - h, at x = e1 and off it
     main, patch = pq._plan(spec, d, True)
     rows = np.concatenate([_stage_rows(main), _stage_rows(patch)])
 
     def padded(a):
         return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, d - 2)])
 
-    s, delta = 0.4, 0.2
-    kinds = [
-        lambda x, pair=pair: pq._operator_even(pair, d, s, 1.0 - delta, x)
-        for pair in ((1.0, 0.0), (0.0, 1.0), (0.8, 0.3))
-    ]
-    kinds += [
-        lambda x, power=power: pq._potential_even(d, s, power, x)
-        for power in (s - delta, -1.0 - delta)
-    ]
-    for even_at in kinds:
-        for x in (c, 1.3 * c):
-            assert _same_bits(even_at(x)(rows), even_at(padded(x))(padded(rows)))
+    for x in (E1, 1.3 * E1):
+        for y in (x + rows, x - rows):
+            meridian, full = _geometry(x, rows, y), _geometry(padded(x), padded(rows), padded(y))
+            assert all(_same_bits(a, b) for a, b in zip(meridian, full))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_stacked_reduction_matches_one_band_passes(spec, d, monkeypatch, cold_plans):
+def test_stacked_reduction_matches_one_band_passes(spec, d, cold_plans):
     # each band value of every pass of both stages of the cached plan, to the
-    # bit: against a one-band pass over the band's slice of the plan, and
-    # against the pass with fn called on chunks of at most 977 rows, which
-    # split bands, and on one chunk of every row
-    fn = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
+    # bit, against a one-band pass over the band's slice of the plan; fn is
+    # called once per pass, on every row
+    fn = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
     for _, passes in pq._plan(spec, d, True):
         for plan in passes:
-            values = _hex(pq._band_values(fn, plan))
+            sizes = []
+
+            def counted(rows):
+                sizes.append(len(rows.h))
+                return fn(rows)
+
+            values = _hex(pq._band_values(counted, plan))
+            assert sizes == [len(plan[1])]
             one_band = [
-                pq._band_values(fn, (pts, w, np.zeros(1, dtype=int))) for pts, w in _bands(plan)
+                pq._band_values(fn, (rows, w, np.zeros(1, dtype=int)))
+                for rows, w in _band_records(plan)
             ]
             assert len(values) == len(one_band) > 1
             assert values == _hex(np.concatenate(one_band))
-            for batch in (977, 10**7):
-                sizes = []
-
-                def counted(pts):
-                    sizes.append(len(pts))
-                    return fn(pts)
-
-                with monkeypatch.context() as patched:
-                    patched.setattr(pq, "_BATCH", batch)
-                    assert _hex(pq._band_values(counted, plan)) == values
-                assert sum(sizes) == len(plan[0]) and max(sizes) == min(batch, len(plan[0]))
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_band_values_grouping_is_bitwise(spec, d, monkeypatch, cold_plans):
-    # the cached plan's nominal main pass, taken in chunks of _BATCH rows,
+def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
+    # the cached plan's nominal main pass, taken in one integrand call,
     # keeps the bits of one integrand call per band on a pass rebuilt from
     # the bands alone, on the folded d = 2 and d = 4 meridian rules, with
-    # the cutoff of the patch pair +-e1 on the bands that carry it; _BATCH
-    # is 4096 here, so that the d = 4 pass (9,280 rows) spans more than two
-    # chunks
-    monkeypatch.setattr(pq, "_BATCH", 4096)
+    # the cutoff of the patch pair +-e1 on the bands that carry it
     even = _even(f1_integrand(d, 0.5, 0.25))
     window = pq.QuadratureSpec(r_min=1e-3, r_max=1e3)
     (_, (nominal, _)), _ = pq._plan(window, d, True)
@@ -407,14 +393,12 @@ def test_band_values_grouping_is_bitwise(spec, d, monkeypatch, cold_plans):
     assert any(cut for *_, cut in bands)
     sizes = []
 
-    def counted(pts):
-        sizes.append(len(pts))
-        return even(pts)
+    def counted(rows):
+        sizes.append(len(rows.h))
+        return even(rows)
 
     grouped = pq._band_values(counted, nominal)
-    assert len(nominal[0]) == sum(sizes) > 2 * pq._BATCH
-    assert 1 < len(sizes) < len(bands)
-    assert all(n == pq._BATCH for n in sizes[:-1])
+    assert sizes == [len(nominal[1])] and len(bands) > 1
     single = [
         pq._band_values(
             even, pq._pass([(a, b, rule, pq._pair_cutoff if cut else None)], d, window.radial_nodes)
@@ -470,7 +454,7 @@ def test_plan_cutoff_is_bitwise(spec, d, norm, cold_plans):
     _, uncut = pq._stage_plan([(a, b, g, False) for a, b, g, _ in bands], d, spec, None)
     n_cut = 0
     for cached, plain in zip(passes, uncut):
-        assert _same_bits(cached[0], plain[0]) and len(cached[2]) == len(bands)
+        assert all(map(_same_bits, cached[0], plain[0])) and len(cached[2]) == len(bands)
         for (pts, w), (_, w0), (*_, cut) in zip(_bands(cached), _bands(plain), bands):
             full = _pair_mask(E1)(pts)
             if not cut:
@@ -538,34 +522,35 @@ def test_cutoff_weights_match_full_evaluation(spec, d, norm, cold_plans):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_plans_and_integrand_chunks_are_column_major(spec, d, monkeypatch, cold_plans):
-    # every cached plan's points are column-major, and every chunk of rows
-    # the integrand sees has contiguous columns, as do x + h and x - h formed
-    # from it: in the main passes and at the patch rows e1 + l
+def test_plans_and_integrand_chunks_are_column_major(spec, d, cold_plans):
+    # every cached plan's points are column-major, and the row record the
+    # integrand sees, once per pass, has contiguous columns, as do x + h and
+    # x - h formed from it, and contiguous rows of its (2, n) columns: in
+    # the main passes and at the patch rows e1 + l
     x = E1
-    even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, x)
+    even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
     chunks = []
 
-    def recording(h):
-        chunks.append(h)
-        return even(h)
+    def recording(rows):
+        chunks.append(rows)
+        return even(rows)
 
     def columns_contiguous(a):
         return a.shape[1] == 2 and a.strides[0] == a.itemsize
 
-    monkeypatch.setattr(pq, "_BATCH", 977)  # chunks that split bands and passes
     pq.pv_integral(recording, d, spec, singular_pair=True)
     pq.pv_integral(even, d, spec)
     plans = [pq._plan(spec, d, True), pq._plan(spec, d, False)]
     passes = [p for main, patch in plans for stage in (main, patch) if stage for p in stage[1]]
     assert len(passes) == 6
-    assert all(points.flags.f_contiguous for points, _, _ in passes)
+    assert all(rows.h.flags.f_contiguous for rows, _, _ in passes)
     # the patch's rows, the ones near e1, are among the chunks
-    assert any(np.any(norms(h - x) < 1e-3 * pq._PATCH_RADIUS) for h in chunks)
-    assert len(chunks) > 4 and max(len(h) for h in chunks) == 977
-    for h in chunks:
-        assert columns_contiguous(h)
-        assert columns_contiguous(x + h) and columns_contiguous(x - h)
+    assert any(np.any(norms(rows.h - x) < 1e-3 * pq._PATCH_RADIUS) for rows in chunks)
+    assert len(chunks) == 4 and all(rows is p[0] for rows, p in zip(chunks, passes))
+    for rows in chunks:
+        assert columns_contiguous(rows.h)
+        assert columns_contiguous(x + rows.h) and columns_contiguous(x - rows.h)
+        assert rows.ry.flags.c_contiguous and rows.c.flags.c_contiguous
 
 
 _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
@@ -583,14 +568,14 @@ def test_nodes_used_counts_integrand_rows(spec_fields, d, singular_pair, cold_pl
     # patch, and takes g at h and -h, so nodes_used is twice its rows
     spec = pq.QuadratureSpec(**spec_fields)
     if singular_pair:
-        even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
+        even = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
     else:
         even = _even(lambda h: np.exp(-norms(h)) * norms(h) ** -1.5)
     rows = []
 
-    def counted(h):
-        rows.append(len(h))
-        return even(h)
+    def counted(record):
+        rows.append(len(record.h))
+        return even(record)
 
     res = pq.pv_integral(counted, d, spec, singular_pair)
     plan = pq._plan(spec, d, singular_pair)
@@ -615,7 +600,7 @@ def test_plan_rows_lie_in_the_meridian_half_plane(spec_fields, d, cold_plans):
                 assert np.all(_stage_rows(stage)[:, 1] >= 0.0)
     _, (_, patch) = pq._plan(spec, d, True)
     for cached, local in zip(patch, _patch_local(spec, d)):
-        assert _same_bits(cached[0], E1 + local[0]) and cached[0].flags.f_contiguous
+        assert _same_bits(cached[0].h, E1 + local[0].h) and cached[0].h.flags.f_contiguous
         assert np.array_equal(cached[2], local[2])
 
 
@@ -727,32 +712,48 @@ def test_meridian_rule_mirrors_at_two_dimensions(n):
 
 
 def _plan_arrays(plan):
-    # the points, weights and starts of every pass of a plan
+    # every column of the row record, the weights and the starts of every
+    # pass of a plan
     for stage in plan:
-        for arrays in stage[1] if stage is not None else ():
-            yield from arrays
+        for rows, weights, starts in stage[1] if stage is not None else ():
+            yield from (*rows, weights, starts)
 
 
 def test_cached_plan_is_read_only(spec, cold_plans):
-    # an integrand that writes into its argument raises on a cached plan, on
-    # the d = 2 and the d = 3 meridian rule, and the next call still has the
-    # bits of a cold one
+    # an integrand that writes into any column of its row record raises on
+    # a cached plan, on the d = 2 and the d = 3 meridian rule, and the next
+    # call still has the bits of a cold one
     for d in (2, 3):
-        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
+        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
+        for column in pq._Rows._fields:
 
-        def writer(h):
-            h *= 2.0
-            return g(h)
+            def writer(rows):
+                getattr(rows, column)[...] *= 2.0
+                return g(rows)
 
-        with pytest.raises(ValueError, match="read-only"):
-            pq.pv_integral(writer, d, spec, singular_pair=True)
+            with pytest.raises(ValueError, match="read-only"):
+                pq.pv_integral(writer, d, spec, singular_pair=True)
         arrays = list(_plan_arrays(pq._plan(spec, d, True)))
-        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert len(arrays) == 4 * (len(pq._Rows._fields) + 2)
+        assert not any(a.flags.writeable for a in arrays)
         warm = pq.pv_integral(g, d, spec, singular_pair=True)
         pq._plan.cache_clear()
         cold = pq.pv_integral(g, d, spec, singular_pair=True)
         assert _hex([warm.value, warm.err_estimate]) == _hex([cold.value, cold.err_estimate])
         assert warm.nodes_used == cold.nodes_used
+
+
+# The default plan's size at d = 2 and 3 in MB, as the _PLAN_CACHE comment
+# gives it
+_PLAN_MB = {2: 3.64, 3: 2.33}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plan_memory_within_the_cache_comment(spec, d, cold_plans):
+    # every array of the default plan of the pair +-e1 sums to no more than
+    # the _PLAN_CACHE comment states, so that a later column updates it
+    nbytes = sum(a.nbytes for a in _plan_arrays(pq._plan(spec, d, True)))
+    assert nbytes <= _PLAN_MB[d] * 1e6
 
 
 def test_cached_plans_keep_cold_bits(spec, cold_plans):
@@ -814,9 +815,9 @@ def test_meridian_fold_is_bitwise(d, spec_fields, kind, monkeypatch, cold_plans)
     spec = pq.QuadratureSpec(**spec_fields)
     pair = kind != "no-patch"
     if kind == "operator":
-        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8, E1)
+        g = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
     elif kind == "potential":
-        g = pq._potential_even(d, 0.4, 0.2, E1)
+        g = pq._potential_even(d, 0.4, 0.2)
     else:
         g = _even(lambda h: np.exp(0.3 * h[:, 0] - norms(h)) * norms(h) ** -1.5)
     folded = pq.pv_integral(g, d, spec, singular_pair=pair)
@@ -916,23 +917,25 @@ def test_oracles_reject_non_finite_points(spec, x, cold_plans):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_substituted_integral_matches_the_scaled_e1_value(spec, d):
-    # the unscaled path: with h = lam h', the integral of an oracle's even
-    # part at lam e1 is that of lam^d even_at(lam e1)(lam h'), singular at
-    # h' = +-e1, and homogeneity makes it lam^degree times the integral at
-    # e1; the two agree within both estimates, about 1e-6 of the value,
-    # where a wrong degree would miss by percent
+    # the unscaled path: with h = lam h', the integral of an oracle's plain
+    # integrand g at lam e1 is that of lam^d g(lam h'), singular at
+    # h' = +-e1, and homogeneity makes it lam^degree times the oracle's
+    # integral at e1; the two agree within both estimates, about 1e-6 of the
+    # value, where a wrong degree would miss by percent
     s, delta = 0.4, 0.2
     p = 1.0 - delta
-    kinds = [
-        (partial(pq._operator_even, (0.8, 0.3), d, s, p), p - 2.0 * s),
-        (partial(pq._potential_even, d, s, s - delta), 1.0 - delta),
-        (partial(pq._potential_even, d, s, -1.0 - delta), -s - delta),
+    pair = (0.8, 0.3)
+    operator = partial(_operator_integrand, pair, d, s, p)
+    kinds = [(pq._operator_even(pair, d, s, p), operator, p - 2.0 * s)]
+    kinds += [
+        (pq._potential_even(d, s, power), partial(_potential_integrand, d, s, power), degree)
+        for power, degree in ((s - delta, 1.0 - delta), (-1.0 - delta, -s - delta))
     ]
-    for even_at, degree in kinds:
-        at_e1 = pq.pv_integral(even_at(E1), d, spec, singular_pair=True)
+    for even, plain_at, degree in kinds:
+        at_e1 = pq.pv_integral(even, d, spec, singular_pair=True)
         for lam in (0.3, 1.7, 3.0):
-            even = even_at(lam * E1)
-            sub = pq.pv_integral(lambda h: lam**d * even(lam * h), d, spec, singular_pair=True)
+            g = plain_at(lam * E1)
+            sub = pq.pv_integral(_even(lambda h: lam**d * g(lam * h)), d, spec, singular_pair=True)
             scale = lam**degree
             assert sub.converged
             assert abs(sub.value - scale * at_e1.value) <= sub.err_estimate + scale * at_e1.err_estimate
@@ -954,7 +957,7 @@ def test_frac_op_on_the_norm_grid(spec, d, norm):
 def test_not_converged_on_divergent_integrand(spec):
     # the shells grow 100x per decade towards the outer edge
     with pytest.raises(NotConverged, match=r"^main outer completion: .*edge ratio q = 100\b"):
-        pq.pv_integral(lambda h: np.ones(len(h)), 2, spec)
+        pq.pv_integral(lambda rows: np.ones(len(rows.h)), 2, spec)
 
 
 def _edge_ordered(seq):
