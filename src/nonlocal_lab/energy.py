@@ -255,8 +255,8 @@ class _Grid:
         h = self.rho_out[..., None] * self.om[:, None, :]
         x = np.stack([self.r, np.zeros(n_r)], axis=1)[:, None, None, :]
         y = (x + h).reshape(-1, 2)
-        r, _, c = _geometry(np.array([1.0, 0.0]), h.reshape(-1, 2), y)
-        k = _kernel(pair, d, s, r, c)
+        log_r, _, c = _geometry(np.array([1.0, 0.0]), h.reshape(-1, 2), y)
+        k = _kernel(pair, d, s, log_r, c)
         dh = (self.ow[:, None] * self.t_out * self.rho_out**d).reshape(n_r, -1)
         x_out = np.array([2.0 * kr @ dr for kr, dr in zip(k.reshape(n_r, -1), dh)])
         # far tail: int_(|h|>h_max) k dh with A(x+h) -> A(hhat), doubled

@@ -166,24 +166,42 @@ def _safe_norms(pts: np.ndarray) -> np.ndarray:
     return np.maximum(_norms(pts), _ORIGIN_GUARD)
 
 
-def _field(p: float, z1: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|z|^(p-1) z1 for each point z, given its first coordinates z1 and r = _safe_norms(z).
+def _power(log_r: np.ndarray, alpha: float) -> np.ndarray:
+    """exp(alpha log_r), i.e. r^alpha, for each log-norm log_r, as a new array.
 
-    The caller passes r because it often needs r as well (the kernel does),
-    and so takes it once.  Quadrature never samples z = 0, because its
-    singular points are patched.  At z = 0 the row gives 0 for p >= 1, as
-    homogeneous_field does; for p < 1 the field has no value there, and the
-    row holds 0 or nan depending on p.
+    One multiply and one exponential, both in place, where r ** alpha would
+    take a pow per row: the kernel and the field share it, and the oracles
+    cache log_r per row.
     """
-    return r ** (p - 1.0) * z1
+    out = np.multiply(log_r, alpha)
+    return np.exp(out, out=out)
+
+
+def _field(p: float, z1: np.ndarray, log_r: np.ndarray) -> np.ndarray:
+    """|z|^(p-1) z1 for each point z, from its first coordinates z1 and log_r = log|z|.
+
+    The field as exp((p-1) log|z|) z1, with |z| from _safe_norms.  The
+    caller passes log|z| because the oracles cache it per plan row and the
+    kernel takes it too.  z1 and log_r broadcast to the shape of the
+    result.  Quadrature never samples z = 0, because its singular points
+    are patched.  At z = 0 the row gives 0 for p >= 1, as homogeneous_field
+    does; for p < 1 the field has no value there, and the row holds 0 or
+    nan depending on p.
+    """
+    out = _power(log_r, p - 1.0)
+    out *= z1
+    return out
 
 
 def homogeneous_field(p: float, x) -> float:
     """|x|^(p-1) * x1, i.e. |x|^p * xhat_1, at one point; odd and p-homogeneous.
 
-    The one-point case of _field, with the origin decided: 0 for p >= 1.
-    x is a point of R^n for its own n; DomainError at a non-finite p, at
-    every other point _point refuses, and where the value overflows.
+    The one-point field of the closed forms, with the origin decided: 0 for
+    p >= 1.  It takes the power |x| ** (p-1) rather than _field's
+    exponential of a log: a closed form is the reference an oracle is
+    checked against, so it should not share the oracle's rounding.  x is a
+    point of R^n for its own n; DomainError at a non-finite p, at every
+    other point _point refuses, and where the value overflows.
     """
     if not math.isfinite(p):
         raise DomainError(f"exponent p must be finite, got {p!r}")
@@ -191,7 +209,7 @@ def homogeneous_field(p: float, x) -> float:
     if r == 0.0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_field(p, x[:1], _safe_norms(x[None, :]))[0])
+        value = float((_safe_norms(x[None, :]) ** (p - 1.0) * x[:1])[0])
     if not math.isfinite(value):
         raise DomainError(f"|x|^{p!r} xhat_1 overflows at x = {x.tolist()}")
     return value
@@ -225,11 +243,12 @@ def coeff_eigen(flavor: str, params: FracParams) -> tuple[float, float]:
 
 
 def _geometry(x: np.ndarray, h: np.ndarray, y: np.ndarray) -> tuple:
-    """(|h|, |y|, <hhat, xhat>^2 + <hhat, yhat>^2) for one point x != 0 and the rows of h and y.
+    """(log|h|, log|y|, <hhat, xhat>^2 + <hhat, yhat>^2) for a point x != 0 and rows h and y.
 
-    The kernel's geometry at the pairs (x, y), with y = x + h or x - h: its
-    |h| and its angular terms, and |y| for the field at y.  Each norm is
-    _safe_norms'.  At y = x - h the <hhat, yhat> of h is minus that of -h,
+    The kernel's geometry at the pairs (x, y), with y = x + h or x - h: the
+    log of its |h| and its angular terms, and log|y| for the field at y.
+    Each norm is _safe_norms', and its log is taken after the angular terms
+    have used it.  At y = x - h the <hhat, yhat> of h is minus that of -h,
     to the bit, so its square is that of -h.
     """
     r, ry = _safe_norms(h), _safe_norms(y)
@@ -237,19 +256,23 @@ def _geometry(x: np.ndarray, h: np.ndarray, y: np.ndarray) -> tuple:
     hhat = [h[:, j] / r for j in range(len(x))]
     # <hhat, yhat> in _rowdot's order, one column at a time: no (n, d) temporaries
     cos_y = sum(hhat[j] * (y[:, j] / ry) for j in range(len(x)))
-    return r, ry, cos_x2 + cos_y**2
+    return np.log(r, out=r), np.log(ry, out=ry), cos_x2 + cos_y**2
 
 
-def _kernel(pair, d: int, s: float, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Jump kernel k(x, y) from the geometry (|h|, c) of _geometry, h = y - x.
+def _kernel(pair, d: int, s: float, log_r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Jump kernel k(x, y) from the geometry (log|h|, c) of _geometry, h = y - x.
 
     k(x, y) = |h|^(-d-2s) <(A(x) + A(y))/2 hhat, hhat> with A = a_iso I +
     b_rad xhat (x) xhat and pair = (a_iso, b_rad), which is
-    |h|^(-d-2s) (a_iso + b_rad c / 2) with c = <hhat, xhat>^2 + <hhat, yhat>^2.
-    r and c broadcast, so one |h| serves the c of several ys.
+    exp(-(d+2s) log|h|) (a_iso + b_rad c / 2) with
+    c = <hhat, xhat>^2 + <hhat, yhat>^2.  log_r and c broadcast, so one
+    |h| serves the c of several ys; the result has c's shape.
     """
     a_iso, b_rad = pair
-    return r ** (-d - 2.0 * s) * (a_iso + 0.5 * b_rad * c)
+    out = np.multiply(c, 0.5 * b_rad)
+    out += a_iso
+    out *= _power(log_r, -d - 2.0 * s)
+    return out
 
 
 def kernel_eval(params: FracParams, x, y) -> float:
@@ -261,8 +284,8 @@ def kernel_eval(params: FracParams, x, y) -> float:
         h = y - x
         if _norm(h) < _ORIGIN_GUARD:
             raise DomainError("kernel is singular on the diagonal x = y")
-        r, _, c = _geometry(x, h[None, :], y[None, :])
-        k = _kernel(pair, params.d, params.s, r, c)
+        log_r, _, c = _geometry(x, h[None, :], y[None, :])
+        k = _kernel(pair, params.d, params.s, log_r, c)
     if not math.isfinite(k[0]):
         raise DomainError("kernel overflows: |x - y|^(-d-2s) or |x - y| is out of range")
     return float(k[0])

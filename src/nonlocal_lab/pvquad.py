@@ -15,13 +15,15 @@ strategy:
     the main bands, and then the patch below, on the nominal and a
     downgraded jackknife rule.  Each pass is a plan and a run: the plan
     (`_pass`) is flat, a row record (`_Rows`) of every band's points one
-    after another with their geometry about e1, each point's weight
-    (radial times angular weight, times the cutoff where the band has one),
-    and each band's first row; the run (`_band_values`) calls the integrand
-    once, on the whole record, and sums the weighted values band by band in
-    one `np.add.reduceat`; each row's value is its own.  The points are
-    column-major, so each column h[:, j] and each e1 + h is one contiguous
-    loop over the rows, not a loop over rows of 2 elements;
+    after another with their geometry about e1 (log norms and angular
+    terms), each point's weight (radial times angular weight, times the
+    cutoff where the band has one), and each band's first row; the run
+    (`_band_values`) calls the integrand once, on the whole record, and
+    sums the weighted values band by band in one `np.add.reduceat`; each
+    row's value is its own.  A stage's bands run outward, so each decade
+    shell of the completion below is one run of band values.  The points
+    are column-major, so each column h[:, j] and each e1 + h is one
+    contiguous loop over the rows, not a loop over rows of 2 elements;
   * the pair +-e1 is cut out of the main bands by smooth partition-of-unity
     cutoffs, which only the bands where they differ from 1 carry, and filled
     by a patch at the rows e1 + l, in polar coordinates with graded bands;
@@ -55,8 +57,10 @@ p - 2s and p + 1 - s, so `_on_axis` takes each at e1, on the one plan of
 factor: 2 for `frac_op_num`, the operator with the fractional pair, and the
 potential's constants for the Riesz oracles; `_integral` declares each
 oracle's even part and degree.  At e1, |h|, |e1 +- h| and the kernel's
-angular terms are fixed per row, so the plan caches them, and each even
-part is a formula over them; no integrand takes x.
+angular terms are fixed per row, so the plan caches them, the norms as
+log|h| and log|e1 +- h|, and each even part is a formula over them whose
+powers |h|^(-d-2s), |h|^(-(d-1+s)) and |e1 +- h|^(p-1) are exponentials
+of the logs (`model._power`); no integrand takes x.
 The named integrals are the two oracles at e1: f1 and f2 are -1/2 times
 the operator, so -1 times its p.v. integral, on the difference model's field
 (p = 1 - delta) with the isotropic pair (1, 0) and the radial pair (0, 1);
@@ -86,6 +90,7 @@ from .model import (
     _norms,
     _point,
     _point_power,
+    _power,
 )
 from .specfun import sphere_area
 
@@ -110,7 +115,8 @@ _MAX_RATIO = 0.98
 # take one plan per spec and d, whatever their x.  At the default spec a
 # plan's arrays hold 3.64 MB at d = 2 and 2.33 MB at every d >= 3, whose
 # rows have two columns as at d = 2, so a full cache holds at most about
-# 58 MB.  Of a row's 10 floats, 5 are its geometry about e1 (`_Rows`);
+# 58 MB.  A row is 8 floats: h (2), its geometry about e1 (5: log|h|,
+# log|e1 +- h| and c+-, `_Rows`) and its weight (1);
 # tests/test_pvquad.py's _PLAN_MB holds these sizes too.
 _PLAN_CACHE = 16
 
@@ -180,6 +186,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _E1 = _frozen(np.array([1.0, 0.0]))
 # the signs of e1 + h and e1 - h, one per row of a (2, n) column
 _SIGNS = _frozen(np.array([[1.0], [-1.0]]))
+
+
+def _one_plus(h: np.ndarray) -> np.ndarray:
+    """The (2, n) first coordinates 1 + h1 and 1 - h1 of e1 + h and e1 - h at the rows h."""
+    out = np.multiply(_SIGNS, h[:, 0])
+    out += 1.0
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -278,10 +291,18 @@ def _log_band(a, b, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wt * th * r**d  # dh = r^(d-1) dr dsigma and dr = r dt
 
 
+# Rows of a pass that one _geometry call takes at plan build.  A band holds
+# a few hundred to a few thousand rows, and a call per band more than
+# doubled a d = 2 plan build in numpy call overhead (28 ms against 12 ms);
+# a block of this size keeps the build's temporaries near 0.35 MB
+_GEOMETRY_ROWS = 4096
+
 # A pass's row record, which the integrand receives: the (n, 2) meridian rows
-# h, r = |h|, and the (2, n) columns ry = |e1 +- h| and c, the kernel's
-# angular terms at y = e1 +- h (`model._geometry`)
-_Rows = namedtuple("_Rows", "h r ry c")
+# h, log_r = log|h|, and the (2, n) columns log_ry = log|e1 +- h| and c, the
+# kernel's angular terms at y = e1 +- h (`model._geometry`).  The norms are
+# kept as logs because the kernel and the field take their powers as
+# exponentials of them (`model._power`)
+_Rows = namedtuple("_Rows", "h log_r log_ry c")
 
 
 def _pass(bands, d: int, radial_nodes: int, center=None) -> tuple:
@@ -292,21 +313,30 @@ def _pass(bands, d: int, radial_nodes: int, center=None) -> tuple:
     weight is its radial weight times its angular weight, times the band's
     cutoff where it has one, taken before the offset.  rows is the _Rows of
     every point, column-major, and starts holds each band's first row.
-    Every array is read-only, so a cached pass stays intact.
+    The arrays are allocated once: the points and weights are filled band
+    by band, and the geometry _GEOMETRY_ROWS rows at a time, so the
+    build's temporaries stay those of one band or one block of rows.  Every
+    array is read-only, so a cached pass stays intact.
     """
-    points, weights = [], []
-    for a, b, (omegas, oweights), cutoff in bands:
+    sizes = [radial_nodes * len(omegas) for _, _, (omegas, _), _ in bands]
+    starts = np.cumsum([0] + sizes[:-1])
+    n = sum(sizes)
+    h, weights, log_r = np.empty((n, 2), order="F"), np.empty(n), np.empty(n)
+    log_ry, c = np.empty((2, n)), np.empty((2, n))
+    for (a, b, (omegas, oweights), cutoff), lo, size in zip(bands, starts, sizes):
+        band = slice(lo, lo + size)
         r, wr = _log_band(a, b, radial_nodes, d)
         pts = (r[:, None, None] * omegas[None, :, :]).reshape(-1, 2)
         w = (wr[:, None] * oweights[None, :]).ravel()
-        points.append(pts if center is None else center + pts)
-        weights.append(w if cutoff is None else w * cutoff(pts))
-    starts = np.cumsum([0] + [len(p) for p in points[:-1]])
-    h = np.asfortranarray(np.concatenate(points))
-    r, ry_plus, c_plus = _geometry(_E1, h, _E1 + h)
-    _, ry_minus, c_minus = _geometry(_E1, h, _E1 - h)
-    rows = h, r, np.stack([ry_plus, ry_minus]), np.stack([c_plus, c_minus])
-    return _Rows(*map(_frozen, rows)), _frozen(np.concatenate(weights)), _frozen(starts)
+        weights[band] = w if cutoff is None else w * cutoff(pts)
+        h[band] = pts if center is None else center + pts
+    for lo in range(0, n, _GEOMETRY_ROWS):
+        block = slice(lo, lo + _GEOMETRY_ROWS)
+        hb = h[block]
+        log_r[block], log_ry[0, block], c[0, block] = _geometry(_E1, hb, _E1 + hb)
+        _, log_ry[1, block], c[1, block] = _geometry(_E1, hb, _E1 - hb)
+    rows = _Rows(*map(_frozen, (h, log_r, log_ry, c)))
+    return rows, _frozen(weights), _frozen(starts)
 
 
 def _band_values(fn, plan) -> np.ndarray:
@@ -403,14 +433,6 @@ def _completion(shells: list[float], scale: float, stage: str) -> tuple[float, f
     return tail, err
 
 
-def _shell_sums(shells, values) -> list[float]:
-    """Band values summed by their log10 shells, inner shell first."""
-    sums: dict[int, float] = {}
-    for k, v in zip(shells, values):
-        sums[k] = sums.get(k, 0.0) + v
-    return [sums[k] for k in sorted(sums)]
-
-
 def _split(edges, lo: float, hi: float, width: float) -> list:
     """(a, b, split) bands between the edges; those meeting (lo, hi) are split
     into at most 64 log sub-bands of roughly `width` linear width."""
@@ -464,16 +486,18 @@ def _pair_cutoff(pts: np.ndarray) -> np.ndarray:
 
 
 def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
-    """(shells, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
+    """(shell bounds, (nominal pass, jackknife pass)) of one stage's (a, b, grade, cut) bands.
 
     Each pass is a flat plan (rows, weights, starts) (`_pass`).  A band
     of grade g takes `_band_nodes(m, g)` meridian nodes, m the pass's
     angular nodes: the even rule, or about a `center` the full meridian
     rule, as the integrand is even in h but not in h - center.  The weights
-    of the cut bands carry `cutoff`.  shells holds each band's log10 shell,
-    by its midpoint.  The jackknife pass runs the downgraded rules of
-    `_jackknife_resolution`, whose difference from the nominal ones bounds
-    the nominal discretization error.
+    of the cut bands carry `cutoff`.  Each band lies in the log10 shell of
+    its midpoint, and the bands run outward, so each shell is one run of
+    bands: shell k holds the bands bounds[k] up to bounds[k + 1].  The
+    jackknife pass runs the downgraded rules of `_jackknife_resolution`,
+    whose difference from the nominal ones bounds the nominal
+    discretization error.
     """
     fold = _even_rule if center is None else _meridian_rule
     resolutions = (spec.radial_nodes, spec.angular_nodes), _jackknife_resolution(spec)
@@ -482,22 +506,24 @@ def _stage_plan(bands, d: int, spec: QuadratureSpec, cutoff, center=None):
               d, n, center)
         for n, m in resolutions
     )
-    shells = tuple(math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands)
-    return shells, passes
+    shells = [math.floor(0.5 * (math.log10(a) + math.log10(b))) for a, b, *_ in bands]
+    inner = [i for i in range(1, len(shells)) if shells[i] != shells[i - 1]]
+    return (0, *inner, len(shells)), passes
 
 
 def _stage(fn, plan):
     """(sum, scale, shell sums, jackknife difference, rows) of one stage plan.
 
-    scale is the sum of |band values|, and rows counts the points fn saw
-    in both passes.
+    scale is the sum of |band values|, the shell sums run inner shell first,
+    and rows counts the points fn saw in both passes.
     """
-    shells, passes = plan
+    bounds, passes = plan
     values, low_values = (_band_values(fn, p).tolist() for p in passes)
     total = sum(values)
     scale = sum(map(abs, values)) + 1e-300
     jack = total - sum(low_values)
-    return total, scale, _shell_sums(shells, values), jack, sum(len(p[1]) for p in passes)
+    shells = [sum(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return total, scale, shells, jack, sum(len(p[1]) for p in passes)
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
@@ -564,14 +590,19 @@ def _operator_even(pair, d: int, s: float, p: float):
     """Even part in h of the operator's integrand k_pair(e1, e1+h) (u(e1) - u(e1+h)).
 
     u = |z|^(p-1) z1, so u(e1) = 1.  The kernel and the field at e1 + h and
-    e1 - h are formulas over the row record's geometry, and each row has
-    the bits of (g(h) + g(-h))/2: e1 - h has the bits of e1 + (-h).
+    e1 - h are exponentials over the row record's log columns
+    (`model._kernel`, `model._field`), and the rest is taken in place.  Each
+    row has the bits of (g(h) + g(-h))/2: e1 - h has the bits of e1 + (-h).
     """
 
     def even(rows):
-        k = _kernel(pair, d, s, rows.r, rows.c)
-        u = _field(p, 1.0 + _SIGNS * rows.h[:, 0], rows.ry)
-        return 0.5 * (k[0] * (1.0 - u[0]) + k[1] * (1.0 - u[1]))
+        k = _kernel(pair, d, s, rows.log_r, rows.c)
+        u = _field(p, _one_plus(rows.h), rows.log_ry)
+        np.subtract(1.0, u, out=u)
+        u *= k
+        out = np.add(u[0], u[1])
+        out *= 0.5
+        return out
 
     return even
 
@@ -579,14 +610,17 @@ def _operator_even(pair, d: int, s: float, p: float):
 def _potential_even(d: int, s: float, power: float):
     """Even part in h of the potential's integrand u(e1 - h) |h|^(-(d-1+s)).
 
-    u = |z|^(power-1) z1.  |h| is the same at h and -h, so each row has the
-    bits of (g(h) + g(-h))/2.
+    u = |z|^(power-1) z1, and |h|^(-(d-1+s)) is `model._power` of the log
+    column.  |h| is the same at h and -h, so each row has the bits of
+    (g(h) + g(-h))/2.
     """
 
     def even(rows):
-        w = rows.r ** (-(d - 1.0 + s))
-        u = _field(power, 1.0 + _SIGNS * rows.h[:, 0], rows.ry)
-        return 0.5 * (u[0] * w + u[1] * w)
+        u = _field(power, _one_plus(rows.h), rows.log_ry)
+        u *= _power(rows.log_r, -(d - 1.0 + s))
+        out = np.add(u[0], u[1])
+        out *= 0.5
+        return out
 
     return even
 

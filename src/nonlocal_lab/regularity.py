@@ -99,7 +99,7 @@ def reference_band(
     ry = np.linalg.norm(y, axis=1)
     inside = (ry >= y_lo) & (ry <= hi)
 
-    u_x, u_y = (_field(1.0 - delta, z[:, 0], _safe_norms(z)) for z in (x, y))
+    u_x, u_y = (_field(1.0 - delta, z[:, 0], np.log(_safe_norms(z))) for z in (x, y))
     du = np.abs(u_x - u_y)
     vals = np.where(inside, du**q * rz ** (-d - t * q), 0.0) * w_z * area_x
     value = float(np.mean(vals))

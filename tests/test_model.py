@@ -182,12 +182,29 @@ def test_field_rows_match_one_point_field(rng):
     pts = rng.normal(size=(20, 3))
     for p in (-1.25, 0.3, 1.0, 1.7):
         want = [homogeneous_field(p, z) for z in pts]
-        assert _field(p, pts[:, 0], _safe_norms(pts)) == pytest.approx(want, rel=1e-14)
+        assert _field(p, pts[:, 0], np.log(_safe_norms(pts))) == pytest.approx(want, rel=1e-14)
     # z = 0 has the value 0 for p >= 1, as the one-point field says
     origin = np.zeros((1, 3))
     for p in (1.0, 1.5, 3.0):
-        at_origin = _field(p, origin[:, 0], _safe_norms(origin))[0]
+        at_origin = _field(p, origin[:, 0], np.log(_safe_norms(origin)))[0]
         assert at_origin == 0.0 == homogeneous_field(p, origin[0])
+
+
+def test_homogeneous_field_keeps_the_power_form(rng):
+    # the closed forms' one-point field takes |x| ** (p-1), not _field's
+    # exponential of a log, so that a reference value does not share the
+    # oracles' rounding: it has the bits of the power form at every sample
+    # point, where the log form misses the last bit at some
+    log_form_differs = False
+    for d in (2, 3, 5):
+        pts = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(200, 1))
+        r = np.sqrt(np.sum(pts * pts, axis=1))
+        for p in (-1.45, 0.3, 0.95, 1.7):
+            want = r ** (p - 1.0) * pts[:, 0]
+            got = np.array([homogeneous_field(p, x) for x in pts])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            log_form_differs |= not np.array_equal(_field(p, pts[:, 0], np.log(r)), want)
+    assert log_form_differs
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -259,14 +276,16 @@ def test_kernel_identity_at_eps_zero(rng):
 
 def test_kernel_without_radial_part_is_the_isotropic_power(rng):
     # with b_rad = 0 the kernel's one formula adds 0.5 * 0.0 * c = 0.0 to
-    # a_iso, so it has the bits of a_iso |h|^(-d-2s) at every geometry
+    # a_iso, so it has the bits of a_iso exp(-(d+2s) log|h|) at every
+    # geometry, with log|h| taken from h alone
     for d in (2, 3, 5):
         x = rng.normal(size=d)
         h = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(200, 1))
-        r, _, c = _geometry(x, h, x + h)
+        log_r, _, c = _geometry(x, h, x + h)
+        log_h = np.log(np.sqrt(np.sum(h * h, axis=1)))
         for a_iso, s in ((1.0, 0.35), (0.6, 0.8)):
-            got = _kernel((a_iso, 0.0), d, s, r, c)
-            want = a_iso * r ** (-d - 2.0 * s)
+            got = _kernel((a_iso, 0.0), d, s, log_r, c)
+            want = a_iso * np.exp((-d - 2.0 * s) * log_h)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -316,8 +335,8 @@ def test_radial_kernel_at_e1_is_the_f2_polynomial(rng):
         h = np.concatenate([far, near])
         h = h[np.linalg.norm(h + e1, axis=1) > 1e-2]
         y = e1 + h
-        r, _, c = _geometry(e1, h, y)
-        got = _kernel((0.0, 1.0), d, s, r, c)
+        log_r, _, c = _geometry(e1, h, y)
+        got = _kernel((0.0, 1.0), d, s, log_r, c)
         g = -h
         r2 = np.sum(g * g, axis=1)
         g1 = g[:, 0]

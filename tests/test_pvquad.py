@@ -7,7 +7,7 @@ import pytest
 from nonlocal_lab import closedform as cf
 from nonlocal_lab import pvquad as pq
 from nonlocal_lab.errors import DomainError, NotConverged
-from nonlocal_lab.model import FracParams, _field, _geometry, _kernel, _safe_norms
+from nonlocal_lab.model import FracParams, _coeffs, _field, _geometry, _kernel, _power, _safe_norms
 from nonlocal_lab.riesz import (
     flux_divergence,
     riesz_constants,
@@ -27,23 +27,25 @@ def norms(h):
 
 def _operator_integrand(pair, d, s, p, x):
     # the operator's plain integrand k_pair(x, x+h) (u(x) - u(x+h)), whose
-    # even part at x = e1 pq._operator_even gives
-    ux = float(_field(p, x[:1], _safe_norms(x[None, :]))[0])
+    # even part at x = e1 pq._operator_even gives; its log norms are taken
+    # from x and h alone, never from a plan's cached columns
+    ux = float(_field(p, x[:1], np.log(_safe_norms(x[None, :])))[0])
 
     def g(h):
         y = x[None, :] + h
-        r, ry, c = _geometry(x, h, y)
-        return _kernel(pair, d, s, r, c) * (ux - _field(p, y[:, 0], ry))
+        log_r, log_ry, c = _geometry(x, h, y)
+        return _kernel(pair, d, s, log_r, c) * (ux - _field(p, y[:, 0], log_ry))
 
     return g
 
 
 def _potential_integrand(d, s, power, x):
     # the potential's plain integrand u(x - h) |h|^(-(d-1+s)), whose even
-    # part at x = e1 pq._potential_even gives
+    # part at x = e1 pq._potential_even gives, with its log norms from x and h
     def g(h):
         y = x[None, :] - h
-        return _field(power, y[:, 0], _safe_norms(y)) * norms(h) ** (-(d - 1.0 + s))
+        u = _field(power, y[:, 0], np.log(_safe_norms(y)))
+        return u * _power(np.log(norms(h)), -(d - 1.0 + s))
 
     return g
 
@@ -272,7 +274,7 @@ def _band_records(plan):
     # band i holds the rows starts[i] up to the next band's first row
     rows, weights, starts = plan
     for lo, hi in zip(starts, [*starts[1:], len(weights)]):
-        band = pq._Rows(rows.h[lo:hi], rows.r[lo:hi], rows.ry[:, lo:hi], rows.c[:, lo:hi])
+        band = pq._Rows(rows.h[lo:hi], rows.log_r[lo:hi], rows.log_ry[:, lo:hi], rows.c[:, lo:hi])
         yield band, weights[lo:hi]
 
 
@@ -335,10 +337,47 @@ def test_even_parts_are_bitwise(spec, d, cold_plans):
             assert _same_bits(even(rows), _even(plain)(rows))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_log_form_matches_power_form(spec, d, cold_plans):
+    # each oracle's even part, exponentials over the plan's log columns,
+    # against the same formula with the ** powers |h|^(-d-2s),
+    # |h|^(-(d-1+s)) and |e1 +- h|^(p-1), on every row of both passes of
+    # both stages of the default plan that lies at least 0.01 from the
+    # origin and from +-e1: within 1e-12 of the row's term scale
+    # sum+- |term+-| / 2, at three orders, three deltas and three pairs; the
+    # worst is about 1.8e-13 for the operator and 4.8e-15 for the potential.
+    # The norms, c+- and 1 +- h1 of the terms at y = e1 +- h come from h alone
+    for stage in pq._plan(spec, d, True):
+        for rows, _, _ in stage[1]:
+            ys = (E1 + rows.h, E1 - rows.h)
+            r, ry = norms(rows.h), np.stack([norms(y) for y in ys])
+            c = np.stack([_geometry(E1, rows.h, y)[2] for y in ys])
+            z1 = np.stack([y[:, 0] for y in ys])
+            keep = (r >= 0.01) & np.all(ry >= 0.01, axis=0)
+            for s in (0.1, 0.5, 0.9):
+                for delta in (0.05, 0.25, 0.45):
+                    p = 1.0 - delta
+                    u = ry ** (p - 1.0) * z1
+                    checks = [
+                        (pq._operator_even(pair, d, s, p),
+                         r ** (-d - 2.0 * s) * (pair[0] + 0.5 * pair[1] * c) * (1.0 - u))
+                        for pair in ((1.0, 0.0), (0.0, 1.0), _coeffs("fractional", d, s, 0.3))
+                    ]
+                    checks += [
+                        (pq._potential_even(d, s, power),
+                         ry ** (power - 1.0) * z1 * r ** (-(d - 1.0 + s)))
+                        for power in (s - delta, -1.0 - delta)
+                    ]
+                    for even, terms in checks:
+                        diff = np.abs(even(rows) - 0.5 * (terms[0] + terms[1]))[keep]
+                        scale = 0.5 * (np.abs(terms[0]) + np.abs(terms[1]))[keep]
+                        assert np.all(diff <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_meridian_rows_match_full_coordinates(spec, d, cold_plans):
     # a meridian row (h1, h2) stands for h1 e1 + h2 e_perp: the kernel's
-    # geometry (|h|, |y|, c) on two-column rows has the bits of the same
+    # geometry (log|h|, log|y|, c) on two-column rows has the bits of the same
     # rows, x and y zero-padded to d columns, at the main-band rows and the
     # patch rows e1 + l, at y = x + h and x - h, at x = e1 and off it
     main, patch = pq._plan(spec, d, True)
@@ -406,6 +445,25 @@ def test_band_values_grouping_is_bitwise(spec, d, cold_plans):
         for a, b, rule, cut in bands
     ]
     assert _hex(grouped) == _hex(single)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shell_sums_group_the_bands_by_log10_shell(spec, d, cold_plans):
+    # a stage's shell sums, taken from its runs of bands, against its nominal
+    # band values summed by each band's log10 shell in a dict, inner shell
+    # first, to the bit: on the main bands with and without the pair and on
+    # the patch
+    fn = pq._operator_even((0.8, 0.3), d, 0.4, 0.8)
+    (main, patch), (plain, _) = pq._plan(spec, d, True), pq._plan(spec, d, False)
+    stages = [(main, pq._main_bands(spec, d, True)), (patch, pq._patch_bands(spec)),
+              (plain, pq._main_bands(spec, d, False))]
+    for plan, bands in stages:
+        sums = {}
+        for (a, b, *_), v in zip(bands, pq._band_values(fn, plan[1][0]).tolist()):
+            k = math.floor(0.5 * (math.log10(a) + math.log10(b)))
+            sums[k] = sums.get(k, 0.0) + v
+        assert len(sums) > 3
+        assert _hex(pq._stage(fn, plan)[2]) == _hex([sums[k] for k in sorted(sums)])
 
 
 def _oracle_plan(spec, d, norm):
@@ -550,7 +608,7 @@ def test_plans_and_integrand_chunks_are_column_major(spec, d, cold_plans):
     for rows in chunks:
         assert columns_contiguous(rows.h)
         assert columns_contiguous(x + rows.h) and columns_contiguous(x - rows.h)
-        assert rows.ry.flags.c_contiguous and rows.c.flags.c_contiguous
+        assert rows.log_ry.flags.c_contiguous and rows.c.flags.c_contiguous
 
 
 _COARSE = {"bands_per_decade": 3, "radial_nodes": 7, "angular_nodes": 48}
@@ -619,10 +677,10 @@ def test_determinism_bitwise(spec):
 # field it takes from `model` keep the integrand's operation order, and every
 # x is the value at e1 scaled by |x|^(1 - delta - 2s) x1/|x|
 _FRAC_OP_PINNED = [
-    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.8870806839037515, 2.815115031291827e-07, 113616),
+    ((2, 0.5, 0.25, 0.1), (1.0, 0.0), 4.887080683735736, 2.8136157660197596e-07, 113616),
     ((2, 0.3, 0.1, 0.4), (0.78, -1.04), 2.4283818561030026, 4.491688161067117e-06, 113616),
-    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008188003346303, 5.2722192331779336e-06, 113616),
-    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.70386540114952, 3.754558327379451e-05, 72576),
+    ((2, 0.8, 0.4, 0.2), (-0.5, 0.9), -3.0008143763988375, 8.551332690741952e-07, 113616),
+    ((3, 0.4, 0.2, 0.15), (0.6, 0.48, 0.64), 5.703865401146306, 3.754558050285786e-05, 72576),
 ]
 
 
